@@ -14,7 +14,7 @@ import dataclasses
 from dataclasses import dataclass
 from math import fsum
 
-from .din import DinTerms, din_payout, payout_schedule, premium_schedule
+from .din import DinTerms, payout_schedule, premium_schedule
 from .portfolio import ReturnPortfolio
 
 
@@ -136,53 +136,58 @@ def simulate_bank(cfg: ScenarioConfig) -> BankResult:
     return BankResult(final_multiple=multiple, survived=multiple >= 1.0, ledger=tuple(rows))
 
 
-def final_multiple_at_rate(cfg: ScenarioConfig, bank_rate: float) -> float:
-    return simulate_bank(dataclasses.replace(cfg, bank_rate=bank_rate)).final_multiple
+def _scan_crossings(margins: list[float]) -> list[int]:
+    """Index at which each break-even crossing of a rate scan starts.
+
+    A strict sign flip between neighbours ``i`` and ``i + 1`` is one
+    crossing at ``i``; a run of exact zeros is one crossing at its first
+    index. Signs are compared rather than products, because the product
+    of two tiny margins can underflow to 0.
+    """
+    crossings = []
+    for i, m in enumerate(margins):
+        if m == 0.0:
+            if i == 0 or margins[i - 1] != 0.0:
+                crossings.append(i)
+        elif i + 1 < len(margins) and margins[i + 1] != 0.0 and (m > 0) != (margins[i + 1] > 0):
+            crossings.append(i)
+    return crossings
 
 
 def break_even_rate(cfg: ScenarioConfig, lo: float, hi: float, *,
                     tol: float = 1e-6, scan_points: int = 21) -> float | None:
     """Bank rate at which the final multiple crosses 1.0, or None.
 
-    Bisects on the rate, relying on the final multiple being monotone in
-    the rate. A coarse scan first checks the bracket: no crossing
-    returns None; more than one crossing raises
-    :class:`BreakEvenBracketError`.
+    A coarse scan first checks the bracket (see :func:`_scan_crossings`):
+    no crossing returns None; more than one raises
+    :class:`BreakEvenBracketError`. A crossing at an exact zero returns
+    that grid rate; a sign flip is bisected, relying on the final
+    multiple being monotone in the rate between the two grid points.
     """
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
 
+    def margin(rate: float) -> float:
+        return simulate_bank(dataclasses.replace(cfg, bank_rate=rate)).final_multiple - 1.0
+
     grid = [lo + (hi - lo) * i / (scan_points - 1) for i in range(scan_points)]
-    margins = [final_multiple_at_rate(cfg, r) - 1.0 for r in grid]
-
-    crossings = []
-    for i in range(len(grid) - 1):
-        if margins[i] == 0.0 or (margins[i] > 0) != (margins[i + 1] > 0):
-            if margins[i] == 0.0 and crossings and crossings[-1][1] == i:
-                continue
-            crossings.append((i, i + 1))
-    if margins[-1] == 0.0:
-        crossings.append((len(grid) - 2, len(grid) - 1))
-    # Collapse adjacent intervals that describe the same crossing.
-    distinct = []
-    for a, b in crossings:
-        if distinct and a <= distinct[-1][1]:
-            continue
-        distinct.append((a, b))
-
-    if not distinct:
+    margins = [margin(r) for r in grid]
+    crossings = _scan_crossings(margins)
+    if not crossings:
         return None
-    if len(distinct) > 1:
+    if len(crossings) > 1:
         raise BreakEvenBracketError(
-            f"final multiple crosses break-even {len(distinct)} times in [{lo}, {hi}]"
+            f"final multiple crosses break-even {len(crossings)} times in [{lo}, {hi}]"
         )
 
-    a, b = distinct[0]
-    r_lo, r_hi = grid[a], grid[b]
+    a = crossings[0]
+    if margins[a] == 0.0:
+        return grid[a]
+    r_lo, r_hi = grid[a], grid[a + 1]
     f_lo = margins[a]
     while r_hi - r_lo > tol:
         mid = (r_lo + r_hi) / 2
-        f_mid = final_multiple_at_rate(cfg, mid) - 1.0
+        f_mid = margin(mid)
         if f_mid == 0.0:
             return mid
         if (f_lo > 0) == (f_mid > 0):
@@ -190,13 +195,6 @@ def break_even_rate(cfg: ScenarioConfig, lo: float, hi: float, *,
         else:
             r_hi = mid
     return (r_lo + r_hi) / 2
-
-
-def bank_net_payoff(principal: float, multiple: float, terms: DinTerms) -> float:
-    """Cash a single fund returns at resolution (residual plus payout)."""
-    if multiple < 1.0:
-        return multiple * principal + din_payout(principal, multiple, terms)
-    return multiple * principal
 
 
 def write_bank_csv(path, result: BankResult) -> None:

@@ -45,24 +45,28 @@ from .sweep import config_digest, parse_rate_grid, run_sweep, write_sweep_csv, w
 DEFAULT_SEED = 42
 DEFAULT_LIBOR_PCT = 1.57  # latest rate in the bundled window
 
-# Config-file schema: key -> coercion. Keys match the long flag names.
-_CONFIG_COERCERS = {
-    "csv": str, "start": str, "end": str,
-    "seed": int, "n": int, "mean": float, "stddev": float,
-    "sigma_loss": float, "breakeven_loss": float, "label": str, "out": str,
-    "portfolio": str, "floor": float,
-    "moc": float, "libor": float, "bank_rate": float,
-    "coverage": float, "coverage_floor": float, "premium_rate": float,
-    "premium_base": str, "payoff_year": int, "term_years": int,
-    "capital": float, "surplus_rate": float, "target_mean": float,
-    "no_compress": lambda v: v.lower() in ("1", "true", "yes"),
-    "lo": float, "hi": float,
-    "grid": str, "mocs": str, "targets": str, "out_dir": str,
-    "ledger_out": str,
-}
+_FLAG_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-def _load_config(path: str) -> dict[str, object]:
+def _config_value(action: argparse.Action, text: str) -> object:
+    if action.nargs == 0:  # store_true
+        return _FLAG_WORDS[text.lower()]
+    value = (action.type or str)(text)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(text)
+    return value
+
+
+def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
+    """Preload subcommand flag defaults from a flat key=value file.
+
+    Keys are the subcommands' long flag names; each value is typed by the
+    ``type`` and ``choices`` of the argparse action with that ``dest``.
+    """
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices.values()
+    actions = {a.dest: a for sp in subparsers for a in sp._actions
+               if a.option_strings and a.dest != "help"}
     values: dict[str, object] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
@@ -70,12 +74,17 @@ def _load_config(path: str) -> dict[str, object]:
             continue
         if "=" not in line:
             raise ValueError(f"{path}: line {lineno}: expected key=value")
-        key, _, value = line.partition("=")
-        key = key.strip().replace("-", "_")
-        if key not in _CONFIG_COERCERS:
+        key, _, text = line.partition("=")
+        key, text = key.strip().replace("-", "_"), text.strip()
+        if key not in actions:
             raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
-        values[key] = _CONFIG_COERCERS[key](value.strip())
-    return values
+        try:
+            values[key] = _config_value(actions[key], text)
+        except (KeyError, ValueError):
+            raise ValueError(f"{path}: line {lineno}: bad value {text!r} for key {key!r}") from None
+    for sp in subparsers:
+        known = {a.dest for a in sp._actions}
+        sp.set_defaults(**{k: v for k, v in values.items() if k in known})
 
 
 def _parse_date(text: str, end_of_year: bool) -> dt.date:
@@ -268,7 +277,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     write_sweep_meta(out_dir / "sweep.meta", table)
     emit_report(table, ReportKind.BANK_MULTIPLE, out_dir / "fig3.svg")
     emit_report(table, ReportKind.UNDERWRITER_RETURN, out_dir / "fig4.svg")
-    for name in ("sweep.csv", "sweep.meta", "fig3.svg", "fig3.csv", "fig4.svg", "fig4.csv"):
+    for name in ("sweep.csv", "sweep.meta", "fig3.svg", "fig4.svg"):
         print(f"wrote {out_dir / name}")
     return 0
 
@@ -285,27 +294,21 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser(defaults: dict[str, object] | None = None) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="venturebank",
         description="Deterministic venture-bank / default-insurance scenario simulator.",
     )
     parser.add_argument("--config", help="flat key=value file preloading flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers: list[argparse.ArgumentParser] = []
 
-    def add_parser(name: str, **kwargs) -> argparse.ArgumentParser:
-        sp = sub.add_parser(name, **kwargs)
-        subparsers.append(sp)
-        return sp
-
-    p = add_parser("ingest", help="load a rate CSV and print window statistics")
+    p = sub.add_parser("ingest", help="load a rate CSV and print window statistics")
     p.add_argument("--csv", help="rate CSV path (default: bundled snapshot)")
     p.add_argument("--start", help="window start, YYYY-MM-DD or YYYY")
     p.add_argument("--end", help="window end, YYYY-MM-DD or YYYY")
     p.set_defaults(handler=_cmd_ingest)
 
-    p = add_parser("synth", help="synthesize the reference portfolio")
+    p = sub.add_parser("synth", help="synthesize the reference portfolio")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--n", type=int, default=99)
     p.add_argument("--mean", type=float, default=1.31)
@@ -316,23 +319,23 @@ def build_parser(defaults: dict[str, object] | None = None) -> argparse.Argument
     p.add_argument("--out", default="portfolio.csv")
     p.set_defaults(handler=_cmd_synth)
 
-    p = add_parser("coverage", help="coverage sizing by both clamp methods")
+    p = sub.add_parser("coverage", help="coverage sizing by both clamp methods")
     p.add_argument("--portfolio", required=True)
     p.add_argument("--floor", type=float, default=2.88, help="coverage floor, percent")
     p.set_defaults(handler=_cmd_coverage)
 
-    p = add_parser("simulate", help="run one bank scenario and write its ledger")
+    p = sub.add_parser("simulate", help="run one bank scenario and write its ledger")
     _add_scenario_flags(p)
     p.add_argument("--ledger-out", default="bank_ledger.csv")
     p.set_defaults(handler=_cmd_simulate)
 
-    p = add_parser("breakeven", help="solve the break-even bank rate")
+    p = sub.add_parser("breakeven", help="solve the break-even bank rate")
     _add_scenario_flags(p)
     p.add_argument("--lo", type=float, default=0.5, help="bracket low, percent (default 0.5)")
     p.add_argument("--hi", type=float, default=7.5, help="bracket high, percent (default 7.5)")
     p.set_defaults(handler=_cmd_breakeven)
 
-    p = add_parser("sweep", help="rate-grid sweep with CSV and SVG reports")
+    p = sub.add_parser("sweep", help="rate-grid sweep with CSV and SVG reports")
     p.add_argument("--grid", default="0.53:7.50:0.25", help="lo:hi:step in percent")
     p.add_argument("--mocs", default="30,43")
     p.add_argument("--targets", default="1.10,1.31,1.50")
@@ -343,37 +346,27 @@ def build_parser(defaults: dict[str, object] | None = None) -> argparse.Argument
     _add_terms_flags(p)
     p.set_defaults(handler=_cmd_sweep)
 
-    p = add_parser("calibrate", help="score premium-base/rate-reading modes against anchors")
+    p = sub.add_parser("calibrate", help="score premium-base/rate-reading modes against anchors")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", default="calibration.txt")
     p.set_defaults(handler=_cmd_calibrate)
-
-    if defaults:
-        for sp in subparsers:
-            known = {a.dest for a in sp._actions}
-            sp.set_defaults(**{k: v for k, v in defaults.items() if k in known})
     return parser
 
 
 def run_cli(argv: list[str]) -> int:
     """Parse and dispatch; exit status 0 on success, nonzero with a diagnostic."""
-    config_values: dict[str, object] = {}
-    if "--config" in argv:
-        idx = argv.index("--config")
-        if idx + 1 >= len(argv):
-            print("error: --config needs a path", file=sys.stderr)
-            return 2
-        try:
-            config_values = _load_config(argv[idx + 1])
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    parser = build_parser(config_values)
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            # File values become subcommand defaults, so explicit flags still win.
+            _apply_config(parser, args.config)
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     try:
         return args.handler(args)

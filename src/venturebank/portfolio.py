@@ -41,8 +41,8 @@ class ReturnPortfolio:
         if not self.funds:
             raise ValueError("portfolio must contain at least one fund")
         for m in self.funds:
-            if m < 0:
-                raise ValueError(f"fund multiple must be >= 0, got {m!r}")
+            if not math.isfinite(m) or m < 0:
+                raise ValueError(f"fund multiple must be finite and >= 0, got {m!r}")
 
     def __len__(self) -> int:
         return len(self.funds)
@@ -326,4 +326,7 @@ def load_portfolio(path: str | Path, label: str | None = None) -> ReturnPortfoli
         funds = tuple(float(ln) for ln in lines[1:])
     except ValueError as exc:
         raise ValueError(f"{path}: non-numeric multiple: {exc}") from exc
-    return ReturnPortfolio(funds, label if label is not None else path.stem)
+    try:
+        return ReturnPortfolio(funds, label if label is not None else path.stem)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

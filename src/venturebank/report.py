@@ -9,7 +9,7 @@ from __future__ import annotations
 import enum
 from pathlib import Path
 
-from .sweep import SweepRow, SweepTable, write_sweep_csv
+from .sweep import SweepTable
 
 WIDTH, HEIGHT = 840, 520
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 200, 48, 56
@@ -42,6 +42,12 @@ def _series_for(table: SweepTable, kind: ReportKind) -> dict[str, list[tuple[flo
     return series
 
 
+def _escape(text: str) -> str:
+    # Not xml.sax.saxutils.escape: importing it pulls in urllib.request,
+    # which would weigh on every CLI start.
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
@@ -71,7 +77,7 @@ def _svg_chart(series: dict[str, list[tuple[float, float]]], title: str,
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {WIDTH} {HEIGHT}" '
         f'font-family="Helvetica, Arial, sans-serif" font-size="13">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<text x="{MARGIN_L}" y="24" font-size="17" font-weight="bold">{title}</text>',
+        f'<text x="{MARGIN_L}" y="24" font-size="17" font-weight="bold">{_escape(title)}</text>',
         f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="#444"/>',
     ]
@@ -90,16 +96,16 @@ def _svg_chart(series: dict[str, list[tuple[float, float]]], title: str,
                      f'text-anchor="end">{t:.2f}</text>')
 
     parts.append(f'<text x="{MARGIN_L + plot_w / 2:.1f}" y="{HEIGHT - 12}" '
-                 f'text-anchor="middle">{x_label}</text>')
+                 f'text-anchor="middle">{_escape(x_label)}</text>')
     parts.append(f'<text x="18" y="{MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '
-                 f'transform="rotate(-90 18 {MARGIN_T + plot_h / 2:.1f})">{y_label}</text>')
+                 f'transform="rotate(-90 18 {MARGIN_T + plot_h / 2:.1f})">{_escape(y_label)}</text>')
 
     ry = py(ref_y)
     parts.append(f'<line class="refline" x1="{MARGIN_L}" y1="{ry:.1f}" '
                  f'x2="{MARGIN_L + plot_w}" y2="{ry:.1f}" stroke="#333" '
                  f'stroke-dasharray="7 5" stroke-width="1.5"/>')
     parts.append(f'<text x="{MARGIN_L + plot_w - 4}" y="{ry - 6:.1f}" '
-                 f'text-anchor="end" fill="#333">{ref_label}</text>')
+                 f'text-anchor="end" fill="#333">{_escape(ref_label)}</text>')
 
     legend_y = MARGIN_T + 10
     for i, (name, pts) in enumerate(series.items()):
@@ -110,7 +116,7 @@ def _svg_chart(series: dict[str, list[tuple[float, float]]], title: str,
         lx = MARGIN_L + plot_w + 14
         parts.append(f'<line x1="{lx}" y1="{legend_y}" x2="{lx + 22}" y2="{legend_y}" '
                      f'stroke="{color}" stroke-width="3"/>')
-        parts.append(f'<text x="{lx + 28}" y="{legend_y + 4}">{name}</text>')
+        parts.append(f'<text x="{lx + 28}" y="{legend_y + 4}">{_escape(name)}</text>')
         legend_y += 20
 
     parts.append("</svg>")
@@ -118,11 +124,11 @@ def _svg_chart(series: dict[str, list[tuple[float, float]]], title: str,
 
 
 def emit_report(table: SweepTable, kind: ReportKind, out: str | Path) -> Path:
-    """Write the chart for one side of the sweep, plus its backing CSV.
+    """Write the chart for one side of the sweep.
 
     The bank chart carries a break-even reference line at 1.0; the
-    underwriter chart at 0. The CSV lands next to the SVG with the same
-    stem. Raises on an empty table before creating any file.
+    underwriter chart at 0. Both plot columns the sweep CSV already
+    holds. Raises on an empty table before creating any file.
     """
     if not table.rows:
         raise ValueError("cannot render an empty sweep table")
@@ -145,5 +151,4 @@ def emit_report(table: SweepTable, kind: ReportKind, out: str | Path) -> Path:
         )
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(svg, encoding="utf-8")
-    write_sweep_csv(out.with_suffix(".csv"), table)
     return out

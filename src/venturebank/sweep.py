@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -100,15 +101,7 @@ def run_sweep(bases: Sequence[ScenarioConfig], rate_grid_pct: Sequence[float],
             rate_pct = funds_rate(g)
             rate = rate_pct / 100.0
             try:
-                bank = simulate_bank(
-                    ScenarioConfig(
-                        portfolio=cfg.portfolio, din_terms=cfg.din_terms,
-                        bank_rate=rate, moc=cfg.moc,
-                        original_capital=cfg.original_capital,
-                        horizon_years=cfg.horizon_years,
-                        surplus_rate=cfg.surplus_rate,
-                    )
-                )
+                bank = simulate_bank(dataclasses.replace(cfg, bank_rate=rate))
                 under = underwriter_ledger(cfg.portfolio, cfg.din_terms, rate, principal)
             except ValueError as exc:
                 raise SweepError(
@@ -165,6 +158,9 @@ def read_sweep_csv(path: str | Path) -> SweepTable:
         parts = line.split(",")
         if len(parts) != 6:
             raise SweepError(f"{path}: line {lineno}: expected 6 fields")
+        if parts[5] not in ("true", "false"):
+            raise SweepError(f"{path}: line {lineno}: survived must be true or false, "
+                             f"got {parts[5]!r}")
         try:
             rows.append(SweepRow(
                 portfolio_label=parts[0],

@@ -5,8 +5,12 @@ import random
 
 import pytest
 
+from venturebank import bank_engine
 from venturebank.bank_engine import (
+    BankResult,
+    BreakEvenBracketError,
     ScenarioConfig,
+    _scan_crossings,
     bank_summary,
     break_even_rate,
     simulate_bank,
@@ -197,3 +201,53 @@ class TestBreakEven:
         assert multiple == pytest.approx(1.0, abs=1e-3)
         assert simulate_bank(dataclasses.replace(cfg, bank_rate=rate - 2e-6)).final_multiple >= multiple
         assert simulate_bank(dataclasses.replace(cfg, bank_rate=rate + 2e-6)).final_multiple <= multiple
+
+
+class TestScanCrossings:
+    @pytest.mark.parametrize("margins, expected", [
+        ([0.3, 0.1, -0.1, -0.4], [1]),        # one strict flip: its left index
+        ([-0.1, 0.2, -0.3], [0, 1]),          # down-up-down: two crossings
+        ([0.2, 0.0, 0.0, -0.2], [1]),         # a zero run is one crossing at its start
+        ([0.0, -0.1], [0]),                   # a zero at the left end
+        ([0.1, 0.0, 0.1], [1]),               # touching zero counts
+        ([1e-200, -1e-200], [0]),             # product would underflow to 0
+        ([0.5, 0.4, 0.1], []),
+    ])
+    def test_patterns(self, margins, expected):
+        assert _scan_crossings(margins) == expected
+
+
+@pytest.fixture
+def scripted_margin(monkeypatch):
+    """Make the solver see ``margin(rate)`` in place of the ledger."""
+    def install(margin):
+        def fake(cfg):
+            return BankResult(final_multiple=1.0 + margin(cfg.bank_rate), survived=True, ledger=())
+        monkeypatch.setattr(bank_engine, "simulate_bank", fake)
+    return install
+
+
+LO, HI = 0.005, 0.075
+SCAN_GRID = [LO + (HI - LO) * i / 20 for i in range(21)]
+
+
+class TestBreakEvenScan:
+    CFG = ScenarioConfig(ReturnPortfolio((1.0,)), DinTerms(), 0.02, 30)
+
+    def test_two_crossings_raise(self, scripted_margin):
+        scripted_margin(lambda r: (r - 0.02) * (r - 0.05))
+        with pytest.raises(BreakEvenBracketError, match="2 times"):
+            break_even_rate(self.CFG, LO, HI)
+
+    def test_zero_run_returns_its_first_grid_rate(self, scripted_margin):
+        a, b = SCAN_GRID[5], SCAN_GRID[6]
+        scripted_margin(lambda r: 1.0 if r < a else 0.0 if r <= b else -1.0)
+        assert break_even_rate(self.CFG, LO, HI) == a
+
+    def test_zero_at_bracket_low_end(self, scripted_margin):
+        scripted_margin(lambda r: 0.0 if r == LO else -1.0)
+        assert break_even_rate(self.CFG, LO, HI) == LO
+
+    def test_all_positive_is_none(self, scripted_margin):
+        scripted_margin(lambda r: 0.5)
+        assert break_even_rate(self.CFG, LO, HI) is None

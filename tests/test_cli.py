@@ -90,13 +90,22 @@ class TestSimulateAndBreakeven:
         assert code == 0
         assert out.strip() == "breakeven_bank_rate_pct=none"
 
+    def test_non_finite_fund_rejected(self, in_tmp, capsys):
+        (in_tmp / "inf.csv").write_text("multiple\n1.0\ninf\n", encoding="utf-8")
+        code, out, err = run(capsys, "simulate", "--portfolio", "inf.csv")
+        assert code == 1
+        assert out == ""
+        assert "inf.csv" in err and "inf" in err.replace("inf.csv", "")
+
 
 class TestSweep:
     def test_writes_all_artifacts(self, in_tmp, capsys):
         code, _out, _ = run(capsys, "sweep", "--out-dir", "out")
         assert code == 0
-        for name in ("sweep.csv", "sweep.meta", "fig3.svg", "fig3.csv", "fig4.svg", "fig4.csv"):
+        for name in ("sweep.csv", "sweep.meta", "fig3.svg", "fig4.svg"):
             assert (in_tmp / "out" / name).exists(), name
+        for name in ("fig3.csv", "fig4.csv"):
+            assert not (in_tmp / "out" / name).exists(), name
         csv = (in_tmp / "out" / "sweep.csv").read_text().splitlines()
         assert len(csv) == 1 + 6 * 29
 
@@ -138,6 +147,30 @@ class TestConfigFile:
         code, _, err = run(capsys, "--config", "bad.cfg", "synth")
         assert code == 2
         assert "bogus" in err
+
+    @pytest.mark.parametrize("config_args", [
+        ["--config", "c.cfg"], ["--config=c.cfg"], ["--conf", "c.cfg"],
+    ])
+    def test_every_spelling_of_the_flag_takes_effect(self, in_tmp, capsys, config_args):
+        (in_tmp / "c.cfg").write_text("moc=43\n", encoding="utf-8")
+        code, out, _ = run(capsys, *config_args, "simulate")
+        assert code == 0
+        assert "moc=43\n" in out
+
+    def test_store_true_flag_from_file(self, in_tmp, capsys):
+        (in_tmp / "c.cfg").write_text("no_compress=true\n", encoding="utf-8")
+        _, compressed, _ = run(capsys, "simulate")
+        _, uncompressed, _ = run(capsys, "--config", "c.cfg", "simulate")
+        assert "funds=99\n" not in compressed
+        assert "funds=99\n" in uncompressed
+
+    @pytest.mark.parametrize("line", ["moc=lots", "no_compress=maybe", "premium_base=weekly"])
+    def test_bad_value_names_file_line_and_key(self, in_tmp, capsys, line):
+        (in_tmp / "c.cfg").write_text("# comment\nseed=7\n" + line + "\n", encoding="utf-8")
+        code, _, err = run(capsys, "--config", "c.cfg", "simulate")
+        assert code == 2
+        key = line.split("=")[0]
+        assert "c.cfg" in err and "line 3" in err and repr(key) in err
 
 
 class TestExitCodes:

@@ -42,6 +42,9 @@ class TestStats:
             ReturnPortfolio(())
         with pytest.raises(ValueError):
             ReturnPortfolio((1.0, -0.1))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=repr(bad)):
+                ReturnPortfolio((1.0, bad))
 
 
 class TestSynthesis:

@@ -1,6 +1,7 @@
 """Rate-grid sweeps, CSV round-trips, and SVG report emission."""
 
 import dataclasses
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -103,6 +104,13 @@ class TestSweepCsv:
         with pytest.raises(SweepError):
             read_sweep_csv(path)
 
+    def test_survived_must_be_true_or_false(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("portfolio,moc,bank_rate_pct,bank_multiple,underwriter_return,survived\n"
+                        "p,30.0,2.0,1.5,0.1,true\np,30.0,2.25,1.4,0.1,yes\n", encoding="utf-8")
+        with pytest.raises(SweepError, match="line 3"):
+            read_sweep_csv(path)
+
     def test_unsorted_rows_rejected(self):
         row = SweepRow("p", 30.0, 2.0, 1.5, 0.1, True)
         row2 = SweepRow("p", 30.0, 1.0, 1.6, 0.1, True)
@@ -117,13 +125,21 @@ class TestReports:
         assert svg.count("<polyline") == 6
         assert svg.count('class="refline"') == 1
         assert "break-even = 1.0" in svg
-        assert (tmp_path / "fig3.csv").exists()
+        assert not (tmp_path / "fig3.csv").exists()
 
     def test_underwriter_chart_reference_at_zero(self, tmp_path, six_curve_table):
         out = emit_report(six_curve_table, ReportKind.UNDERWRITER_RETURN, tmp_path / "fig4.svg")
         svg = out.read_text()
         assert "break-even = 0" in svg
         assert svg.count('class="refline"') == 1
+
+    def test_labels_are_xml_escaped(self, tmp_path):
+        cfg = ScenarioConfig(ReturnPortfolio((0.5, 2.0), "a<b&c"), DinTerms(), 0.0, 30)
+        table = run_sweep([cfg], [1.0, 2.0])
+        for kind in ReportKind:
+            out = emit_report(table, kind, tmp_path / f"{kind.value}.svg")
+            texts = [t.text for t in ET.parse(out).iter("{http://www.w3.org/2000/svg}text")]
+            assert any("a<b&c" in t for t in texts)
 
     def test_empty_table_creates_no_file(self, tmp_path):
         empty = SweepTable(())
