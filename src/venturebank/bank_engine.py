@@ -10,9 +10,12 @@ multiple on original capital, with break-even at 1.0.
 
 from __future__ import annotations
 
-import dataclasses
+import math
 from dataclasses import dataclass
 from math import fsum
+from typing import Callable
+
+import numpy as np
 
 from .din import DinTerms, payout_schedule, premium_schedule
 from .portfolio import ReturnPortfolio
@@ -33,6 +36,10 @@ class ScenarioConfig:
     surplus_rate: float = 0.0  # earned on cash once debt is retired
 
     def __post_init__(self) -> None:
+        for name in ("bank_rate", "moc", "original_capital", "surplus_rate"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.moc <= 0:
             raise ValueError("moc must be positive")
         if self.bank_rate < 0:
@@ -136,6 +143,53 @@ def simulate_bank(cfg: ScenarioConfig) -> BankResult:
     return BankResult(final_multiple=multiple, survived=multiple >= 1.0, ledger=tuple(rows))
 
 
+def multiple_curve(cfg: ScenarioConfig) -> Callable[[np.ndarray], np.ndarray]:
+    """Final multiple of ``cfg`` as a function of an array of bank rates.
+
+    The premium and payout schedules, the exit sums and the opening debt
+    do not depend on the rate, so they are built once here. The returned
+    kernel steps the yearly ledger of :func:`simulate_bank` over all the
+    rates at once, in the same order of operations, so element ``i``
+    equals ``simulate_bank(replace(cfg, bank_rate=rates[i])).final_multiple``
+    bitwise; ``cfg.bank_rate`` itself is not used. Each ``min(a, b)`` is
+    written ``np.where(b < a, b, a)``, which picks the operand ``min``
+    picks, signed zeros included.
+    """
+    funds = cfg.portfolio.funds
+    invested = cfg.moc * cfg.original_capital
+    principal = invested / len(funds)
+    premiums = premium_schedule(cfg.portfolio, cfg.din_terms, principal)
+    receipts = payout_schedule(cfg.portfolio, cfg.din_terms, principal)
+    horizon = cfg.horizon_years
+    exits = [0.0] * (horizon + 1)
+    exits[cfg.din_terms.payoff_year] += fsum(m * principal for m in funds if m < 1.0)
+    exits[horizon] += fsum(m * principal for m in funds if m >= 1.0)
+    inflows = [r + e for r, e in zip(receipts, exits)]
+    debt0 = invested + premiums[0]
+    capital, surplus_rate = cfg.original_capital, cfg.surplus_rate
+
+    def kernel(rates: np.ndarray) -> np.ndarray:
+        rates = np.asarray(rates, dtype=float)
+        if not np.all(rates >= 0):
+            raise ValueError("bank_rate must be >= 0")
+        debt = np.full(rates.shape, debt0)
+        cash = np.zeros(rates.shape)
+        for year in range(1, horizon + 1):
+            debt = debt + debt * rates
+            cash = cash + cash * surplus_rate
+            due = premiums[year]
+            from_cash = np.where(due < cash, due, cash)
+            cash = cash - from_cash
+            debt = debt + (due - from_cash)
+            inflow = inflows[year]
+            pay_down = np.where(inflow < debt, inflow, debt)
+            debt = debt - pay_down
+            cash = cash + (inflow - pay_down)
+        return (capital + cash - debt) / capital
+
+    return kernel
+
+
 def _scan_crossings(margins: list[float]) -> list[int]:
     """Index at which each break-even crossing of a rate scan starts.
 
@@ -163,15 +217,15 @@ def break_even_rate(cfg: ScenarioConfig, lo: float, hi: float, *,
     :class:`BreakEvenBracketError`. A crossing at an exact zero returns
     that grid rate; a sign flip is bisected, relying on the final
     multiple being monotone in the rate between the two grid points.
+    The scan is one call of the :func:`multiple_curve` kernel and each
+    bisection step another call of the same curve.
     """
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
-
-    def margin(rate: float) -> float:
-        return simulate_bank(dataclasses.replace(cfg, bank_rate=rate)).final_multiple - 1.0
+    multiples = multiple_curve(cfg)
 
     grid = [lo + (hi - lo) * i / (scan_points - 1) for i in range(scan_points)]
-    margins = [margin(r) for r in grid]
+    margins = (multiples(np.array(grid)) - 1.0).tolist()
     crossings = _scan_crossings(margins)
     if not crossings:
         return None
@@ -187,7 +241,7 @@ def break_even_rate(cfg: ScenarioConfig, lo: float, hi: float, *,
     f_lo = margins[a]
     while r_hi - r_lo > tol:
         mid = (r_lo + r_hi) / 2
-        f_mid = margin(mid)
+        f_mid = multiples(np.array([mid]))[0] - 1.0
         if f_mid == 0.0:
             return mid
         if (f_lo > 0) == (f_mid > 0):

@@ -14,7 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .bank_engine import ScenarioConfig, simulate_bank
+import numpy as np
+
+from .bank_engine import ScenarioConfig, multiple_curve
 from .din import DinTerms, PremiumBase
 from .market_data import FUNDS_RATE_SPREAD
 from .portfolio import ReturnPortfolio
@@ -77,17 +79,19 @@ def run_calibration(portfolio: ReturnPortfolio) -> CalibrationReport:
     ``portfolio`` should be the compressed reference portfolio shifted
     to the 1.31 mean. Lower score is better: the sum of the two anchor
     residuals and the distance of the coverage uplift from its band.
+    Each (premium base, coverage, leverage) case is one kernel call over
+    both rate readings.
     """
+    readings = np.array([anchor_bank_rate(r) for r in RATE_READINGS])
     cases = []
     for base in PremiumBase:
-        for reading in RATE_READINGS:
-            rate = anchor_bank_rate(reading)
-            m30 = simulate_bank(ScenarioConfig(
-                portfolio, _terms(base, WORKING_COVERAGE), rate, 30)).final_multiple
-            m43 = simulate_bank(ScenarioConfig(
-                portfolio, _terms(base, WORKING_COVERAGE), rate, 43)).final_multiple
-            m30_reduced = simulate_bank(ScenarioConfig(
-                portfolio, _terms(base, REDUCED_COVERAGE), rate, 30)).final_multiple
+        m30s, m43s, reduced = (
+            multiple_curve(ScenarioConfig(portfolio, _terms(base, coverage), 0.0, moc))(readings)
+            .tolist()
+            for coverage, moc in ((WORKING_COVERAGE, 30), (WORKING_COVERAGE, 43),
+                                  (REDUCED_COVERAGE, 30))
+        )
+        for reading, m30, m43, m30_reduced in zip(RATE_READINGS, m30s, m43s, reduced):
             uplift = m30_reduced - m30
             score = (abs(m30 - TARGET_M30) + abs(m43 - TARGET_M43)
                      + _band_distance(uplift, UPLIFT_BAND))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime as dt
+import math
 import sys
 from pathlib import Path
 
@@ -48,6 +49,22 @@ DEFAULT_LIBOR_PCT = 1.57  # latest rate in the bundled window
 _FLAG_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
+def _finite(text: str) -> float:
+    """argparse type of every float flag: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _finite_list(text: str) -> list[float]:
+    """argparse type of a comma-separated list of finite numbers."""
+    return [_finite(t) for t in text.split(",") if t]
+
+
 def _config_value(action: argparse.Action, text: str) -> object:
     if action.nargs == 0:  # store_true
         return _FLAG_WORDS[text.lower()]
@@ -80,7 +97,7 @@ def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
             raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
         try:
             values[key] = _config_value(actions[key], text)
-        except (KeyError, ValueError):
+        except (KeyError, ValueError, argparse.ArgumentTypeError):
             raise ValueError(f"{path}: line {lineno}: bad value {text!r} for key {key!r}") from None
     for sp in subparsers:
         known = {a.dest for a in sp._actions}
@@ -95,11 +112,11 @@ def _parse_date(text: str, end_of_year: bool) -> dt.date:
 
 
 def _add_terms_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--coverage", type=float, default=3.88,
+    p.add_argument("--coverage", type=_finite, default=3.88,
                    help="insured percent of each investment (default 3.88)")
-    p.add_argument("--coverage-floor", type=float, default=2.88,
+    p.add_argument("--coverage-floor", type=_finite, default=2.88,
                    help="regulatory coverage floor, percent (default 2.88)")
-    p.add_argument("--premium-rate", type=float, default=5.0,
+    p.add_argument("--premium-rate", type=_finite, default=5.0,
                    help="annual premium, percent of the premium base (default 5)")
     p.add_argument("--premium-base", choices=[b.value for b in PremiumBase],
                    default=PremiumBase.FACE_ANNUAL.value)
@@ -110,18 +127,18 @@ def _add_terms_flags(p: argparse.ArgumentParser) -> None:
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--portfolio", help="portfolio CSV; omitted = built-in synthesis pipeline")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--target-mean", type=float, default=None,
+    p.add_argument("--target-mean", type=_finite, default=None,
                    help="shift the portfolio to this mean before simulating")
     p.add_argument("--no-compress", action="store_true",
                    help="skip pair compression in the synthesis pipeline")
-    p.add_argument("--moc", type=float, default=30.0, help="leverage multiple (default 30)")
+    p.add_argument("--moc", type=_finite, default=30.0, help="leverage multiple (default 30)")
     rate = p.add_mutually_exclusive_group()
-    rate.add_argument("--libor", type=float, default=None,
+    rate.add_argument("--libor", type=_finite, default=None,
                       help=f"interbank rate percent; bank pays +0.25 (default {DEFAULT_LIBOR_PCT})")
-    rate.add_argument("--bank-rate", type=float, default=None,
+    rate.add_argument("--bank-rate", type=_finite, default=None,
                       help="bank funding rate percent, bypassing the spread")
-    p.add_argument("--capital", type=float, default=1.0)
-    p.add_argument("--surplus-rate", type=float, default=0.0,
+    p.add_argument("--capital", type=_finite, default=1.0)
+    p.add_argument("--surplus-rate", type=_finite, default=0.0,
                    help="percent earned on cash once debt is retired (default 0)")
     _add_terms_flags(p)
 
@@ -246,8 +263,7 @@ def _cmd_breakeven(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     grid = parse_rate_grid(args.grid)
-    mocs = [float(m) for m in args.mocs.split(",") if m]
-    targets = [float(t) for t in args.targets.split(",") if t]
+    mocs, targets = args.mocs, args.targets
     if not mocs or not targets:
         raise ValueError("need at least one moc and one target mean")
 
@@ -311,17 +327,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="synthesize the reference portfolio")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--n", type=int, default=99)
-    p.add_argument("--mean", type=float, default=1.31)
-    p.add_argument("--stddev", type=float, default=1.116)
-    p.add_argument("--sigma-loss", type=float, default=2.72)
-    p.add_argument("--breakeven-loss", type=float, default=17.45)
+    p.add_argument("--mean", type=_finite, default=1.31)
+    p.add_argument("--stddev", type=_finite, default=1.116)
+    p.add_argument("--sigma-loss", type=_finite, default=2.72)
+    p.add_argument("--breakeven-loss", type=_finite, default=17.45)
     p.add_argument("--label", default=None)
     p.add_argument("--out", default="portfolio.csv")
     p.set_defaults(handler=_cmd_synth)
 
     p = sub.add_parser("coverage", help="coverage sizing by both clamp methods")
     p.add_argument("--portfolio", required=True)
-    p.add_argument("--floor", type=float, default=2.88, help="coverage floor, percent")
+    p.add_argument("--floor", type=_finite, default=2.88, help="coverage floor, percent")
     p.set_defaults(handler=_cmd_coverage)
 
     p = sub.add_parser("simulate", help="run one bank scenario and write its ledger")
@@ -331,17 +347,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("breakeven", help="solve the break-even bank rate")
     _add_scenario_flags(p)
-    p.add_argument("--lo", type=float, default=0.5, help="bracket low, percent (default 0.5)")
-    p.add_argument("--hi", type=float, default=7.5, help="bracket high, percent (default 7.5)")
+    p.add_argument("--lo", type=_finite, default=0.5, help="bracket low, percent (default 0.5)")
+    p.add_argument("--hi", type=_finite, default=7.5, help="bracket high, percent (default 7.5)")
     p.set_defaults(handler=_cmd_breakeven)
 
     p = sub.add_parser("sweep", help="rate-grid sweep with CSV and SVG reports")
     p.add_argument("--grid", default="0.53:7.50:0.25", help="lo:hi:step in percent")
-    p.add_argument("--mocs", default="30,43")
-    p.add_argument("--targets", default="1.10,1.31,1.50")
+    p.add_argument("--mocs", type=_finite_list, default="30,43")
+    p.add_argument("--targets", type=_finite_list, default="1.10,1.31,1.50")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--capital", type=float, default=1.0)
-    p.add_argument("--surplus-rate", type=float, default=0.0)
+    p.add_argument("--capital", type=_finite, default=1.0)
+    p.add_argument("--surplus-rate", type=_finite, default=0.0)
     p.add_argument("--out-dir", default=".")
     _add_terms_flags(p)
     p.set_defaults(handler=_cmd_sweep)

@@ -9,9 +9,12 @@ at the bank rate through the end of the term.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from math import fsum
 from pathlib import Path
+
+import numpy as np
 
 from .portfolio import ReturnPortfolio, portfolio_stats
 
@@ -49,6 +52,10 @@ class DinTerms:
     term_years: int = 10
 
     def __post_init__(self) -> None:
+        for name in ("coverage_fraction", "coverage_floor", "premium_rate"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.coverage_fraction < self.coverage_floor:
             raise ValueError("coverage_fraction must be >= coverage_floor")
         if not (0 < self.payoff_year <= self.term_years):
@@ -187,6 +194,35 @@ def underwriter_ledger(p: ReturnPortfolio, terms: DinTerms, bank_rate: float,
     )
     gross = (fsum(premiums) - fsum(payouts) - fsum(carry)) / face_total
     return UnderwriterResult(yearly, gross)
+
+
+def underwriter_returns(p: ReturnPortfolio, terms: DinTerms, bank_rates: np.ndarray,
+                        principal_per_fund: float) -> np.ndarray:
+    """Gross return of :func:`underwriter_ledger` at each of an array of bank rates.
+
+    The schedules are built once for all the rates; the carry cost steps
+    over the rate array in the order the scalar ledger uses, and each
+    rate's carry is summed exactly with ``math.fsum``, so element ``i``
+    equals ``underwriter_ledger(p, terms, bank_rates[i],
+    principal_per_fund).gross_return`` bitwise.
+    """
+    rates = np.asarray(bank_rates, dtype=float)
+    if not np.all(rates >= 0):
+        raise ValueError("bank_rate must be >= 0")
+    face_total = terms.coverage_fraction * principal_per_fund * len(p.funds)
+    if face_total <= 0:
+        raise UnderwriterError("total insured face is zero; gross return undefined")
+
+    premiums = premium_schedule(p, terms, principal_per_fund)
+    payouts = payout_schedule(p, terms, principal_per_fund)
+
+    carry = np.zeros((len(rates), terms.term_years - terms.payoff_year))
+    outstanding = np.full(rates.shape, payouts[terms.payoff_year])
+    for col in range(carry.shape[1]):
+        carry[:, col] = outstanding * rates
+        outstanding = outstanding + carry[:, col]
+    carry_total = np.array([fsum(row) for row in carry.tolist()])
+    return (fsum(premiums) - fsum(payouts) - carry_total) / face_total
 
 
 def write_underwriter_csv(path: str | Path, result: UnderwriterResult) -> None:

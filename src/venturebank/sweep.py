@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
-import dataclasses
+import csv
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .bank_engine import ScenarioConfig, simulate_bank
-from .din import underwriter_ledger
+import numpy as np
+
+from .bank_engine import ScenarioConfig, multiple_curve
+from .din import underwriter_returns
 from .market_data import funds_rate
 
 
@@ -60,6 +63,8 @@ def parse_rate_grid(spec: str) -> list[float]:
         lo, hi, step = float(lo_s), float(hi_s), float(step_s)
     except ValueError as exc:
         raise SweepError(f"bad grid {spec!r}; expected lo:hi:step") from exc
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise SweepError(f"bad grid {spec!r}; lo, hi and step must be finite")
     if step <= 0 or not lo < hi:
         raise SweepError(f"bad grid {spec!r}; need lo < hi and step > 0")
     grid = []
@@ -91,40 +96,39 @@ def run_sweep(bases: Sequence[ScenarioConfig], rate_grid_pct: Sequence[float],
     Grid rates are interbank percentages; each is converted to the bank
     funding rate (rate plus spread, as a fraction) before both the bank
     simulation and the underwriter ledger, so the two sides of every row
-    see the same funding cost.
+    see the same funding cost. Each config's whole grid is one call of
+    each rate kernel.
     """
     _validate_grid(rate_grid_pct)
+    rates_pct = [funds_rate(g) for g in rate_grid_pct]
+    rates = np.array(rates_pct) / 100.0
     rows = []
     for cfg in bases:
         principal = cfg.moc * cfg.original_capital / len(cfg.portfolio.funds)
-        for g in rate_grid_pct:
-            rate_pct = funds_rate(g)
-            rate = rate_pct / 100.0
-            try:
-                bank = simulate_bank(dataclasses.replace(cfg, bank_rate=rate))
-                under = underwriter_ledger(cfg.portfolio, cfg.din_terms, rate, principal)
-            except ValueError as exc:
-                raise SweepError(
-                    f"scenario failed for portfolio {cfg.portfolio.label!r} "
-                    f"moc {cfg.moc} at grid rate {g}: {exc}"
-                ) from exc
-            rows.append(SweepRow(
-                portfolio_label=cfg.portfolio.label,
-                moc=cfg.moc,
-                bank_rate_pct=rate_pct,
-                bank_multiple=bank.final_multiple,
-                underwriter_return=under.gross_return,
-                survived=bank.survived,
-            ))
+        try:
+            multiples = multiple_curve(cfg)(rates).tolist()
+            returns = underwriter_returns(cfg.portfolio, cfg.din_terms, rates, principal).tolist()
+        except ValueError as exc:
+            raise SweepError(
+                f"scenario failed for portfolio {cfg.portfolio.label!r} moc {cfg.moc} "
+                f"on grid rates {rate_grid_pct[0]}..{rate_grid_pct[-1]}: {exc}"
+            ) from exc
+        rows.extend(
+            SweepRow(cfg.portfolio.label, cfg.moc, pct, m, u, m >= 1.0)
+            for pct, m, u in zip(rates_pct, multiples, returns)
+        )
     rows.sort(key=SweepRow.key)
     prov = tuple(sorted((provenance or {}).items()))
     return SweepTable(tuple(rows), prov)
 
 
 def config_digest(bases: Sequence[ScenarioConfig], rate_grid_pct: Sequence[float]) -> str:
-    text = ";".join(
-        f"{cfg.portfolio.label}|{cfg.moc}|{cfg.original_capital}|{cfg.surplus_rate}|"
-        f"{cfg.din_terms}" for cfg in bases
+    """Short sha256 of the package version and every input the sweep's rows depend on."""
+    from . import __version__
+
+    text = __version__ + "#" + ";".join(
+        f"{cfg.portfolio.label}|{cfg.portfolio.funds!r}|{cfg.moc!r}|{cfg.original_capital!r}|"
+        f"{cfg.surplus_rate!r}|{cfg.din_terms}" for cfg in bases
     ) + "#" + ",".join(repr(g) for g in rate_grid_pct)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
@@ -132,12 +136,20 @@ def config_digest(bases: Sequence[ScenarioConfig], rate_grid_pct: Sequence[float
 CSV_HEADER = "portfolio,moc,bank_rate_pct,bank_multiple,underwriter_return,survived"
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted as in RFC 4180 if it holds a comma, quote or line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_sweep_csv(path: str | Path, table: SweepTable) -> None:
     """Rows only; provenance (including any timestamp) goes to the sidecar."""
+    labels = {label: _csv_field(label) for label in {r.portfolio_label for r in table.rows}}
     lines = [CSV_HEADER]
     for r in table.rows:
         lines.append(
-            f"{r.portfolio_label},{r.moc!r},{r.bank_rate_pct!r},"
+            f"{labels[r.portfolio_label]},{r.moc!r},{r.bank_rate_pct!r},"
             f"{r.bank_multiple!r},{r.underwriter_return!r},{str(r.survived).lower()}"
         )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -150,12 +162,16 @@ def write_sweep_meta(path: str | Path, table: SweepTable) -> None:
 
 def read_sweep_csv(path: str | Path) -> SweepTable:
     path = Path(path)
-    lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
-    if not lines or lines[0] != CSV_HEADER:
+    with path.open(encoding="utf-8", newline="") as f:
+        reader = csv.reader(f)
+        try:
+            records = [(reader.line_num, fields) for fields in reader if "".join(fields).strip()]
+        except csv.Error as exc:
+            raise SweepError(f"{path}: line {reader.line_num}: {exc}") from exc
+    if not records or records[0][1] != CSV_HEADER.split(","):
         raise SweepError(f"{path}: not a sweep CSV")
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
+    for lineno, parts in records[1:]:
         if len(parts) != 6:
             raise SweepError(f"{path}: line {lineno}: expected 6 fields")
         if parts[5] not in ("true", "false"):

@@ -1,22 +1,26 @@
 """Bank-side ledger simulation and break-even solving."""
 
 import dataclasses
+import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from venturebank import bank_engine
 from venturebank.bank_engine import (
-    BankResult,
     BreakEvenBracketError,
     ScenarioConfig,
     _scan_crossings,
     bank_summary,
     break_even_rate,
+    multiple_curve,
     simulate_bank,
     write_bank_csv,
 )
-from venturebank.din import DinTerms, PremiumBase, underwriter_ledger
+from venturebank.din import DinTerms, PremiumBase, underwriter_ledger, underwriter_returns
 from venturebank.portfolio import ReturnPortfolio
 
 
@@ -40,6 +44,64 @@ def _random_scenario(rng: random.Random) -> ScenarioConfig:
         original_capital=rng.choice([1.0, 2.5]),
         surplus_rate=rng.choice([0.0, 0.01]),
     )
+
+
+@st.composite
+def scenarios(draw) -> ScenarioConfig:
+    """Random portfolios and terms, including funds at exactly 1.0, every
+    premium base, payoff at the end of the term and a positive surplus rate."""
+    fund = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 4.0))
+    funds = tuple(draw(st.lists(fund, min_size=1, max_size=12)))
+    floor = draw(st.floats(0.0, 0.05))
+    terms = DinTerms(
+        coverage_fraction=floor + draw(st.floats(0.0, 0.15)),
+        coverage_floor=floor,
+        premium_rate=draw(st.floats(0.0, 0.08)),
+        premium_base=draw(st.sampled_from(list(PremiumBase))),
+        payoff_year=draw(st.integers(1, 10)),
+        term_years=10,
+    )
+    return ScenarioConfig(
+        portfolio=ReturnPortfolio(funds),
+        din_terms=terms,
+        bank_rate=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.3))),
+        moc=draw(st.sampled_from([0.5, 5.0, 30.0, 43.0])),
+        original_capital=draw(st.sampled_from([1.0, 2.5])),
+        surplus_rate=draw(st.sampled_from([0.0, 0.01, 0.05])),
+    )
+
+
+RATE_ARRAYS = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 0.6)), min_size=1, max_size=8)
+
+
+class TestRateKernels:
+    """The rate-array kernels agree bitwise with the one-rate full ledgers."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=scenarios(), rates=RATE_ARRAYS)
+    def test_bank_kernel_matches_simulate_bank(self, cfg, rates):
+        got = multiple_curve(cfg)(np.array(rates)).tolist()
+        want = [simulate_bank(dataclasses.replace(cfg, bank_rate=r)).final_multiple
+                for r in rates]
+        assert list(map(repr, got)) == list(map(repr, want))
+
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=scenarios(), rates=RATE_ARRAYS)
+    def test_underwriter_kernel_matches_underwriter_ledger(self, cfg, rates):
+        assume(cfg.din_terms.coverage_fraction > 0)  # zero face: no gross return
+        principal = cfg.moc * cfg.original_capital / len(cfg.portfolio.funds)
+        got = underwriter_returns(cfg.portfolio, cfg.din_terms, np.array(rates), principal).tolist()
+        want = [underwriter_ledger(cfg.portfolio, cfg.din_terms, r, principal).gross_return
+                for r in rates]
+        assert list(map(repr, got)) == list(map(repr, want))
+
+    def test_negative_or_nan_rate_rejected(self, anchor131):
+        cfg = ScenarioConfig(anchor131, DinTerms(), 0.02, 30)
+        for bad in (-0.01, math.nan):
+            with pytest.raises(ValueError, match="bank_rate"):
+                multiple_curve(cfg)(np.array([0.02, bad]))
+            with pytest.raises(ValueError, match="bank_rate"):
+                underwriter_returns(anchor131, DinTerms(), np.array([bad]), 0.6)
 
 
 class TestOracles:
@@ -74,6 +136,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ScenarioConfig(anchor131, DinTerms(), 0.02, 30, horizon_years=7)
 
+    @pytest.mark.parametrize("field", ["bank_rate", "moc", "original_capital", "surplus_rate"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, anchor131, field, value):
+        cfg = ScenarioConfig(anchor131, DinTerms(), 0.02, 30)
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            dataclasses.replace(cfg, **{field: value})
+
 
 class TestLedgerShape:
     def test_year_rows_and_balances(self, anchor131, calibrated_terms):
@@ -103,6 +172,17 @@ class TestConservation:
                 flow = (-cur.interest_accrued + cur.surplus_interest - cur.premiums_paid
                         + cur.din_receipts + cur.exit_proceeds)
                 assert cur.equity_estimate - prev.equity_estimate == pytest.approx(flow, abs=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=scenarios())
+    def test_final_equity_is_capital_plus_every_flow(self, cfg):
+        ledger = simulate_bank(cfg).ledger
+        flows = [cfg.original_capital, -cfg.moc * cfg.original_capital]
+        for row in ledger:
+            flows += [-row.premiums_paid, -row.interest_accrued, row.surplus_interest,
+                      row.exit_proceeds, row.din_receipts]
+        tolerance = 1e-12 * math.fsum(map(abs, flows))
+        assert abs(ledger[-1].equity_estimate - math.fsum(flows)) <= tolerance
 
 
 class TestScalingProperties:
@@ -222,8 +302,8 @@ def scripted_margin(monkeypatch):
     """Make the solver see ``margin(rate)`` in place of the ledger."""
     def install(margin):
         def fake(cfg):
-            return BankResult(final_multiple=1.0 + margin(cfg.bank_rate), survived=True, ledger=())
-        monkeypatch.setattr(bank_engine, "simulate_bank", fake)
+            return lambda rates: 1.0 + np.array([margin(r) for r in rates.tolist()])
+        monkeypatch.setattr(bank_engine, "multiple_curve", fake)
     return install
 
 

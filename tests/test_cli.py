@@ -1,5 +1,7 @@
 """Command-line behaviour: determinism, outputs, exit codes."""
 
+import hashlib
+
 import pytest
 
 from venturebank.cli import run_cli
@@ -98,6 +100,27 @@ class TestSimulateAndBreakeven:
         assert "inf.csv" in err and "inf" in err.replace("inf.csv", "")
 
 
+class TestNonFiniteFlags:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--bank-rate", "nan"],
+        ["simulate", "--moc", "inf"],
+        ["breakeven", "--hi", "inf"],
+        ["synth", "--mean", "nan"],
+        ["sweep", "--mocs", "30,nan"],
+        ["sweep", "--targets", "inf"],
+    ])
+    def test_rejected_naming_the_flag(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert argv[1] in err and "finite" in err
+
+    def test_non_finite_grid_rejected(self, capsys):
+        code, _out, err = run(capsys, "sweep", "--grid", "0.53:inf:0.25")
+        assert code == 1
+        assert "finite" in err
+
+
 class TestSweep:
     def test_writes_all_artifacts(self, in_tmp, capsys):
         code, _out, _ = run(capsys, "sweep", "--out-dir", "out")
@@ -114,6 +137,16 @@ class TestSweep:
         run(capsys, "sweep", "--out-dir", "two")
         assert (in_tmp / "one" / "sweep.csv").read_bytes() == (in_tmp / "two" / "sweep.csv").read_bytes()
         assert (in_tmp / "one" / "fig3.svg").read_bytes() == (in_tmp / "two" / "fig3.svg").read_bytes()
+
+    def test_default_outputs_match_golden_digests(self, in_tmp, capsys):
+        assert run(capsys, "sweep", "--out-dir", "out")[0] == 0
+        golden = {
+            "sweep.csv": "2f6514d2d2b45e3397006411488147c22b60fb4427f77cee02003506634df534",
+            "fig3.svg": "d996a643b85fe8ef5b6b8d5ecbb8fe2e09f486f18732c21568c7c298ae0b3703",
+            "fig4.svg": "6910f6481a545c791f33a6dcf39076b24627523578fbef4d866b9a8879e42dd8",
+        }
+        for name, digest in golden.items():
+            assert hashlib.sha256((in_tmp / "out" / name).read_bytes()).hexdigest() == digest, name
 
     def test_timestamp_lives_only_in_meta(self, in_tmp, capsys):
         run(capsys, "sweep", "--out-dir", "out")
@@ -164,7 +197,8 @@ class TestConfigFile:
         assert "funds=99\n" not in compressed
         assert "funds=99\n" in uncompressed
 
-    @pytest.mark.parametrize("line", ["moc=lots", "no_compress=maybe", "premium_base=weekly"])
+    @pytest.mark.parametrize("line", ["moc=lots", "no_compress=maybe", "premium_base=weekly",
+                                      "moc=inf", "bank_rate=nan", "mocs=30,nan"])
     def test_bad_value_names_file_line_and_key(self, in_tmp, capsys, line):
         (in_tmp / "c.cfg").write_text("# comment\nseed=7\n" + line + "\n", encoding="utf-8")
         code, _, err = run(capsys, "--config", "c.cfg", "simulate")

@@ -34,6 +34,12 @@ class TestTerms:
         with pytest.raises(ValueError):
             DinTerms(premium_rate=-0.01)
 
+    @pytest.mark.parametrize("field", ["coverage_fraction", "coverage_floor", "premium_rate"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            DinTerms(**{field: value})
+
 
 class TestCoverageMethods:
     def test_hand_computed_three_fund_case(self):

@@ -13,6 +13,7 @@ from venturebank.sweep import (
     SweepError,
     SweepRow,
     SweepTable,
+    config_digest,
     parse_rate_grid,
     read_sweep_csv,
     run_sweep,
@@ -41,7 +42,8 @@ class TestRateGrid:
     def test_exact_step_endpoint_not_duplicated(self):
         assert parse_rate_grid("1.0:2.0:0.5") == [1.0, 1.5, 2.0]
 
-    @pytest.mark.parametrize("bad", ["1:2", "2.0:1.0:0.5", "1.0:2.0:0", "a:b:c"])
+    @pytest.mark.parametrize("bad", ["1:2", "2.0:1.0:0.5", "1.0:2.0:0", "a:b:c",
+                                     "0.5:inf:0.25", "0.5:7.5:nan", "0.5:7.5:inf"])
     def test_bad_specs_rejected(self, bad):
         with pytest.raises(SweepError):
             parse_rate_grid(bad)
@@ -84,6 +86,13 @@ class TestRunSweep:
         with pytest.raises(SweepError):
             run_sweep([cfg], [])
 
+    def test_digest_covers_fund_values_under_one_label(self, anchor131):
+        cfg = ScenarioConfig(anchor131, DinTerms(), 0.0, 30)
+        bumped = dataclasses.replace(
+            cfg, portfolio=ReturnPortfolio(anchor131.funds[:-1] + (anchor131.funds[-1] + 1e-9,),
+                                           anchor131.label))
+        assert config_digest([cfg], [1.82]) != config_digest([bumped], [1.82])
+
     def test_failing_scenario_names_the_culprit(self):
         bad_terms = DinTerms(coverage_fraction=0.0, coverage_floor=0.0)
         cfg = ScenarioConfig(ReturnPortfolio((1.2,), "badcase"), bad_terms, 0.0, 30)
@@ -97,6 +106,14 @@ class TestSweepCsv:
         write_sweep_csv(path, six_curve_table)
         back = read_sweep_csv(path)
         assert back.rows == six_curve_table.rows
+
+    @pytest.mark.parametrize("label", ["a,b", 'say "hi"', "two\nlines"])
+    def test_label_with_comma_or_quote_round_trips(self, tmp_path, label):
+        table = SweepTable((SweepRow(label, 30.0, 2.0, 1.5, 0.1, True),
+                            SweepRow(label, 30.0, 2.25, 0.9, -0.1, False)))
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(path, table)
+        assert read_sweep_csv(path).rows == table.rows
 
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "x.csv"
