@@ -42,7 +42,7 @@ from .portfolio import (
     synthesize_kauffman,
 )
 from .report import ReportKind, emit_report
-from .sweep import SweepRow, SweepTable, parse_rate_grid, run_sweep
+from .sweep import SweepCurve, SweepTable, parse_rate_grid, run_sweep
 
 __version__ = "0.1.0"
 
@@ -65,7 +65,7 @@ __all__ = [
     "ReportKind",
     "ReturnPortfolio",
     "ScenarioConfig",
-    "SweepRow",
+    "SweepCurve",
     "SweepTable",
     "UnderwriterResult",
     "WindowStats",

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from math import fsum
 from typing import Callable
 
-import numpy as np
-
 from .din import DinTerms, payout_schedule, premium_schedule
 from .portfolio import ReturnPortfolio
 
@@ -155,6 +153,8 @@ def multiple_curve(cfg: ScenarioConfig) -> Callable[[np.ndarray], np.ndarray]:
     written ``np.where(b < a, b, a)``, which picks the operand ``min``
     picks, signed zeros included.
     """
+    import numpy as np
+
     funds = cfg.portfolio.funds
     invested = cfg.moc * cfg.original_capital
     principal = invested / len(funds)
@@ -220,6 +220,8 @@ def break_even_rate(cfg: ScenarioConfig, lo: float, hi: float, *,
     The scan is one call of the :func:`multiple_curve` kernel and each
     bisection step another call of the same curve.
     """
+    import numpy as np
+
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
     multiples = multiple_curve(cfg)

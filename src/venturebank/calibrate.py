@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .bank_engine import ScenarioConfig, multiple_curve
 from .din import DinTerms, PremiumBase
 from .market_data import FUNDS_RATE_SPREAD
@@ -82,6 +80,8 @@ def run_calibration(portfolio: ReturnPortfolio) -> CalibrationReport:
     Each (premium base, coverage, leverage) case is one kernel call over
     both rate readings.
     """
+    import numpy as np
+
     readings = np.array([anchor_bank_rate(r) for r in RATE_READINGS])
     cases = []
     for base in PremiumBase:

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from math import fsum
 from pathlib import Path
 
-import numpy as np
-
 from .portfolio import ReturnPortfolio, portfolio_stats
 
 
@@ -206,6 +204,8 @@ def underwriter_returns(p: ReturnPortfolio, terms: DinTerms, bank_rates: np.ndar
     equals ``underwriter_ledger(p, terms, bank_rates[i],
     principal_per_fund).gross_return`` bitwise.
     """
+    import numpy as np
+
     rates = np.asarray(bank_rates, dtype=float)
     if not np.all(rates >= 0):
         raise ValueError("bank_rate must be >= 0")

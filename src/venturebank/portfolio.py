@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from math import fsum
 from pathlib import Path
 
-import numpy as np
-
 
 class CalibrationError(ValueError):
     """Synthesis could not meet its constraints; carries the residuals."""
@@ -94,6 +92,8 @@ def _clamped_mean(funds: tuple[float, ...], threshold: float) -> float:
 
 def _centered_unit(rng: np.random.Generator, k: int) -> np.ndarray:
     """k deviations with zero sum and unit sum of squares."""
+    import numpy as np
+
     if k < 2:
         return np.zeros(k)
     d = rng.uniform(-1.0, 1.0, k)
@@ -142,6 +142,8 @@ def synthesize_kauffman(constraints: KauffmanConstraints, seed: int, *,
     Raises :class:`CalibrationError` with the residuals when no feasible
     construction exists.
     """
+    import numpy as np
+
     c = constraints
     n = c.n
     total = n * c.mean

@@ -7,6 +7,7 @@ outputs are diffable and render anywhere.
 from __future__ import annotations
 
 import enum
+from itertools import chain
 from pathlib import Path
 
 from .sweep import SweepTable
@@ -27,18 +28,14 @@ class ReportKind(enum.Enum):
     UNDERWRITER_RETURN = "underwriter_return"  # gross return, break-even at 0.0
 
 
-def _series_for(table: SweepTable, kind: ReportKind) -> dict[str, list[tuple[float, float]]]:
-    series: dict[str, list[tuple[float, float]]] = {}
+def _series_for(table: SweepTable, kind: ReportKind) -> dict[str, tuple[float, ...]]:
+    """Legend name -> y value at each rate of ``table.rates_pct``."""
     if kind is ReportKind.BANK_MULTIPLE:
-        for (label, moc), rows in table.curves().items():
-            name = f"{label} @ {moc:g}X"
-            series[name] = [(r.bank_rate_pct, r.bank_multiple) for r in rows]
-    else:
-        # The underwriter side does not depend on leverage; one curve per portfolio.
-        for (label, _moc), rows in table.curves().items():
-            if label in series:
-                continue
-            series[label] = [(r.bank_rate_pct, r.underwriter_return) for r in rows]
+        return {f"{c.label} @ {c.moc:g}X": c.multiples for c in table.curves}
+    # The underwriter side does not depend on leverage; one curve per portfolio.
+    series: dict[str, tuple[float, ...]] = {}
+    for c in table.curves:
+        series.setdefault(c.label, c.returns)
     return series
 
 
@@ -55,12 +52,12 @@ def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     return [lo + span * i / (n - 1) for i in range(n)]
 
 
-def _svg_chart(series: dict[str, list[tuple[float, float]]], title: str,
+def _svg_chart(xs: tuple[float, ...], series: dict[str, tuple[float, ...]], title: str,
                x_label: str, y_label: str, ref_y: float, ref_label: str) -> str:
-    xs = [x for pts in series.values() for x, _ in pts]
-    ys = [y for pts in series.values() for _, y in pts] + [ref_y]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
+    """Every series has one y per x of the ascending ``xs``."""
+    x_lo, x_hi = xs[0], xs[-1]
+    y_lo = min(chain(*series.values(), (ref_y,)))
+    y_hi = max(chain(*series.values(), (ref_y,)))
     pad = 0.05 * (y_hi - y_lo or 1.0)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
@@ -70,8 +67,10 @@ def _svg_chart(series: dict[str, list[tuple[float, float]]], title: str,
     def px(x: float) -> float:
         return MARGIN_L + (x - x_lo) / (x_hi - x_lo or 1.0) * plot_w
 
+    y_span = y_hi - y_lo or 1.0
+
     def py(y: float) -> float:
-        return MARGIN_T + (y_hi - y) / (y_hi - y_lo or 1.0) * plot_h
+        return MARGIN_T + (y_hi - y) / y_span * plot_h
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {WIDTH} {HEIGHT}" '
@@ -107,10 +106,13 @@ def _svg_chart(series: dict[str, list[tuple[float, float]]], title: str,
     parts.append(f'<text x="{MARGIN_L + plot_w - 4}" y="{ry - 6:.1f}" '
                  f'text-anchor="end" fill="#333">{_escape(ref_label)}</text>')
 
+    # Each x pixel is formatted once and shared by every curve; py is inlined.
+    x_fields = [f"{px(x):.2f}," for x in xs]
     legend_y = MARGIN_T + 10
-    for i, (name, pts) in enumerate(series.items()):
+    for i, (name, ys) in enumerate(series.items()):
         color = PALETTE[i % len(PALETTE)]
-        coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
+        coords = " ".join([f"{x}{MARGIN_T + (y_hi - y) / y_span * plot_h:.2f}"
+                           for x, y in zip(x_fields, ys)])
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="2" '
                      f'points="{coords}"/>')
         lx = MARGIN_L + plot_w + 14
@@ -130,12 +132,12 @@ def emit_report(table: SweepTable, kind: ReportKind, out: str | Path) -> Path:
     underwriter chart at 0. Both plot columns the sweep CSV already
     holds. Raises on an empty table before creating any file.
     """
-    if not table.rows:
+    if not table.rates_pct or not table.curves:
         raise ValueError("cannot render an empty sweep table")
     out = Path(out)
     if kind is ReportKind.BANK_MULTIPLE:
         svg = _svg_chart(
-            _series_for(table, kind),
+            table.rates_pct, _series_for(table, kind),
             title="Venture bank sensitivity to funding rate",
             x_label="bank funding rate (%)",
             y_label="ten-year equity multiple",
@@ -143,7 +145,7 @@ def emit_report(table: SweepTable, kind: ReportKind, out: str | Path) -> Path:
         )
     else:
         svg = _svg_chart(
-            _series_for(table, kind),
+            table.rates_pct, _series_for(table, kind),
             title="Underwriter gross return sensitivity to funding rate",
             x_label="bank funding rate (%)",
             y_label="gross return on insured face",

@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
+from typing import NamedTuple, Sequence
 
 from .bank_engine import ScenarioConfig, multiple_curve
 from .din import underwriter_returns
@@ -17,39 +14,52 @@ from .market_data import funds_rate
 
 
 class SweepError(ValueError):
-    """A sweep could not be run or a sweep file could not be read."""
+    """A sweep could not be run."""
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    portfolio_label: str
+class SweepCurve(NamedTuple):
+    """One (portfolio, MOC) curve: a value per grid rate of its table."""
+
+    label: str
     moc: float
-    bank_rate_pct: float      # funding rate in percent (grid rate plus spread)
-    bank_multiple: float
-    underwriter_return: float
-    survived: bool
-
-    def key(self) -> tuple[str, float, float]:
-        return (self.portfolio_label, self.moc, self.bank_rate_pct)
+    multiples: tuple[float, ...]   # bank equity multiple; survived is multiple >= 1.0
+    returns: tuple[float, ...]     # underwriter gross return
 
 
 @dataclass(frozen=True)
 class SweepTable:
-    rows: tuple[SweepRow, ...]
+    """Curves sorted by (label, moc) over one shared grid of funding rates.
+
+    ``rates_pct`` are the funding rates in percent (grid rate plus
+    spread), strictly ascending; row ``j`` of every curve is at
+    ``rates_pct[j]``.
+    """
+
+    rates_pct: tuple[float, ...]
+    curves: tuple[SweepCurve, ...]
     provenance: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
-        keys = [r.key() for r in self.rows]
-        if sorted(keys) != keys:
-            raise SweepError("rows must be sorted by (portfolio, moc, rate)")
-        if len(set(keys)) != len(keys):
-            raise SweepError("duplicate (portfolio, moc, rate) keys")
+        rates = self.rates_pct
+        if not all(a < b for a, b in zip(rates, rates[1:])):
+            raise SweepError("rates must strictly ascend")
+        for c in self.curves:
+            if not len(c.multiples) == len(c.returns) == len(rates):
+                raise SweepError(f"curve {c.label!r} at moc {c.moc:g} has "
+                                 f"{len(c.multiples)}/{len(c.returns)} values for {len(rates)} rates")
+        for a, b in zip(self.curves, self.curves[1:]):
+            if (a.label, a.moc) == (b.label, b.moc):
+                raise SweepError(f"duplicate curve {a.label!r} at moc {a.moc:g}")
+            if (a.label, a.moc) > (b.label, b.moc):
+                raise SweepError("curves must be sorted by (label, moc)")
 
-    def curves(self) -> dict[tuple[str, float], list[SweepRow]]:
-        out: dict[tuple[str, float], list[SweepRow]] = {}
-        for r in self.rows:
-            out.setdefault((r.portfolio_label, r.moc), []).append(r)
-        return out
+    @property
+    def rows(self) -> list[tuple[str, float, float, float, float, bool]]:
+        """One (portfolio, moc, bank_rate_pct, bank_multiple, underwriter_return,
+        survived) tuple per CSV row, built on each access."""
+        return [(c.label, c.moc, pct, m, u, m >= 1.0)
+                for c in self.curves
+                for pct, m, u in zip(self.rates_pct, c.multiples, c.returns)]
 
 
 def parse_rate_grid(spec: str) -> list[float]:
@@ -91,7 +101,7 @@ def _validate_grid(grid: Sequence[float]) -> None:
 
 def run_sweep(bases: Sequence[ScenarioConfig], rate_grid_pct: Sequence[float],
               provenance: dict[str, str] | None = None) -> SweepTable:
-    """One row per (config, grid rate).
+    """One curve per config over the whole grid.
 
     Grid rates are interbank percentages; each is converted to the bank
     funding rate (rate plus spread, as a fraction) before both the bank
@@ -99,10 +109,12 @@ def run_sweep(bases: Sequence[ScenarioConfig], rate_grid_pct: Sequence[float],
     see the same funding cost. Each config's whole grid is one call of
     each rate kernel.
     """
+    import numpy as np
+
     _validate_grid(rate_grid_pct)
-    rates_pct = [funds_rate(g) for g in rate_grid_pct]
+    rates_pct = tuple(funds_rate(g) for g in rate_grid_pct)
     rates = np.array(rates_pct) / 100.0
-    rows = []
+    curves = []
     for cfg in bases:
         principal = cfg.moc * cfg.original_capital / len(cfg.portfolio.funds)
         try:
@@ -113,13 +125,10 @@ def run_sweep(bases: Sequence[ScenarioConfig], rate_grid_pct: Sequence[float],
                 f"scenario failed for portfolio {cfg.portfolio.label!r} moc {cfg.moc} "
                 f"on grid rates {rate_grid_pct[0]}..{rate_grid_pct[-1]}: {exc}"
             ) from exc
-        rows.extend(
-            SweepRow(cfg.portfolio.label, cfg.moc, pct, m, u, m >= 1.0)
-            for pct, m, u in zip(rates_pct, multiples, returns)
-        )
-    rows.sort(key=SweepRow.key)
+        curves.append(SweepCurve(cfg.portfolio.label, cfg.moc, tuple(multiples), tuple(returns)))
+    curves.sort(key=lambda c: (c.label, c.moc))
     prov = tuple(sorted((provenance or {}).items()))
-    return SweepTable(tuple(rows), prov)
+    return SweepTable(rates_pct, tuple(curves), prov)
 
 
 def config_digest(bases: Sequence[ScenarioConfig], rate_grid_pct: Sequence[float]) -> str:
@@ -144,48 +153,20 @@ def _csv_field(text: str) -> str:
 
 
 def write_sweep_csv(path: str | Path, table: SweepTable) -> None:
-    """Rows only; provenance (including any timestamp) goes to the sidecar."""
-    labels = {label: _csv_field(label) for label in {r.portfolio_label for r in table.rows}}
+    """One row per (curve, rate); provenance (including any timestamp) goes to the sidecar.
+
+    Each rate is formatted once per table and each curve's label and MOC
+    once per curve.
+    """
+    rate_fields = [f",{pct!r}," for pct in table.rates_pct]
     lines = [CSV_HEADER]
-    for r in table.rows:
-        lines.append(
-            f"{labels[r.portfolio_label]},{r.moc!r},{r.bank_rate_pct!r},"
-            f"{r.bank_multiple!r},{r.underwriter_return!r},{str(r.survived).lower()}"
-        )
+    for c in table.curves:
+        prefix = f"{_csv_field(c.label)},{c.moc!r}"
+        lines += [f"{prefix}{rate}{m!r},{u!r},{'true' if m >= 1.0 else 'false'}"
+                  for rate, m, u in zip(rate_fields, c.multiples, c.returns)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_sweep_meta(path: str | Path, table: SweepTable) -> None:
     lines = [f"{k}={v}" for k, v in table.provenance]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_sweep_csv(path: str | Path) -> SweepTable:
-    path = Path(path)
-    with path.open(encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        try:
-            records = [(reader.line_num, fields) for fields in reader if "".join(fields).strip()]
-        except csv.Error as exc:
-            raise SweepError(f"{path}: line {reader.line_num}: {exc}") from exc
-    if not records or records[0][1] != CSV_HEADER.split(","):
-        raise SweepError(f"{path}: not a sweep CSV")
-    rows = []
-    for lineno, parts in records[1:]:
-        if len(parts) != 6:
-            raise SweepError(f"{path}: line {lineno}: expected 6 fields")
-        if parts[5] not in ("true", "false"):
-            raise SweepError(f"{path}: line {lineno}: survived must be true or false, "
-                             f"got {parts[5]!r}")
-        try:
-            rows.append(SweepRow(
-                portfolio_label=parts[0],
-                moc=float(parts[1]),
-                bank_rate_pct=float(parts[2]),
-                bank_multiple=float(parts[3]),
-                underwriter_return=float(parts[4]),
-                survived=parts[5] == "true",
-            ))
-        except ValueError as exc:
-            raise SweepError(f"{path}: line {lineno}: {exc}") from exc
-    return SweepTable(tuple(rows))

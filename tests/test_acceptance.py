@@ -147,13 +147,12 @@ def _default_six_curve_table():
 def test_criterion_06_monotonicity_suite():
     table = _default_six_curve_table()
     violations = 0
-    for rows in table.curves().values():
-        bank = [r.bank_multiple for r in rows]
-        underwriter = [r.underwriter_return for r in rows]
+    for curve in table.curves:
+        bank, underwriter = curve.multiples, curve.returns
         violations += sum(1 for a, b in zip(bank, bank[1:]) if b > a + 1e-12)
         violations += sum(1 for a, b in zip(underwriter, underwriter[1:]) if b > a + 1e-12)
     _criterion(6, "rate monotonicity", violations == 0,
-               f"{violations} violations over {len(table.curves())} curves x 29 rates")
+               f"{violations} violations over {len(table.curves)} curves x 29 rates")
 
 
 def _calibrated_terms(selected, coverage: float) -> DinTerms:

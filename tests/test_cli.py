@@ -1,9 +1,14 @@
 """Command-line behaviour: determinism, outputs, exit codes."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import venturebank
 from venturebank.cli import run_cli
 
 
@@ -152,6 +157,32 @@ class TestSweep:
         run(capsys, "sweep", "--out-dir", "out")
         assert "generated_at=" in (in_tmp / "out" / "sweep.meta").read_text()
         assert "generated_at" not in (in_tmp / "out" / "sweep.csv").read_text()
+
+    @pytest.mark.parametrize("argv", [["--targets", "1.101,1.104"], ["--mocs", "30,30"]])
+    def test_duplicate_curve_names_label_and_moc(self, in_tmp, capsys, argv):
+        code, _, err = run(capsys, "sweep", "--out-dir", "out", *argv)
+        assert code == 1
+        assert "duplicate curve '1.10x' at moc 30" in err
+        assert not (in_tmp / "out" / "sweep.csv").exists()
+
+
+class TestStartup:
+    def test_ingest_and_coverage_never_import_numpy(self, in_tmp, capsys):
+        assert run(capsys, "synth", "--out", "p.csv")[0] == 0
+        script = (
+            "import sys\n"
+            "from venturebank.cli import run_cli\n"
+            "assert 'numpy' not in sys.modules, 'import'\n"
+            "assert run_cli(['ingest']) == 0\n"
+            "assert 'numpy' not in sys.modules, 'ingest'\n"
+            "assert run_cli(['coverage', '--portfolio', 'p.csv']) == 0\n"
+            "assert 'numpy' not in sys.modules, 'coverage'\n"
+        )
+        src = str(Path(venturebank.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", script], cwd=in_tmp, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestCalibrate:

@@ -1,34 +1,71 @@
 """Rate-grid sweeps, CSV round-trips, and SVG report emission."""
 
+import csv
 import dataclasses
+import math
+import tempfile
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from venturebank.bank_engine import ScenarioConfig
 from venturebank.din import DinTerms
+from venturebank.market_data import funds_rate
 from venturebank.portfolio import ReturnPortfolio, shift_to_mean
 from venturebank.report import ReportKind, emit_report
 from venturebank.sweep import (
+    CSV_HEADER,
+    SweepCurve,
     SweepError,
-    SweepRow,
     SweepTable,
     config_digest,
     parse_rate_grid,
-    read_sweep_csv,
     run_sweep,
     write_sweep_csv,
 )
 
 
 @pytest.fixture(scope="module")
-def six_curve_table(compressed50):
+def six_configs(compressed50):
     configs = []
     for target in (1.10, 1.31, 1.50):
         shifted = dataclasses.replace(shift_to_mean(compressed50, target), label=f"{target:.2f}x")
         for moc in (30.0, 43.0):
             configs.append(ScenarioConfig(shifted, DinTerms(), 0.0, moc))
-    return run_sweep(configs, parse_rate_grid("0.53:7.50:0.25"))
+    return configs
+
+
+@pytest.fixture(scope="module")
+def six_curve_table(six_configs):
+    return run_sweep(six_configs, parse_rate_grid("0.53:7.50:0.25"))
+
+
+def reference_csv(table: SweepTable) -> str:
+    """Row-at-a-time CSV formatting, kept as the oracle of the column writer."""
+    def field(text):
+        return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+    lines = [CSV_HEADER]
+    for c in table.curves:
+        for pct, m, u in zip(table.rates_pct, c.multiples, c.returns):
+            lines.append(f"{field(c.label)},{c.moc!r},{pct!r},{m!r},{u!r},{str(m >= 1.0).lower()}")
+    return "\n".join(lines) + "\n"
+
+
+def read_rows(path) -> list[tuple]:
+    """sweep.csv parsed back into ``SweepTable.rows`` tuples."""
+    with open(path, encoding="utf-8", newline="") as f:
+        records = list(csv.reader(f))
+    assert records[0] == CSV_HEADER.split(",")
+    return [(label, float(moc), float(pct), float(m), float(u), {"true": True, "false": False}[s])
+            for label, moc, pct, m, u, s in records[1:]]
+
+
+def one_curve(label="p", moc=30.0, rates=(2.0, 2.25), multiples=(1.5, 0.9), returns=(0.1, -0.1)):
+    return SweepTable(tuple(rates), (SweepCurve(label, moc, tuple(multiples), tuple(returns)),))
 
 
 class TestRateGrid:
@@ -54,31 +91,31 @@ class TestRunSweep:
         cfg = ScenarioConfig(anchor131, DinTerms(), 0.0, 30)
         table = run_sweep([cfg], [1.82])
         assert len(table.rows) == 1
-        row = table.rows[0]
-        assert row.bank_rate_pct == pytest.approx(2.07)
-        assert row.survived == (row.bank_multiple >= 1.0)
+        _label, _moc, rate_pct, multiple, _ret, survived = table.rows[0]
+        assert rate_pct == pytest.approx(2.07)
+        assert survived == (multiple >= 1.0)
 
     def test_six_curves_full_grid(self, six_curve_table):
         assert len(six_curve_table.rows) == 6 * 29
-        assert len(six_curve_table.curves()) == 6
+        assert len(six_curve_table.curves) == 6
 
     def test_rows_sorted_and_unique(self, six_curve_table):
-        keys = [r.key() for r in six_curve_table.rows]
+        keys = [r[:3] for r in six_curve_table.rows]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
 
     def test_survived_flag_consistent(self, six_curve_table):
-        for row in six_curve_table.rows:
-            assert row.survived == (row.bank_multiple >= 1.0)
+        for _label, _moc, _pct, multiple, _ret, survived in six_curve_table.rows:
+            assert survived == (multiple >= 1.0)
 
     def test_bank_multiple_non_increasing_along_grid(self, six_curve_table):
-        for rows in six_curve_table.curves().values():
-            multiples = [r.bank_multiple for r in rows]
+        for c in six_curve_table.curves:
+            multiples = c.multiples
             assert all(b <= a + 1e-12 for a, b in zip(multiples, multiples[1:]))
 
     def test_underwriter_return_non_increasing_along_grid(self, six_curve_table):
-        for rows in six_curve_table.curves().values():
-            returns = [r.underwriter_return for r in rows]
+        for c in six_curve_table.curves:
+            returns = c.returns
             assert all(b <= a + 1e-12 for a, b in zip(returns, returns[1:]))
 
     def test_empty_grid_rejected(self, anchor131):
@@ -104,35 +141,84 @@ class TestSweepCsv:
     def test_round_trip_is_value_identical(self, tmp_path, six_curve_table):
         path = tmp_path / "sweep.csv"
         write_sweep_csv(path, six_curve_table)
-        back = read_sweep_csv(path)
-        assert back.rows == six_curve_table.rows
+        assert read_rows(path) == six_curve_table.rows
 
     @pytest.mark.parametrize("label", ["a,b", 'say "hi"', "two\nlines"])
     def test_label_with_comma_or_quote_round_trips(self, tmp_path, label):
-        table = SweepTable((SweepRow(label, 30.0, 2.0, 1.5, 0.1, True),
-                            SweepRow(label, 30.0, 2.25, 0.9, -0.1, False)))
+        table = one_curve(label)
         path = tmp_path / "sweep.csv"
         write_sweep_csv(path, table)
-        assert read_sweep_csv(path).rows == table.rows
+        assert read_rows(path) == table.rows
 
-    def test_rejects_foreign_files(self, tmp_path):
-        path = tmp_path / "x.csv"
-        path.write_text("a,b\n1,2\n", encoding="utf-8")
-        with pytest.raises(SweepError):
-            read_sweep_csv(path)
+    def test_ragged_curve_rejected(self):
+        with pytest.raises(SweepError, match="'p' at moc 30 has 1/2 values for 2 rates"):
+            one_curve(multiples=(1.5,))
 
     def test_survived_must_be_true_or_false(self, tmp_path):
-        path = tmp_path / "x.csv"
-        path.write_text("portfolio,moc,bank_rate_pct,bank_multiple,underwriter_return,survived\n"
-                        "p,30.0,2.0,1.5,0.1,true\np,30.0,2.25,1.4,0.1,yes\n", encoding="utf-8")
-        with pytest.raises(SweepError, match="line 3"):
-            read_sweep_csv(path)
+        below = math.nextafter(1.0, 0.0)
+        table = one_curve(rates=(1.0, 2.0, 3.0), multiples=(1.0, below, math.nan),
+                          returns=(0.0, 0.0, 0.0))
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(path, table)
+        survived = [line.rsplit(",", 1)[1] for line in path.read_text().splitlines()[1:]]
+        assert survived == ["true", "false", "false"]
 
     def test_unsorted_rows_rejected(self):
-        row = SweepRow("p", 30.0, 2.0, 1.5, 0.1, True)
-        row2 = SweepRow("p", 30.0, 1.0, 1.6, 0.1, True)
-        with pytest.raises(SweepError):
-            SweepTable((row, row2))
+        with pytest.raises(SweepError, match="strictly ascend"):
+            one_curve(rates=(2.0, 1.0))
+        with pytest.raises(SweepError, match="strictly ascend"):
+            one_curve(rates=(2.0, 2.0))
+        with pytest.raises(SweepError, match="strictly ascend"):
+            one_curve(rates=(1.0, math.nan, 2.0), multiples=(1.0,) * 3, returns=(0.0,) * 3)
+        b, a = (SweepCurve(label, 30.0, (1.0,), (0.0,)) for label in ("b", "a"))
+        with pytest.raises(SweepError, match="sorted"):
+            SweepTable((2.0,), (b, a))
+
+    def test_duplicate_curve_named(self):
+        curve = SweepCurve("1.10x", 30.0, (1.0,), (0.0,))
+        with pytest.raises(SweepError, match="duplicate curve '1.10x' at moc 30$"):
+            SweepTable((2.0,), (curve, curve))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_column_writer_matches_row_oracle(self, data):
+        lo = data.draw(st.floats(0.0, 10.0))
+        hi = data.draw(st.floats(lo + 0.01, 20.0))
+        step = data.draw(st.floats(0.001, 5.0))
+        grid = parse_rate_grid(f"{lo}:{hi}:{step}")
+        assume(len(grid) <= 200)
+        rates = tuple(funds_rate(g) for g in grid)
+        assume(all(a < b for a, b in zip(rates, rates[1:])))
+        labels = st.text(st.sampled_from('ab1.x ,"\n\r'), min_size=1, max_size=6)
+        mocs = st.one_of(st.sampled_from([30.0, 43.0]), st.floats(0.5, 100.0))
+        values = st.one_of(st.just(1.0), st.floats(allow_nan=False, allow_infinity=False, width=64))
+        keys = data.draw(st.sets(st.tuples(labels, mocs), min_size=1, max_size=4))
+        curves = tuple(
+            SweepCurve(label, moc, *(tuple(data.draw(st.lists(values, min_size=len(rates),
+                                                               max_size=len(rates))))
+                                     for _ in range(2)))
+            for label, moc in sorted(keys)
+        )
+        table = SweepTable(rates, curves)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "sweep.csv"
+            write_sweep_csv(path, table)
+            assert path.read_bytes() == reference_csv(table).encode("utf-8")
+
+    @settings(max_examples=10, deadline=None)
+    @given(order=st.permutations(range(6)))
+    def test_config_order_does_not_change_outputs(self, six_configs, order):
+        grid = parse_rate_grid("0.53:7.50:0.25")
+        outputs = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for configs in (six_configs, [six_configs[i] for i in order]):
+                table = run_sweep(configs, grid)
+                write_sweep_csv(Path(tmp) / "sweep.csv", table)
+                emit_report(table, ReportKind.BANK_MULTIPLE, Path(tmp) / "fig3.svg")
+                emit_report(table, ReportKind.UNDERWRITER_RETURN, Path(tmp) / "fig4.svg")
+                outputs.append([(Path(tmp) / name).read_bytes()
+                                for name in ("sweep.csv", "fig3.svg", "fig4.svg")])
+        assert outputs[0] == outputs[1]
 
 
 class TestReports:
@@ -159,7 +245,7 @@ class TestReports:
             assert any("a<b&c" in t for t in texts)
 
     def test_empty_table_creates_no_file(self, tmp_path):
-        empty = SweepTable(())
+        empty = SweepTable((), ())
         target = tmp_path / "out.svg"
         with pytest.raises(ValueError):
             emit_report(empty, ReportKind.BANK_MULTIPLE, target)
