@@ -14,11 +14,9 @@ from .din import (
     CoverageMethod,
     DinTerms,
     PremiumBase,
-    UnderwriterResult,
     coverage_breakeven_method,
     coverage_sigma_method,
     din_payout,
-    underwriter_ledger,
 )
 from .market_data import (
     EmptyWindowError,
@@ -67,7 +65,6 @@ __all__ = [
     "ScenarioConfig",
     "SweepCurve",
     "SweepTable",
-    "UnderwriterResult",
     "WindowStats",
     "break_even_rate",
     "compress_pairs",
@@ -85,6 +82,5 @@ __all__ = [
     "shift_to_mean",
     "simulate_bank",
     "synthesize_kauffman",
-    "underwriter_ledger",
     "window_stats",
 ]

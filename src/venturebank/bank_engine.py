@@ -1,4 +1,4 @@
-"""Ten-year venture-bank cash-flow ledger under forced interbank funding.
+"""Ten-year venture-bank debt ledger under forced interbank funding.
 
 The bank invests a leveraged multiple of its original capital across the
 portfolio, funds the whole book with interbank debt for the life of the
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import fsum
-from typing import Callable
+from typing import NamedTuple
 
 from .din import DinTerms, payout_schedule, premium_schedule
 from .portfolio import ReturnPortfolio
@@ -31,13 +31,15 @@ class ScenarioConfig:
     moc: float                # leverage: investments / original capital
     original_capital: float = 1.0
     horizon_years: int = 10
-    surplus_rate: float = 0.0  # earned on cash once debt is retired
+    surplus_rate: float = 0.0  # only 0.0: the bank holds nothing to earn a surplus on
 
     def __post_init__(self) -> None:
         for name in ("bank_rate", "moc", "original_capital", "surplus_rate"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        if self.surplus_rate != 0.0:
+            raise ValueError(f"surplus_rate must be 0.0, got {self.surplus_rate!r}")
         if self.moc <= 0:
             raise ValueError("moc must be positive")
         if self.bank_rate < 0:
@@ -48,16 +50,53 @@ class ScenarioConfig:
             raise ValueError("horizon_years must equal the note term")
 
 
+class Flows(NamedTuple):
+    """The rate-independent flows of one scenario, per model year 0..horizon."""
+
+    premiums: list[float]   # bank to underwriter, borrowed
+    receipts: list[float]   # underwriter to bank: payouts, all at the payoff year
+    exits: list[float]      # fund exits: failures at the payoff year, survivors at the horizon
+    face_total: float       # insured face of the whole portfolio
+
+
+def scenario_flows(cfg: ScenarioConfig) -> Flows:
+    """Premium and payout schedules, exit proceeds and insured face of ``cfg``."""
+    funds, terms = cfg.portfolio.funds, cfg.din_terms
+    principal = cfg.moc * cfg.original_capital / len(funds)
+    exits = [0.0] * (cfg.horizon_years + 1)
+    exits[terms.payoff_year] += fsum(m * principal for m in funds if m < 1.0)
+    exits[cfg.horizon_years] += fsum(m * principal for m in funds if m >= 1.0)
+    return Flows(premium_schedule(cfg.portfolio, terms, principal),
+                 payout_schedule(cfg.portfolio, terms, principal),
+                 exits, terms.coverage_fraction * principal * len(funds))
+
+
+def _debts(cfg: ScenarioConfig, flows: Flows, rate):
+    """The bank's debt at the end of each year 0..horizon.
+
+    Year 0 borrows the invested ``moc x capital`` plus any upfront
+    premium. Each later year the debt compounds at ``rate``, the
+    premiums due are borrowed and the payouts and exits repay it. A
+    failing fund returns at most its principal, so the debt can turn
+    negative before the horizon only by rounding dust; at the
+    horizon a negative debt is the survivors' surplus. ``rate`` is a
+    float or a numpy array of rates; both run the same operations.
+    """
+    debt = cfg.moc * cfg.original_capital + flows.premiums[0]
+    yield debt
+    for year in range(1, cfg.horizon_years + 1):
+        debt = debt + debt * rate + flows.premiums[year] - (flows.receipts[year] + flows.exits[year])
+        yield debt
+
+
 @dataclass(frozen=True)
 class BankYear:
     year: int
     interest_accrued: float
-    surplus_interest: float
     premiums_paid: float
     din_receipts: float
     exit_proceeds: float
     debt_balance_end: float
-    cash_balance_end: float
     equity_estimate: float
 
 
@@ -69,125 +108,39 @@ class BankResult:
 
 
 def simulate_bank(cfg: ScenarioConfig) -> BankResult:
-    """Run the deterministic yearly ledger and report the final multiple.
+    """Run the yearly ledger at ``cfg.bank_rate`` and report the final multiple.
 
-    Year 0 invests ``moc x capital`` split equally across funds and
-    borrows the same amount (plus any upfront premium). Each later year
-    the debt compounds, premiums due are debt-financed net of any cash
-    on hand, and resolutions pay debt down first with any excess held as
-    cash earning ``surplus_rate``. Equity is original capital plus cash
-    minus debt; survival means a final multiple at or above 1.0.
+    The final multiple is ``(capital - final debt) / capital``; survival
+    means a multiple at or above 1.0. Each row records the year's flows,
+    the debt owed at its end (0 once repaid), the interest charged on
+    the debt owed at its start, and the equity, capital minus debt.
     """
-    funds = cfg.portfolio.funds
-    n = len(funds)
-    invested = cfg.moc * cfg.original_capital
-    principal = invested / n
-
-    premiums = premium_schedule(cfg.portfolio, cfg.din_terms, principal)
-    din_sched = payout_schedule(cfg.portfolio, cfg.din_terms, principal)
-    payoff_year = cfg.din_terms.payoff_year
-
-    debt = invested + premiums[0]
-    cash = 0.0
-    rows = [BankYear(
-        year=0,
-        interest_accrued=0.0,
-        surplus_interest=0.0,
-        premiums_paid=premiums[0],
-        din_receipts=0.0,
-        exit_proceeds=0.0,
-        debt_balance_end=debt,
-        cash_balance_end=cash,
-        equity_estimate=cfg.original_capital + cash - debt,
-    )]
-
-    for year in range(1, cfg.horizon_years + 1):
-        interest = debt * cfg.bank_rate
-        debt += interest
-        surplus_interest = cash * cfg.surplus_rate
-        cash += surplus_interest
-
-        due = premiums[year]
-        from_cash = min(cash, due)
-        cash -= from_cash
-        debt += due - from_cash
-
-        exits = 0.0
-        if year == payoff_year:
-            exits += fsum(m * principal for m in funds if m < 1.0)
-        if year == cfg.horizon_years:
-            exits += fsum(m * principal for m in funds if m >= 1.0)
-        receipts = din_sched[year]
-
-        inflow = receipts + exits
-        pay_down = min(debt, inflow)
-        debt -= pay_down
-        cash += inflow - pay_down
-
-        rows.append(BankYear(
-            year=year,
-            interest_accrued=interest,
-            surplus_interest=surplus_interest,
-            premiums_paid=due,
-            din_receipts=receipts,
-            exit_proceeds=exits,
-            debt_balance_end=debt,
-            cash_balance_end=cash,
-            equity_estimate=cfg.original_capital + cash - debt,
-        ))
-
-    equity = cfg.original_capital + cash - debt
-    multiple = equity / cfg.original_capital
+    flows = scenario_flows(cfg)
+    rate, capital = cfg.bank_rate, cfg.original_capital
+    rows, owed = [], 0.0
+    for year, debt in enumerate(_debts(cfg, flows, rate)):
+        interest, owed = owed * rate, (debt if debt > 0 else 0.0)
+        rows.append(BankYear(year, interest, flows.premiums[year], flows.receipts[year],
+                             flows.exits[year], owed, capital - debt))
+    multiple = (capital - debt) / capital
     return BankResult(final_multiple=multiple, survived=multiple >= 1.0, ledger=tuple(rows))
 
 
-def multiple_curve(cfg: ScenarioConfig) -> Callable[[np.ndarray], np.ndarray]:
-    """Final multiple of ``cfg`` as a function of an array of bank rates.
+def multiple_curve(cfg: ScenarioConfig, flows: Flows, rates: np.ndarray) -> np.ndarray:
+    """Final multiple of ``cfg`` at each of an array of bank rates.
 
-    The premium and payout schedules, the exit sums and the opening debt
-    do not depend on the rate, so they are built once here. The returned
-    kernel steps the yearly ledger of :func:`simulate_bank` over all the
-    rates at once, in the same order of operations, so element ``i``
-    equals ``simulate_bank(replace(cfg, bank_rate=rates[i])).final_multiple``
-    bitwise; ``cfg.bank_rate`` itself is not used. Each ``min(a, b)`` is
-    written ``np.where(b < a, b, a)``, which picks the operand ``min``
-    picks, signed zeros included.
+    Runs the ledger of :func:`simulate_bank` over all the rates at once,
+    so element ``i`` equals ``simulate_bank(replace(cfg,
+    bank_rate=rates[i])).final_multiple`` bitwise; ``cfg.bank_rate``
+    itself is not used. ``flows`` is ``scenario_flows(cfg)``.
     """
     import numpy as np
 
-    funds = cfg.portfolio.funds
-    invested = cfg.moc * cfg.original_capital
-    principal = invested / len(funds)
-    premiums = premium_schedule(cfg.portfolio, cfg.din_terms, principal)
-    receipts = payout_schedule(cfg.portfolio, cfg.din_terms, principal)
-    horizon = cfg.horizon_years
-    exits = [0.0] * (horizon + 1)
-    exits[cfg.din_terms.payoff_year] += fsum(m * principal for m in funds if m < 1.0)
-    exits[horizon] += fsum(m * principal for m in funds if m >= 1.0)
-    inflows = [r + e for r, e in zip(receipts, exits)]
-    debt0 = invested + premiums[0]
-    capital, surplus_rate = cfg.original_capital, cfg.surplus_rate
-
-    def kernel(rates: np.ndarray) -> np.ndarray:
-        rates = np.asarray(rates, dtype=float)
-        if not np.all(rates >= 0):
-            raise ValueError("bank_rate must be >= 0")
-        debt = np.full(rates.shape, debt0)
-        cash = np.zeros(rates.shape)
-        for year in range(1, horizon + 1):
-            debt = debt + debt * rates
-            cash = cash + cash * surplus_rate
-            due = premiums[year]
-            from_cash = np.where(due < cash, due, cash)
-            cash = cash - from_cash
-            debt = debt + (due - from_cash)
-            inflow = inflows[year]
-            pay_down = np.where(inflow < debt, inflow, debt)
-            debt = debt - pay_down
-            cash = cash + (inflow - pay_down)
-        return (capital + cash - debt) / capital
-
-    return kernel
+    rates = np.asarray(rates, dtype=float)
+    if not np.all(rates >= 0):
+        raise ValueError("bank_rate must be >= 0")
+    *_, debt = _debts(cfg, flows, rates)
+    return (cfg.original_capital - debt) / cfg.original_capital
 
 
 def _scan_crossings(margins: list[float]) -> list[int]:
@@ -217,17 +170,17 @@ def break_even_rate(cfg: ScenarioConfig, lo: float, hi: float, *,
     :class:`BreakEvenBracketError`. A crossing at an exact zero returns
     that grid rate; a sign flip is bisected, relying on the final
     multiple being monotone in the rate between the two grid points.
-    The scan is one call of the :func:`multiple_curve` kernel and each
-    bisection step another call of the same curve.
+    The flows are built once; the scan is one :func:`multiple_curve`
+    call and each bisection step another.
     """
     import numpy as np
 
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
-    multiples = multiple_curve(cfg)
+    flows = scenario_flows(cfg)
 
     grid = [lo + (hi - lo) * i / (scan_points - 1) for i in range(scan_points)]
-    margins = (multiples(np.array(grid)) - 1.0).tolist()
+    margins = (multiple_curve(cfg, flows, np.array(grid)) - 1.0).tolist()
     crossings = _scan_crossings(margins)
     if not crossings:
         return None
@@ -243,7 +196,7 @@ def break_even_rate(cfg: ScenarioConfig, lo: float, hi: float, *,
     f_lo = margins[a]
     while r_hi - r_lo > tol:
         mid = (r_lo + r_hi) / 2
-        f_mid = multiples(np.array([mid]))[0] - 1.0
+        f_mid = multiple_curve(cfg, flows, np.array([mid]))[0] - 1.0
         if f_mid == 0.0:
             return mid
         if (f_lo > 0) == (f_mid > 0):

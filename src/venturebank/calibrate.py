@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .bank_engine import ScenarioConfig, multiple_curve
+from .bank_engine import ScenarioConfig, multiple_curve, scenario_flows
 from .din import DinTerms, PremiumBase
 from .market_data import FUNDS_RATE_SPREAD
 from .portfolio import ReturnPortfolio
@@ -85,12 +85,11 @@ def run_calibration(portfolio: ReturnPortfolio) -> CalibrationReport:
     readings = np.array([anchor_bank_rate(r) for r in RATE_READINGS])
     cases = []
     for base in PremiumBase:
-        m30s, m43s, reduced = (
-            multiple_curve(ScenarioConfig(portfolio, _terms(base, coverage), 0.0, moc))(readings)
-            .tolist()
-            for coverage, moc in ((WORKING_COVERAGE, 30), (WORKING_COVERAGE, 43),
-                                  (REDUCED_COVERAGE, 30))
-        )
+        cfgs = (ScenarioConfig(portfolio, _terms(base, coverage), 0.0, moc)
+                for coverage, moc in ((WORKING_COVERAGE, 30), (WORKING_COVERAGE, 43),
+                                      (REDUCED_COVERAGE, 30)))
+        m30s, m43s, reduced = (multiple_curve(cfg, scenario_flows(cfg), readings).tolist()
+                               for cfg in cfgs)
         for reading, m30, m43, m30_reduced in zip(RATE_READINGS, m30s, m43s, reduced):
             uplift = m30_reduced - m30
             score = (abs(m30 - TARGET_M30) + abs(m43 - TARGET_M43)

@@ -138,8 +138,6 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     rate.add_argument("--bank-rate", type=_finite, default=None,
                       help="bank funding rate percent, bypassing the spread")
     p.add_argument("--capital", type=_finite, default=1.0)
-    p.add_argument("--surplus-rate", type=_finite, default=0.0,
-                   help="percent earned on cash once debt is retired (default 0)")
     _add_terms_flags(p)
 
 
@@ -181,7 +179,6 @@ def _scenario_from(args: argparse.Namespace) -> ScenarioConfig:
         moc=args.moc,
         original_capital=args.capital,
         horizon_years=args.term_years,
-        surplus_rate=args.surplus_rate / 100.0,
     )
 
 
@@ -278,7 +275,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             configs.append(ScenarioConfig(
                 portfolio=shifted, din_terms=terms, bank_rate=0.0, moc=moc,
                 original_capital=args.capital, horizon_years=args.term_years,
-                surplus_rate=args.surplus_rate / 100.0,
             ))
 
     table = run_sweep(configs, grid, provenance={
@@ -357,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets", type=_finite_list, default="1.10,1.31,1.50")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--capital", type=_finite, default=1.0)
-    p.add_argument("--surplus-rate", type=_finite, default=0.0)
     p.add_argument("--out-dir", default=".")
     _add_terms_flags(p)
     p.set_defaults(handler=_cmd_sweep)

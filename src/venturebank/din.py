@@ -1,4 +1,4 @@
-"""Default-insurance contract terms, coverage sizing, and the underwriter ledger.
+"""Default-insurance contract terms, coverage sizing, schedules and underwriter returns.
 
 A note insures a fixed fraction of one investment's principal. It pays
 on default (fund finishing below break-even) at the payoff year and
@@ -12,7 +12,6 @@ import enum
 import math
 from dataclasses import dataclass
 from math import fsum
-from pathlib import Path
 
 from .portfolio import ReturnPortfolio, portfolio_stats
 
@@ -31,7 +30,7 @@ class CoverageMethod(str, enum.Enum):
 
 
 class UnderwriterError(ValueError):
-    """The underwriter ledger is undefined for the given inputs."""
+    """The underwriter's gross return is undefined for the given inputs."""
 
 
 @dataclass(frozen=True)
@@ -135,103 +134,28 @@ def payout_schedule(p: ReturnPortfolio, terms: DinTerms, principal_per_fund: flo
     return sched
 
 
-@dataclass(frozen=True)
-class UnderwriterYear:
-    year: int
-    premium_income: float
-    payouts: float
-    carry_cost: float
+def underwriter_returns(terms: DinTerms, flows: Flows, bank_rates: np.ndarray) -> np.ndarray:
+    """Underwriter gross return at each of an array of bank rates; break-even at 0.
 
-
-@dataclass(frozen=True)
-class UnderwriterResult:
-    yearly: tuple[UnderwriterYear, ...]
-    gross_return: float  # per unit of insured face; break-even at 0
-
-    @property
-    def total_premiums(self) -> float:
-        return fsum(y.premium_income for y in self.yearly)
-
-    @property
-    def total_payouts(self) -> float:
-        return fsum(y.payouts for y in self.yearly)
-
-    @property
-    def total_carry(self) -> float:
-        return fsum(y.carry_cost for y in self.yearly)
-
-
-def underwriter_ledger(p: ReturnPortfolio, terms: DinTerms, bank_rate: float,
-                       principal_per_fund: float) -> UnderwriterResult:
-    """Underwriter-side cash flows and gross return for one portfolio.
-
-    Premiums follow :func:`premium_schedule`; payouts land at the payoff
-    year and then accrue compound carry cost at ``bank_rate`` (a
-    per-year fraction) through the end of the term. The gross return
-    nets premiums against payouts and carry, per unit of total insured
-    face.
-    """
-    if bank_rate < 0:
-        raise ValueError("bank_rate must be >= 0")
-    face_total = terms.coverage_fraction * principal_per_fund * len(p.funds)
-    if face_total <= 0:
-        raise UnderwriterError("total insured face is zero; gross return undefined")
-
-    premiums = premium_schedule(p, terms, principal_per_fund)
-    payouts = payout_schedule(p, terms, principal_per_fund)
-
-    carry = [0.0] * (terms.term_years + 1)
-    outstanding = payouts[terms.payoff_year]
-    for year in range(terms.payoff_year + 1, terms.term_years + 1):
-        carry[year] = outstanding * bank_rate
-        outstanding += carry[year]
-
-    yearly = tuple(
-        UnderwriterYear(y, premiums[y], payouts[y], carry[y])
-        for y in range(terms.term_years + 1)
-    )
-    gross = (fsum(premiums) - fsum(payouts) - fsum(carry)) / face_total
-    return UnderwriterResult(yearly, gross)
-
-
-def underwriter_returns(p: ReturnPortfolio, terms: DinTerms, bank_rates: np.ndarray,
-                        principal_per_fund: float) -> np.ndarray:
-    """Gross return of :func:`underwriter_ledger` at each of an array of bank rates.
-
-    The schedules are built once for all the rates; the carry cost steps
-    over the rate array in the order the scalar ledger uses, and each
-    rate's carry is summed exactly with ``math.fsum``, so element ``i``
-    equals ``underwriter_ledger(p, terms, bank_rates[i],
-    principal_per_fund).gross_return`` bitwise.
+    ``flows`` holds the premium and payout schedules (see
+    :func:`bank_engine.scenario_flows`). Payouts land at the payoff year
+    and then accrue compound carry cost at the bank rate (a per-year
+    fraction) through the end of the term. The gross return nets
+    premiums against payouts and carry, per unit of total insured face;
+    each rate's carry is summed exactly with ``math.fsum``.
     """
     import numpy as np
 
     rates = np.asarray(bank_rates, dtype=float)
     if not np.all(rates >= 0):
         raise ValueError("bank_rate must be >= 0")
-    face_total = terms.coverage_fraction * principal_per_fund * len(p.funds)
-    if face_total <= 0:
+    if flows.face_total <= 0:
         raise UnderwriterError("total insured face is zero; gross return undefined")
 
-    premiums = premium_schedule(p, terms, principal_per_fund)
-    payouts = payout_schedule(p, terms, principal_per_fund)
-
     carry = np.zeros((len(rates), terms.term_years - terms.payoff_year))
-    outstanding = np.full(rates.shape, payouts[terms.payoff_year])
+    outstanding = np.full(rates.shape, flows.receipts[terms.payoff_year])
     for col in range(carry.shape[1]):
         carry[:, col] = outstanding * rates
         outstanding = outstanding + carry[:, col]
     carry_total = np.array([fsum(row) for row in carry.tolist()])
-    return (fsum(premiums) - fsum(payouts) - carry_total) / face_total
-
-
-def write_underwriter_csv(path: str | Path, result: UnderwriterResult) -> None:
-    """Per-year CSV plus a totals summary row."""
-    lines = ["year,premium_income,payouts,carry_cost"]
-    for y in result.yearly:
-        lines.append(f"{y.year},{y.premium_income!r},{y.payouts!r},{y.carry_cost!r}")
-    lines.append(
-        f"total,{result.total_premiums!r},{result.total_payouts!r},{result.total_carry!r}"
-    )
-    lines.append(f"# gross_return={result.gross_return!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return (fsum(flows.premiums) - fsum(flows.receipts) - carry_total) / flows.face_total

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .bank_engine import ScenarioConfig, multiple_curve
+from .bank_engine import ScenarioConfig, multiple_curve, scenario_flows
 from .din import underwriter_returns
 from .market_data import funds_rate
 
@@ -92,6 +92,9 @@ def parse_rate_grid(spec: str) -> list[float]:
 def _validate_grid(grid: Sequence[float]) -> None:
     if not grid:
         raise SweepError("rate grid is empty")
+    for i, g in enumerate(grid):
+        if not math.isfinite(g):
+            raise SweepError(f"rate grid entry {i} must be finite, got {g!r}")
     for a, b in zip(grid, list(grid)[1:]):
         if b <= a:
             raise SweepError("rate grid must be strictly ascending")
@@ -105,9 +108,9 @@ def run_sweep(bases: Sequence[ScenarioConfig], rate_grid_pct: Sequence[float],
 
     Grid rates are interbank percentages; each is converted to the bank
     funding rate (rate plus spread, as a fraction) before both the bank
-    simulation and the underwriter ledger, so the two sides of every row
-    see the same funding cost. Each config's whole grid is one call of
-    each rate kernel.
+    simulation and the underwriter's return, so the two sides of every row
+    see the same funding cost. Each config's flows are built once and
+    its whole grid is one call of each rate kernel.
     """
     import numpy as np
 
@@ -116,10 +119,10 @@ def run_sweep(bases: Sequence[ScenarioConfig], rate_grid_pct: Sequence[float],
     rates = np.array(rates_pct) / 100.0
     curves = []
     for cfg in bases:
-        principal = cfg.moc * cfg.original_capital / len(cfg.portfolio.funds)
         try:
-            multiples = multiple_curve(cfg)(rates).tolist()
-            returns = underwriter_returns(cfg.portfolio, cfg.din_terms, rates, principal).tolist()
+            flows = scenario_flows(cfg)
+            multiples = multiple_curve(cfg, flows, rates).tolist()
+            returns = underwriter_returns(cfg.din_terms, flows, rates).tolist()
         except ValueError as exc:
             raise SweepError(
                 f"scenario failed for portfolio {cfg.portfolio.label!r} moc {cfg.moc} "
@@ -137,7 +140,7 @@ def config_digest(bases: Sequence[ScenarioConfig], rate_grid_pct: Sequence[float
 
     text = __version__ + "#" + ";".join(
         f"{cfg.portfolio.label}|{cfg.portfolio.funds!r}|{cfg.moc!r}|{cfg.original_capital!r}|"
-        f"{cfg.surplus_rate!r}|{cfg.din_terms}" for cfg in bases
+        f"{cfg.din_terms}" for cfg in bases
     ) + "#" + ",".join(repr(g) for g in rate_grid_pct)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 

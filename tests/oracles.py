@@ -1,0 +1,171 @@
+"""Bitwise reference ledgers for the shipping kernels.
+
+``simulate_bank`` is the earlier bank ledger with a cash account beside
+the debt: resolutions pay the debt down first, any excess is held as
+cash earning ``surplus_rate``, and premiums are paid from cash before
+more is borrowed. ``underwriter_ledger`` is the per-year underwriter
+ledger at one bank rate. Tests compare ``bank_engine.simulate_bank``,
+``bank_engine.multiple_curve`` and ``din.underwriter_returns`` with
+them by ``repr``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from math import fsum
+
+from venturebank.bank_engine import ScenarioConfig
+from venturebank.din import DinTerms, UnderwriterError, payout_schedule, premium_schedule
+from venturebank.portfolio import ReturnPortfolio
+
+
+@dataclass(frozen=True)
+class BankYear:
+    year: int
+    interest_accrued: float
+    surplus_interest: float
+    premiums_paid: float
+    din_receipts: float
+    exit_proceeds: float
+    debt_balance_end: float
+    cash_balance_end: float
+    equity_estimate: float
+
+
+@dataclass(frozen=True)
+class BankResult:
+    final_multiple: float
+    survived: bool
+    ledger: tuple[BankYear, ...]
+
+
+def simulate_bank(cfg: ScenarioConfig) -> BankResult:
+    """Run the deterministic yearly ledger and report the final multiple.
+
+    Year 0 invests ``moc x capital`` split equally across funds and
+    borrows the same amount (plus any upfront premium). Each later year
+    the debt compounds, premiums due are debt-financed net of any cash
+    on hand, and resolutions pay debt down first with any excess held as
+    cash earning ``surplus_rate``. Equity is original capital plus cash
+    minus debt; survival means a final multiple at or above 1.0.
+    """
+    funds = cfg.portfolio.funds
+    n = len(funds)
+    invested = cfg.moc * cfg.original_capital
+    principal = invested / n
+
+    premiums = premium_schedule(cfg.portfolio, cfg.din_terms, principal)
+    din_sched = payout_schedule(cfg.portfolio, cfg.din_terms, principal)
+    payoff_year = cfg.din_terms.payoff_year
+
+    debt = invested + premiums[0]
+    cash = 0.0
+    rows = [BankYear(
+        year=0,
+        interest_accrued=0.0,
+        surplus_interest=0.0,
+        premiums_paid=premiums[0],
+        din_receipts=0.0,
+        exit_proceeds=0.0,
+        debt_balance_end=debt,
+        cash_balance_end=cash,
+        equity_estimate=cfg.original_capital + cash - debt,
+    )]
+
+    for year in range(1, cfg.horizon_years + 1):
+        interest = debt * cfg.bank_rate
+        debt += interest
+        surplus_interest = cash * cfg.surplus_rate
+        cash += surplus_interest
+
+        due = premiums[year]
+        from_cash = min(cash, due)
+        cash -= from_cash
+        debt += due - from_cash
+
+        exits = 0.0
+        if year == payoff_year:
+            exits += fsum(m * principal for m in funds if m < 1.0)
+        if year == cfg.horizon_years:
+            exits += fsum(m * principal for m in funds if m >= 1.0)
+        receipts = din_sched[year]
+
+        inflow = receipts + exits
+        pay_down = min(debt, inflow)
+        debt -= pay_down
+        cash += inflow - pay_down
+
+        rows.append(BankYear(
+            year=year,
+            interest_accrued=interest,
+            surplus_interest=surplus_interest,
+            premiums_paid=due,
+            din_receipts=receipts,
+            exit_proceeds=exits,
+            debt_balance_end=debt,
+            cash_balance_end=cash,
+            equity_estimate=cfg.original_capital + cash - debt,
+        ))
+
+    equity = cfg.original_capital + cash - debt
+    multiple = equity / cfg.original_capital
+    return BankResult(final_multiple=multiple, survived=multiple >= 1.0, ledger=tuple(rows))
+
+
+@dataclass(frozen=True)
+class UnderwriterYear:
+    year: int
+    premium_income: float
+    payouts: float
+    carry_cost: float
+
+
+@dataclass(frozen=True)
+class UnderwriterResult:
+    yearly: tuple[UnderwriterYear, ...]
+    gross_return: float  # per unit of insured face; break-even at 0
+
+    @property
+    def total_premiums(self) -> float:
+        return fsum(y.premium_income for y in self.yearly)
+
+    @property
+    def total_payouts(self) -> float:
+        return fsum(y.payouts for y in self.yearly)
+
+    @property
+    def total_carry(self) -> float:
+        return fsum(y.carry_cost for y in self.yearly)
+
+
+def underwriter_ledger(p: ReturnPortfolio, terms: DinTerms, bank_rate: float,
+                       principal_per_fund: float) -> UnderwriterResult:
+    """Underwriter-side cash flows and gross return for one portfolio.
+
+    Premiums follow :func:`premium_schedule`; payouts land at the payoff
+    year and then accrue compound carry cost at ``bank_rate`` (a
+    per-year fraction) through the end of the term. The gross return
+    nets premiums against payouts and carry, per unit of total insured
+    face.
+    """
+    if bank_rate < 0:
+        raise ValueError("bank_rate must be >= 0")
+    face_total = terms.coverage_fraction * principal_per_fund * len(p.funds)
+    if face_total <= 0:
+        raise UnderwriterError("total insured face is zero; gross return undefined")
+
+    premiums = premium_schedule(p, terms, principal_per_fund)
+    payouts = payout_schedule(p, terms, principal_per_fund)
+
+    carry = [0.0] * (terms.term_years + 1)
+    outstanding = payouts[terms.payoff_year]
+    for year in range(terms.payoff_year + 1, terms.term_years + 1):
+        carry[year] = outstanding * bank_rate
+        outstanding += carry[year]
+
+    yearly = tuple(
+        UnderwriterYear(y, premiums[y], payouts[y], carry[y])
+        for y in range(terms.term_years + 1)
+    )
+    gross = (fsum(premiums) - fsum(payouts) - fsum(carry)) / face_total
+    return UnderwriterResult(yearly, gross)

@@ -8,7 +8,9 @@ import dataclasses
 import random
 import time
 
-from venturebank.bank_engine import ScenarioConfig, break_even_rate, simulate_bank
+import numpy as np
+
+from venturebank.bank_engine import ScenarioConfig, break_even_rate, scenario_flows, simulate_bank
 from venturebank.calibrate import anchor_bank_rate, run_calibration, write_calibration_report
 from venturebank.cli import run_cli
 from venturebank.din import (
@@ -16,7 +18,7 @@ from venturebank.din import (
     PremiumBase,
     coverage_breakeven_method,
     coverage_sigma_method,
-    underwriter_ledger,
+    underwriter_returns,
 )
 from venturebank.market_data import load_libor_csv, default_snapshot_path, window_stats, year_window
 from venturebank.portfolio import (
@@ -89,18 +91,23 @@ def test_criterion_03_coverage_ratio():
     _criterion(3, "terms coverage ratio", abs(ratio - 1.347) <= 0.001, f"ratio {ratio:.4f}")
 
 
+def _gross_return(cfg: ScenarioConfig) -> float:
+    return underwriter_returns(cfg.din_terms, scenario_flows(cfg), np.array([cfg.bank_rate]))[0]
+
+
 def test_criterion_04_hand_ledger_oracles():
     bank = simulate_bank(ScenarioConfig(ReturnPortfolio((1.5,)), DinTerms(), 0.0, 30))
-    uw_loss = underwriter_ledger(ReturnPortfolio((0.0,)), DinTerms(), 0.0, 100.0)
-    uw_win = underwriter_ledger(ReturnPortfolio((1.2, 1.5, 2.0)), DinTerms(), 0.07, 100.0)
+    # MOC = 100 x the fund count at capital 1: 100.0 of principal a fund
+    uw_loss = _gross_return(ScenarioConfig(ReturnPortfolio((0.0,)), DinTerms(), 0.0, 100.0))
+    uw_win = _gross_return(ScenarioConfig(ReturnPortfolio((1.2, 1.5, 2.0)), DinTerms(), 0.07, 300.0))
     ok = (
         abs(bank.final_multiple - 15.418) <= 1e-9
-        and abs(uw_loss.gross_return - (-0.75)) <= 1e-9
-        and uw_win.gross_return == 0.50
+        and abs(uw_loss - (-0.75)) <= 1e-9
+        and uw_win == 0.50
     )
     detail = (
-        f"bank {bank.final_multiple:.12f}, underwriter {uw_loss.gross_return:.12f}, "
-        f"all-survivor {uw_win.gross_return}"
+        f"bank {bank.final_multiple:.12f}, underwriter {uw_loss:.12f}, "
+        f"all-survivor {uw_win}"
     )
     _criterion(4, "hand-ledger oracles", ok, detail)
 
@@ -119,7 +126,6 @@ def _random_scenario(rng: random.Random) -> ScenarioConfig:
         bank_rate=round(rng.uniform(0.0, 0.08), 4),
         moc=30.0,
         original_capital=rng.choice([1.0, 2.5]),
-        surplus_rate=rng.choice([0.0, 0.01]),
     )
 
 
@@ -197,11 +203,10 @@ def test_criterion_09_zero_sum_mirror():
     mismatches = 0
     for _ in range(10):
         cfg = _random_scenario(rng)
-        principal = cfg.moc * cfg.original_capital / len(cfg.portfolio.funds)
         bank = simulate_bank(cfg)
-        under = underwriter_ledger(cfg.portfolio, cfg.din_terms, cfg.bank_rate, principal)
-        for brow, urow in zip(bank.ledger, under.yearly):
-            if brow.premiums_paid != urow.premium_income or brow.din_receipts != urow.payouts:
+        under = scenario_flows(cfg)  # what underwriter_returns consumes
+        for brow, premium, payout in zip(bank.ledger, under.premiums, under.receipts):
+            if brow.premiums_paid != premium or brow.din_receipts != payout:
                 mismatches += 1
     _criterion(9, "zero-sum mirror", mismatches == 0,
                f"{mismatches} mismatched entries over 10 scenarios")

@@ -5,8 +5,9 @@ import math
 import random
 
 import numpy as np
+import oracles
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from venturebank import bank_engine
@@ -17,11 +18,14 @@ from venturebank.bank_engine import (
     bank_summary,
     break_even_rate,
     multiple_curve,
+    scenario_flows,
     simulate_bank,
     write_bank_csv,
 )
-from venturebank.din import DinTerms, PremiumBase, underwriter_ledger, underwriter_returns
+from venturebank.din import DinTerms, PremiumBase, underwriter_returns
+from venturebank.market_data import funds_rate
 from venturebank.portfolio import ReturnPortfolio
+from venturebank.sweep import run_sweep
 
 
 def _random_scenario(rng: random.Random) -> ScenarioConfig:
@@ -42,19 +46,18 @@ def _random_scenario(rng: random.Random) -> ScenarioConfig:
         bank_rate=round(rng.uniform(0.0, 0.08), 4),
         moc=rng.choice([5.0, 30.0, 43.0]),
         original_capital=rng.choice([1.0, 2.5]),
-        surplus_rate=rng.choice([0.0, 0.01]),
     )
 
 
 @st.composite
 def scenarios(draw) -> ScenarioConfig:
     """Random portfolios and terms, including funds at exactly 1.0, every
-    premium base, payoff at the end of the term and a positive surplus rate."""
+    premium base, payoff at the end of the term and coverage up to 100%."""
     fund = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 4.0))
     funds = tuple(draw(st.lists(fund, min_size=1, max_size=12)))
     floor = draw(st.floats(0.0, 0.05))
     terms = DinTerms(
-        coverage_fraction=floor + draw(st.floats(0.0, 0.15)),
+        coverage_fraction=floor + draw(st.one_of(st.floats(0.0, 0.15), st.floats(0.0, 1.0 - floor))),
         coverage_floor=floor,
         premium_rate=draw(st.floats(0.0, 0.08)),
         premium_base=draw(st.sampled_from(list(PremiumBase))),
@@ -67,41 +70,132 @@ def scenarios(draw) -> ScenarioConfig:
         bank_rate=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.3))),
         moc=draw(st.sampled_from([0.5, 5.0, 30.0, 43.0])),
         original_capital=draw(st.sampled_from([1.0, 2.5])),
-        surplus_rate=draw(st.sampled_from([0.0, 0.01, 0.05])),
     )
 
+
+@st.composite
+def dust_scenarios(draw) -> ScenarioConfig:
+    """The dust class: every fund fails, each payout covers the whole
+    shortfall, no premium is charged and the rate is 0. Exits plus
+    payouts then equal the debt in exact arithmetic, so rounding can
+    leave a little cash (a negative debt) before the horizon."""
+    coverage = draw(st.one_of(st.just(1.0), st.floats(0.01, 1.0)))
+    fund = st.one_of(st.just(1.0 - coverage), st.floats(1.0 - coverage, 1.0, exclude_max=True))
+    terms = DinTerms(
+        coverage_fraction=coverage,
+        coverage_floor=0.0,
+        premium_rate=0.0,
+        premium_base=draw(st.sampled_from(list(PremiumBase))),
+        payoff_year=draw(st.integers(1, 10)),
+        term_years=10,
+    )
+    return ScenarioConfig(
+        portfolio=ReturnPortfolio(tuple(draw(st.lists(fund, min_size=1, max_size=12)))),
+        din_terms=terms,
+        bank_rate=0.0,
+        moc=draw(st.sampled_from([0.5, 5.0, 30.0, 43.0])),
+        original_capital=draw(st.sampled_from([1.0, 2.5])),
+    )
+
+
+def in_dust_class(cfg: ScenarioConfig) -> bool:
+    """Whether ``cfg`` is in the dust class, up to rounding: a bank or
+    premium rate up to 1e-12 counts as 0, and a shortfall up to 1e-12
+    above the coverage as covered (each gap is far wider than the
+    rounding of the sums)."""
+    terms = cfg.din_terms
+    return (terms.premium_rate <= 1e-12 and cfg.bank_rate <= 1e-12
+            and all(m < 1.0 and 1.0 - m <= terms.coverage_fraction + 1e-12
+                    for m in cfg.portfolio.funds))
+
+
+# Found by search: the cash ledger ends year 5 with 3.6e-15 of cash.
+DUST_EXAMPLE = ScenarioConfig(
+    ReturnPortfolio((0.95, 0.78)),
+    DinTerms(coverage_fraction=0.4, coverage_floor=0.0, premium_rate=0.0), 0.0, 30.0)
+
+ANY_SCENARIO = st.one_of(scenarios(), dust_scenarios())
 
 RATE_ARRAYS = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 0.6)), min_size=1, max_size=8)
 
 
+BANK_ROW_FIELDS = ("year", "interest_accrued", "premiums_paid", "din_receipts",
+                   "exit_proceeds", "debt_balance_end", "equity_estimate")
+
+
 class TestRateKernels:
-    """The rate-array kernels agree bitwise with the one-rate full ledgers."""
+    """The debt-only ledger agrees bitwise with the cash-account oracles."""
 
     @settings(max_examples=150, deadline=None)
-    @given(cfg=scenarios(), rates=RATE_ARRAYS)
+    @given(cfg=ANY_SCENARIO, rates=RATE_ARRAYS)
+    @example(cfg=DUST_EXAMPLE, rates=[0.0, 0.02])
     def test_bank_kernel_matches_simulate_bank(self, cfg, rates):
-        got = multiple_curve(cfg)(np.array(rates)).tolist()
-        want = [simulate_bank(dataclasses.replace(cfg, bank_rate=r)).final_multiple
+        got = multiple_curve(cfg, scenario_flows(cfg), np.array(rates)).tolist()
+        want = [oracles.simulate_bank(dataclasses.replace(cfg, bank_rate=r)).final_multiple
                 for r in rates]
         assert list(map(repr, got)) == list(map(repr, want))
 
     @settings(max_examples=150, deadline=None)
-    @given(cfg=scenarios(), rates=RATE_ARRAYS)
+    @given(cfg=ANY_SCENARIO, rates=RATE_ARRAYS)
     def test_underwriter_kernel_matches_underwriter_ledger(self, cfg, rates):
-        assume(cfg.din_terms.coverage_fraction > 0)  # zero face: no gross return
+        assume(scenario_flows(cfg).face_total > 0)  # zero face: no gross return
         principal = cfg.moc * cfg.original_capital / len(cfg.portfolio.funds)
-        got = underwriter_returns(cfg.portfolio, cfg.din_terms, np.array(rates), principal).tolist()
-        want = [underwriter_ledger(cfg.portfolio, cfg.din_terms, r, principal).gross_return
+        got = underwriter_returns(cfg.din_terms, scenario_flows(cfg), np.array(rates)).tolist()
+        want = [oracles.underwriter_ledger(cfg.portfolio, cfg.din_terms, r, principal).gross_return
                 for r in rates]
         assert list(map(repr, got)) == list(map(repr, want))
+
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=ANY_SCENARIO,
+           grid=st.lists(st.integers(0, 5000), min_size=1, max_size=6, unique=True)
+           .map(lambda bp: [b / 100 for b in sorted(bp)]))
+    def test_sweep_curves_match_both_oracles(self, cfg, grid):
+        assume(scenario_flows(cfg).face_total > 0)
+        (curve,) = run_sweep([cfg], grid).curves
+        principal = cfg.moc * cfg.original_capital / len(cfg.portfolio.funds)
+        rates = [funds_rate(g) / 100.0 for g in grid]
+        want_m = [oracles.simulate_bank(dataclasses.replace(cfg, bank_rate=r)).final_multiple
+                  for r in rates]
+        want_u = [oracles.underwriter_ledger(cfg.portfolio, cfg.din_terms, r, principal).gross_return
+                  for r in rates]
+        assert list(map(repr, curve.multiples)) == list(map(repr, want_m))
+        assert list(map(repr, curve.returns)) == list(map(repr, want_u))
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=ANY_SCENARIO)
+    @example(cfg=DUST_EXAMPLE)
+    def test_simulate_rows_and_csv_match_the_oracle(self, cfg, tmp_path_factory):
+        got, want = simulate_bank(cfg), oracles.simulate_bank(cfg)
+        assert repr(got.final_multiple) == repr(want.final_multiple)
+        assert got.survived == want.survived
+        assert ([[repr(getattr(row, f)) for f in BANK_ROW_FIELDS] for row in got.ledger]
+                == [[repr(getattr(row, f)) for f in BANK_ROW_FIELDS] for row in want.ledger])
+        out = tmp_path_factory.mktemp("ledger")
+        write_bank_csv(out / "got.csv", got)
+        write_bank_csv(out / "want.csv", want)
+        assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(cfg=ANY_SCENARIO)
+    @example(cfg=DUST_EXAMPLE)
+    def test_oracle_holds_no_cash_before_the_horizon_outside_the_dust_class(self, cfg):
+        cash = [row.cash_balance_end for row in oracles.simulate_bank(cfg).ledger[:-1]]
+        if in_dust_class(cfg):
+            assert all(c <= 1e-12 * cfg.moc * cfg.original_capital for c in cash)
+        else:
+            assert all(c == 0.0 for c in cash)
+
+    def test_dust_example_leaves_cash_in_the_oracle(self):
+        # Keeps the example above meaningful: the cash ledger really holds dust.
+        assert any(row.cash_balance_end > 0 for row in oracles.simulate_bank(DUST_EXAMPLE).ledger[:-1])
 
     def test_negative_or_nan_rate_rejected(self, anchor131):
         cfg = ScenarioConfig(anchor131, DinTerms(), 0.02, 30)
         for bad in (-0.01, math.nan):
             with pytest.raises(ValueError, match="bank_rate"):
-                multiple_curve(cfg)(np.array([0.02, bad]))
+                multiple_curve(cfg, scenario_flows(cfg), np.array([0.02, bad]))
             with pytest.raises(ValueError, match="bank_rate"):
-                underwriter_returns(anchor131, DinTerms(), np.array([bad]), 0.6)
+                underwriter_returns(DinTerms(), scenario_flows(cfg), np.array([bad]))
 
 
 class TestOracles:
@@ -143,6 +237,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             dataclasses.replace(cfg, **{field: value})
 
+    @pytest.mark.parametrize("value", [0.01, -0.01, 1.0])
+    def test_surplus_rate_only_zero(self, anchor131, value):
+        assert ScenarioConfig(anchor131, DinTerms(), 0.02, 30, surplus_rate=0.0).surplus_rate == 0.0
+        with pytest.raises(ValueError, match="surplus_rate must be 0.0"):
+            ScenarioConfig(anchor131, DinTerms(), 0.02, 30, surplus_rate=value)
+
 
 class TestLedgerShape:
     def test_year_rows_and_balances(self, anchor131, calibrated_terms):
@@ -150,7 +250,7 @@ class TestLedgerShape:
         assert len(result.ledger) == 11
         assert [r.year for r in result.ledger] == list(range(11))
         assert all(r.debt_balance_end >= 0 for r in result.ledger)
-        assert all(r.cash_balance_end >= 0 for r in result.ledger)
+        assert all(r.equity_estimate == 1.0 - r.debt_balance_end for r in result.ledger[:-1])
 
     def test_csv_and_summary(self, tmp_path, anchor131, calibrated_terms):
         result = simulate_bank(ScenarioConfig(anchor131, calibrated_terms, 0.0225, 30))
@@ -169,7 +269,7 @@ class TestConservation:
             cfg = _random_scenario(rng)
             result = simulate_bank(cfg)
             for prev, cur in zip(result.ledger, result.ledger[1:]):
-                flow = (-cur.interest_accrued + cur.surplus_interest - cur.premiums_paid
+                flow = (-cur.interest_accrued - cur.premiums_paid
                         + cur.din_receipts + cur.exit_proceeds)
                 assert cur.equity_estimate - prev.equity_estimate == pytest.approx(flow, abs=1e-9)
 
@@ -179,7 +279,7 @@ class TestConservation:
         ledger = simulate_bank(cfg).ledger
         flows = [cfg.original_capital, -cfg.moc * cfg.original_capital]
         for row in ledger:
-            flows += [-row.premiums_paid, -row.interest_accrued, row.surplus_interest,
+            flows += [-row.premiums_paid, -row.interest_accrued,
                       row.exit_proceeds, row.din_receipts]
         tolerance = 1e-12 * math.fsum(map(abs, flows))
         assert abs(ledger[-1].equity_estimate - math.fsum(flows)) <= tolerance
@@ -240,12 +340,11 @@ class TestMirror:
         rng = random.Random(2024)
         for _ in range(10):
             cfg = _random_scenario(rng)
-            principal = cfg.moc * cfg.original_capital / len(cfg.portfolio.funds)
             bank = simulate_bank(cfg)
-            under = underwriter_ledger(cfg.portfolio, cfg.din_terms, cfg.bank_rate, principal)
-            for brow, urow in zip(bank.ledger, under.yearly):
-                assert brow.premiums_paid == urow.premium_income
-                assert brow.din_receipts == urow.payouts
+            under = scenario_flows(cfg)  # what underwriter_returns consumes
+            for brow, premium, payout in zip(bank.ledger, under.premiums, under.receipts):
+                assert brow.premiums_paid == premium
+                assert brow.din_receipts == payout
 
 
 class TestBreakEven:
@@ -301,8 +400,8 @@ class TestScanCrossings:
 def scripted_margin(monkeypatch):
     """Make the solver see ``margin(rate)`` in place of the ledger."""
     def install(margin):
-        def fake(cfg):
-            return lambda rates: 1.0 + np.array([margin(r) for r in rates.tolist()])
+        def fake(cfg, flows, rates):
+            return 1.0 + np.array([margin(r) for r in rates.tolist()])
         monkeypatch.setattr(bank_engine, "multiple_curve", fake)
     return install
 

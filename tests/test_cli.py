@@ -177,6 +177,8 @@ class TestStartup:
             "assert 'numpy' not in sys.modules, 'ingest'\n"
             "assert run_cli(['coverage', '--portfolio', 'p.csv']) == 0\n"
             "assert 'numpy' not in sys.modules, 'coverage'\n"
+            "assert run_cli(['simulate', '--portfolio', 'p.csv']) == 0\n"
+            "assert 'numpy' not in sys.modules, 'simulate --portfolio'\n"
         )
         src = str(Path(venturebank.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
@@ -212,6 +214,12 @@ class TestConfigFile:
         assert code == 2
         assert "bogus" in err
 
+    def test_surplus_rate_key_is_gone(self, in_tmp, capsys):
+        (in_tmp / "c.cfg").write_text("moc=43\nsurplus_rate=1\n", encoding="utf-8")
+        code, _, err = run(capsys, "--config", "c.cfg", "simulate")
+        assert code == 2
+        assert "c.cfg" in err and "line 2" in err and "'surplus_rate'" in err
+
     @pytest.mark.parametrize("config_args", [
         ["--config", "c.cfg"], ["--config=c.cfg"], ["--conf", "c.cfg"],
     ])
@@ -239,6 +247,12 @@ class TestConfigFile:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("command", ["simulate", "breakeven", "sweep"])
+    def test_surplus_rate_flag_is_gone(self, capsys, command):
+        code, _, err = run(capsys, command, "--surplus-rate", "1")
+        assert code == 2
+        assert "--surplus-rate" in err
+
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] != 0
 

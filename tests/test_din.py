@@ -1,9 +1,12 @@
-"""Coverage sizing, payouts, and the underwriter ledger."""
+"""Coverage sizing, payouts, and the underwriter's gross return."""
 
+import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from venturebank.bank_engine import ScenarioConfig, scenario_flows
 from venturebank.din import (
     CoverageMethod,
     DinTerms,
@@ -14,10 +17,16 @@ from venturebank.din import (
     din_payout,
     payout_schedule,
     premium_schedule,
-    underwriter_ledger,
-    write_underwriter_csv,
+    underwriter_returns,
 )
 from venturebank.portfolio import ReturnPortfolio
+
+
+def gross_return(p: ReturnPortfolio, terms: DinTerms, bank_rate: float,
+                 principal_per_fund: float) -> float:
+    """``underwriter_returns`` at one rate, for a book of ``principal_per_fund`` a fund."""
+    cfg = ScenarioConfig(p, terms, bank_rate, moc=principal_per_fund * len(p.funds))
+    return underwriter_returns(terms, scenario_flows(cfg), np.array([bank_rate]))[0]
 
 
 class TestTerms:
@@ -136,16 +145,16 @@ class TestSchedules:
 class TestUnderwriterLedger:
     def test_all_survivors_is_ten_years_of_premium(self):
         p = ReturnPortfolio((1.2, 1.5, 2.0))
-        result = underwriter_ledger(p, DinTerms(), 0.07, 100.0)
-        assert result.gross_return == 0.50
+        assert gross_return(p, DinTerms(), 0.07, 100.0) == 0.50
 
     def test_total_loss_single_fund_at_zero_rate(self):
-        result = underwriter_ledger(ReturnPortfolio((0.0,)), DinTerms(), 0.0, 100.0)
-        assert result.gross_return == pytest.approx(-0.75, abs=1e-9)
+        result = gross_return(ReturnPortfolio((0.0,)), DinTerms(), 0.0, 100.0)
+        assert result == pytest.approx(-0.75, abs=1e-9)
 
     def test_carry_compounds_from_payoff_to_term(self):
+        # The per-year carry is only in the oracle, which the kernel matches bitwise.
         terms = DinTerms()
-        result = underwriter_ledger(ReturnPortfolio((0.0,)), terms, 0.10, 100.0)
+        result = oracles.underwriter_ledger(ReturnPortfolio((0.0,)), terms, 0.10, 100.0)
         face = terms.coverage_fraction * 100.0
         expected_carry = face * (1.10 ** 5 - 1)
         assert result.total_carry == pytest.approx(expected_carry, rel=1e-12)
@@ -154,14 +163,14 @@ class TestUnderwriterLedger:
     def test_gross_return_non_increasing_in_rate(self, anchor131):
         terms = DinTerms()
         returns = [
-            underwriter_ledger(anchor131, terms, r / 100.0, 1.0).gross_return
+            gross_return(anchor131, terms, r / 100.0, 1.0)
             for r in (0.0, 1.0, 2.0, 4.0, 7.75)
         ]
         assert all(b <= a + 1e-12 for a, b in zip(returns, returns[1:]))
 
     def test_reference_portfolio_profitable_across_historic_range(self, kauffman99):
         worst = min(
-            underwriter_ledger(kauffman99, DinTerms(), (g + 0.25) / 100.0, 1.0).gross_return
+            gross_return(kauffman99, DinTerms(), (g + 0.25) / 100.0, 1.0)
             for g in [0.53 + 0.25 * k for k in range(28)] + [7.50]
         )
         assert worst > 0.0
@@ -169,12 +178,4 @@ class TestUnderwriterLedger:
     def test_zero_face_rejected(self):
         terms = DinTerms(coverage_fraction=0.0, coverage_floor=0.0)
         with pytest.raises(UnderwriterError):
-            underwriter_ledger(ReturnPortfolio((1.0,)), terms, 0.02, 100.0)
-
-    def test_csv_write(self, tmp_path):
-        result = underwriter_ledger(ReturnPortfolio((0.5, 1.5)), DinTerms(), 0.02, 100.0)
-        out = tmp_path / "uw.csv"
-        write_underwriter_csv(out, result)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "year,premium_income,payouts,carry_cost"
-        assert len(lines) == 1 + 11 + 2  # header, years 0..10, totals, gross
+            gross_return(ReturnPortfolio((1.0,)), terms, 0.02, 100.0)

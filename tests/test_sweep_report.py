@@ -123,6 +123,12 @@ class TestRunSweep:
         with pytest.raises(SweepError):
             run_sweep([cfg], [])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_grid_rate_names_grid_and_index(self, anchor131, bad):
+        cfg = ScenarioConfig(anchor131, DinTerms(), 0.0, 30)
+        with pytest.raises(SweepError, match=r"^rate grid entry 1 must be finite"):
+            run_sweep([cfg], [1.0, bad, 2.0])
+
     def test_digest_covers_fund_values_under_one_label(self, anchor131):
         cfg = ScenarioConfig(anchor131, DinTerms(), 0.0, 30)
         bumped = dataclasses.replace(
