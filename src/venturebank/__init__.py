@@ -22,10 +22,8 @@ from .market_data import (
     EmptyWindowError,
     LiborLoadError,
     LiborSeries,
-    RateObservation,
     WindowStats,
     funds_rate,
-    load_bundled_series,
     load_libor_csv,
     window_stats,
 )
@@ -59,7 +57,6 @@ __all__ = [
     "LiborSeries",
     "PortfolioStats",
     "PremiumBase",
-    "RateObservation",
     "ReportKind",
     "ReturnPortfolio",
     "ScenarioConfig",
@@ -73,7 +70,6 @@ __all__ = [
     "din_payout",
     "emit_report",
     "funds_rate",
-    "load_bundled_series",
     "load_libor_csv",
     "parse_rate_grid",
     "portfolio_stats",

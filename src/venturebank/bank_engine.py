@@ -1,11 +1,11 @@
-"""Ten-year venture-bank debt ledger under forced interbank funding.
+"""Venture-bank debt ledger over the note term under forced interbank funding.
 
 The bank invests a leveraged multiple of its original capital across the
 portfolio, funds the whole book with interbank debt for the life of the
 investments, and finances premiums by borrowing. Failing funds resolve
 at the payoff year (residual value plus the insurance payout retire
-debt); survivors pay out at the horizon. The result is the equity
-multiple on original capital, with break-even at 1.0.
+debt); survivors pay out at the end of the note term. The result is the
+equity multiple on original capital, with break-even at 1.0.
 """
 
 from __future__ import annotations
@@ -19,6 +19,12 @@ from .din import DinTerms, payout_schedule, premium_schedule
 from .portfolio import ReturnPortfolio
 
 
+#: Points of the coarse break-even scan, and the rate width (per-year
+#: fraction) at which its bisection stops.
+SCAN_POINTS = 21
+BREAK_EVEN_TOL = 1e-6
+
+
 class BreakEvenBracketError(ValueError):
     """The bracket does not isolate a single break-even crossing."""
 
@@ -30,7 +36,7 @@ class ScenarioConfig:
     bank_rate: float          # per-year fraction, e.g. 0.0225
     moc: float                # leverage: investments / original capital
     original_capital: float = 1.0
-    horizon_years: int = 10
+    horizon_years: int | None = None  # the horizon is the note term; if given, it must equal it
     surplus_rate: float = 0.0  # only 0.0: the bank holds nothing to earn a surplus on
 
     def __post_init__(self) -> None:
@@ -46,7 +52,7 @@ class ScenarioConfig:
             raise ValueError("bank_rate must be >= 0")
         if self.original_capital <= 0:
             raise ValueError("original_capital must be positive")
-        if self.horizon_years != self.din_terms.term_years:
+        if self.horizon_years not in (None, self.din_terms.term_years):
             raise ValueError("horizon_years must equal the note term")
 
 
@@ -63,9 +69,9 @@ def scenario_flows(cfg: ScenarioConfig) -> Flows:
     """Premium and payout schedules, exit proceeds and insured face of ``cfg``."""
     funds, terms = cfg.portfolio.funds, cfg.din_terms
     principal = cfg.moc * cfg.original_capital / len(funds)
-    exits = [0.0] * (cfg.horizon_years + 1)
+    exits = [0.0] * (terms.term_years + 1)
     exits[terms.payoff_year] += fsum(m * principal for m in funds if m < 1.0)
-    exits[cfg.horizon_years] += fsum(m * principal for m in funds if m >= 1.0)
+    exits[terms.term_years] += fsum(m * principal for m in funds if m >= 1.0)
     return Flows(premium_schedule(cfg.portfolio, terms, principal),
                  payout_schedule(cfg.portfolio, terms, principal),
                  exits, terms.coverage_fraction * principal * len(funds))
@@ -84,7 +90,7 @@ def _debts(cfg: ScenarioConfig, flows: Flows, rate):
     """
     debt = cfg.moc * cfg.original_capital + flows.premiums[0]
     yield debt
-    for year in range(1, cfg.horizon_years + 1):
+    for year in range(1, cfg.din_terms.term_years + 1):
         debt = debt + debt * rate + flows.premiums[year] - (flows.receipts[year] + flows.exits[year])
         yield debt
 
@@ -161,8 +167,7 @@ def _scan_crossings(margins: list[float]) -> list[int]:
     return crossings
 
 
-def break_even_rate(cfg: ScenarioConfig, lo: float, hi: float, *,
-                    tol: float = 1e-6, scan_points: int = 21) -> float | None:
+def break_even_rate(cfg: ScenarioConfig, lo: float, hi: float) -> float | None:
     """Bank rate at which the final multiple crosses 1.0, or None.
 
     A coarse scan first checks the bracket (see :func:`_scan_crossings`):
@@ -179,7 +184,7 @@ def break_even_rate(cfg: ScenarioConfig, lo: float, hi: float, *,
         raise ValueError("bracket must satisfy lo < hi")
     flows = scenario_flows(cfg)
 
-    grid = [lo + (hi - lo) * i / (scan_points - 1) for i in range(scan_points)]
+    grid = [lo + (hi - lo) * i / (SCAN_POINTS - 1) for i in range(SCAN_POINTS)]
     margins = (multiple_curve(cfg, flows, np.array(grid)) - 1.0).tolist()
     crossings = _scan_crossings(margins)
     if not crossings:
@@ -194,7 +199,7 @@ def break_even_rate(cfg: ScenarioConfig, lo: float, hi: float, *,
         return grid[a]
     r_lo, r_hi = grid[a], grid[a + 1]
     f_lo = margins[a]
-    while r_hi - r_lo > tol:
+    while r_hi - r_lo > BREAK_EVEN_TOL:
         mid = (r_lo + r_hi) / 2
         f_mid = multiple_curve(cfg, flows, np.array([mid]))[0] - 1.0
         if f_mid == 0.0:

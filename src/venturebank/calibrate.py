@@ -45,8 +45,11 @@ class CalibrationCase:
 
 @dataclass(frozen=True)
 class CalibrationReport:
-    cases: tuple[CalibrationCase, ...]
-    selected: CalibrationCase
+    cases: tuple[CalibrationCase, ...]  # best score first
+
+    @property
+    def selected(self) -> CalibrationCase:
+        return self.cases[0]
 
 
 def _band_distance(value: float, band: tuple[float, float]) -> float:
@@ -95,8 +98,7 @@ def run_calibration(portfolio: ReturnPortfolio) -> CalibrationReport:
             score = (abs(m30 - TARGET_M30) + abs(m43 - TARGET_M43)
                      + _band_distance(uplift, UPLIFT_BAND))
             cases.append(CalibrationCase(base, reading, m30, m43, uplift, score))
-    ordered = tuple(sorted(cases, key=lambda c: c.score))
-    return CalibrationReport(ordered, ordered[0])
+    return CalibrationReport(tuple(sorted(cases, key=lambda c: c.score)))
 
 
 def calibration_text(report: CalibrationReport) -> str:

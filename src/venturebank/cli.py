@@ -178,7 +178,6 @@ def _scenario_from(args: argparse.Namespace) -> ScenarioConfig:
         bank_rate=_bank_rate_fraction(args),
         moc=args.moc,
         original_capital=args.capital,
-        horizon_years=args.term_years,
     )
 
 
@@ -274,7 +273,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for moc in mocs:
             configs.append(ScenarioConfig(
                 portfolio=shifted, din_terms=terms, bank_rate=0.0, moc=moc,
-                original_capital=args.capital, horizon_years=args.term_years,
+                original_capital=args.capital,
             ))
 
     table = run_sweep(configs, grid, provenance={

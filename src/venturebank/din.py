@@ -78,6 +78,8 @@ class CoverageAssessment:
 
 
 def _assess(p: ReturnPortfolio, floor: float, threshold: float, method: CoverageMethod) -> CoverageAssessment:
+    if not math.isfinite(floor):
+        raise ValueError(f"floor must be finite, got {floor!r}")
     clamped = [1.0 if m > threshold else m for m in p.funds]
     loss = max(0.0, (1.0 - fsum(clamped) / len(clamped)) * 100.0)
     return CoverageAssessment(method, loss, floor + loss)
@@ -96,8 +98,10 @@ def coverage_breakeven_method(p: ReturnPortfolio, floor: float) -> CoverageAsses
 
 def din_payout(principal: float, multiple: float, terms: DinTerms) -> float:
     """Payout on one fund: the shortfall below break-even, capped at the face."""
-    if principal <= 0:
-        raise ValueError("principal must be positive")
+    if not (math.isfinite(principal) and principal > 0):
+        raise ValueError(f"principal must be finite and positive, got {principal!r}")
+    if not math.isfinite(multiple):
+        raise ValueError(f"multiple must be finite, got {multiple!r}")
     if multiple >= 1.0:
         return 0.0
     return min((1.0 - multiple) * principal, terms.coverage_fraction * principal)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import datetime as dt
 import os
 import statistics
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from importlib import resources
 from math import fsum
@@ -45,51 +46,47 @@ class EmptyWindowError(ValueError):
 
 
 @dataclass(frozen=True)
-class RateObservation:
-    """One dated observation of the annual rate, on the 0-100 scale."""
-
-    date: dt.date
-    rate: float
-
-    def __post_init__(self) -> None:
-        if not (RATE_MIN <= self.rate <= RATE_MAX):
-            raise ValueError(
-                f"rate {self.rate!r} on {self.date} outside [{RATE_MIN}, {RATE_MAX}]"
-            )
-
-
-@dataclass(frozen=True)
 class LiborSeries:
-    """Ordered, non-empty series of rate observations."""
+    """Non-empty rate series: ``rates[i]`` was observed on ``dates[i]``.
 
-    observations: tuple[RateObservation, ...]
+    Dates strictly increase; rates are on the 0-100 scale.
+    """
+
+    dates: tuple[dt.date, ...]
+    rates: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not self.observations:
+        if not self.dates:
             raise ValueError("series must contain at least one observation")
-        dates = [o.date for o in self.observations]
-        for prev, cur in zip(dates, dates[1:]):
+        if len(self.rates) != len(self.dates):
+            raise ValueError(f"series has {len(self.dates)} dates but {len(self.rates)} rates")
+        for prev, cur in zip(self.dates, self.dates[1:]):
             if cur <= prev:
                 raise ValueError(f"dates must be strictly increasing; {cur} follows {prev}")
+        for day, rate in zip(self.dates, self.rates):
+            if not (RATE_MIN <= rate <= RATE_MAX):
+                raise ValueError(_out_of_range(day, rate))
 
     def __len__(self) -> int:
-        return len(self.observations)
+        return len(self.dates)
 
     @property
     def start(self) -> dt.date:
-        return self.observations[0].date
+        return self.dates[0]
 
     @property
     def end(self) -> dt.date:
-        return self.observations[-1].date
+        return self.dates[-1]
 
-    def rates_in_window(self, start: dt.date | None = None, end: dt.date | None = None) -> list[float]:
+    def rates_in_window(self, start: dt.date | None = None, end: dt.date | None = None) -> tuple[float, ...]:
         """Rates with start <= date <= end; open-ended when a bound is None."""
-        return [
-            o.rate
-            for o in self.observations
-            if (start is None or o.date >= start) and (end is None or o.date <= end)
-        ]
+        lo = 0 if start is None else bisect_left(self.dates, start)
+        hi = len(self.dates) if end is None else bisect_right(self.dates, end)
+        return self.rates[lo:hi]
+
+
+def _out_of_range(day: dt.date, rate: float) -> str:
+    return f"rate {rate!r} on {day} outside [{RATE_MIN}, {RATE_MAX}]"
 
 
 @dataclass(frozen=True)
@@ -112,8 +109,7 @@ def load_libor_csv(path: str | Path) -> LiborSeries:
     if not path.exists():
         raise LiborLoadError(f"no such file: {path}")
 
-    with path.open("r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     if not lines:
         raise LiborLoadError(f"{path}: empty file")
 
@@ -123,7 +119,8 @@ def load_libor_csv(path: str | Path) -> LiborSeries:
             f"{path}: line 1: expected header naming a date column and a value column, got {lines[0]!r}"
         )
 
-    observations: list[RateObservation] = []
+    dates: list[dt.date] = []
+    rates: list[float] = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -141,19 +138,16 @@ def load_libor_csv(path: str | Path) -> LiborSeries:
             rate = float(value_text)
         except ValueError as exc:
             raise LiborLoadError(f"{path}: line {lineno}: bad value {value_text!r}") from exc
-        try:
-            obs = RateObservation(day, rate)
-        except ValueError as exc:
-            raise LiborLoadError(f"{path}: line {lineno}: {exc}") from exc
-        if observations and obs.date <= observations[-1].date:
-            raise LiborLoadError(
-                f"{path}: line {lineno}: date {obs.date} not after previous {observations[-1].date}"
-            )
-        observations.append(obs)
+        if not (RATE_MIN <= rate <= RATE_MAX):
+            raise LiborLoadError(f"{path}: line {lineno}: {_out_of_range(day, rate)}")
+        if dates and day <= dates[-1]:
+            raise LiborLoadError(f"{path}: line {lineno}: date {day} not after previous {dates[-1]}")
+        dates.append(day)
+        rates.append(rate)
 
-    if not observations:
+    if not dates:
         raise LiborLoadError(f"{path}: no usable rows")
-    return LiborSeries(tuple(observations))
+    return LiborSeries(tuple(dates), tuple(rates))
 
 
 def window_stats(series: LiborSeries, start: dt.date | None = None, end: dt.date | None = None) -> WindowStats:
@@ -175,11 +169,6 @@ def window_stats(series: LiborSeries, start: dt.date | None = None, end: dt.date
     )
 
 
-def year_window(start_year: int, end_year: int) -> tuple[dt.date, dt.date]:
-    """Inclusive calendar window: Jan 1 of start_year through Dec 31 of end_year."""
-    return dt.date(start_year, 1, 1), dt.date(end_year, 12, 31)
-
-
 def funds_rate(libor: float) -> float:
     """Bank funding rate in percent: the interbank rate plus the fixed spread."""
     if libor < 0:
@@ -193,8 +182,3 @@ def default_snapshot_path() -> Path:
     if override:
         return Path(override) / SNAPSHOT_FILENAME
     return Path(str(resources.files("venturebank") / "data" / SNAPSHOT_FILENAME))
-
-
-def load_bundled_series() -> LiborSeries:
-    """Load the rate snapshot shipped in the package data directory."""
-    return load_libor_csv(default_snapshot_path())

@@ -16,6 +16,11 @@ from math import fsum
 from pathlib import Path
 
 
+#: Bounds of a synthesized fund multiple.
+MIN_MULTIPLE = 0.32
+MAX_MULTIPLE = 12.0
+
+
 class CalibrationError(ValueError):
     """Synthesis could not meet its constraints; carries the residuals."""
 
@@ -69,6 +74,10 @@ class KauffmanConstraints:
     breakeven_clamp_loss: float = 17.45
 
     def __post_init__(self) -> None:
+        for name in ("n", "mean", "stddev", "sigma_clamp_loss", "breakeven_clamp_loss"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.n < 3:
             raise ValueError("need at least 3 funds")
         if self.stddev < 0:
@@ -127,7 +136,6 @@ def _bucket_values(rng: np.random.Generator, k: int, mean: float,
 
 
 def synthesize_kauffman(constraints: KauffmanConstraints, seed: int, *,
-                        min_multiple: float = 0.32, max_multiple: float = 12.0,
                         label: str | None = None) -> ReturnPortfolio:
     """Construct a portfolio meeting the aggregate constraints exactly.
 
@@ -135,9 +143,9 @@ def synthesize_kauffman(constraints: KauffmanConstraints, seed: int, *,
     bands: losers below break-even, moderate winners at or below one
     standard deviation above break-even, and large winners beyond it.
     Band totals follow directly from the two clamp-loss targets; band
-    counts are searched (fewest losers first, no fund below
-    ``min_multiple``), and within-band spread is then sized to land the
-    standard deviation.
+    counts are searched (fewest losers first, every fund within
+    [``MIN_MULTIPLE``, ``MAX_MULTIPLE``]), and within-band spread is
+    then sized to land the standard deviation.
 
     Raises :class:`CalibrationError` with the residuals when no feasible
     construction exists.
@@ -176,8 +184,8 @@ def synthesize_kauffman(constraints: KauffmanConstraints, seed: int, *,
         _verify_synthesis(out, c, residuals)
         return out
 
-    n_l_min = 0 if deficit == 0 else max(1, math.ceil(deficit / (1.0 - min_multiple)))
-    n_h_min = 0 if excess_high == 0 else max(1, math.ceil(excess_high / (max_multiple - 1.0 - gap)))
+    n_l_min = 0 if deficit == 0 else max(1, math.ceil(deficit / (1.0 - MIN_MULTIPLE)))
+    n_h_min = 0 if excess_high == 0 else max(1, math.ceil(excess_high / (MAX_MULTIPLE - 1.0 - gap)))
     n_h_cap = 0 if excess_high == 0 else math.floor(excess_high / (c.stddev + gap))
 
     best_residual = math.inf
@@ -189,11 +197,11 @@ def synthesize_kauffman(constraints: KauffmanConstraints, seed: int, *,
             mean_l = 1.0 - deficit / n_l if n_l else 0.0
             mean_h = 1.0 + excess_high / n_h if n_h else 0.0
             mean_m = 1.0 + excess_mid / n_m if n_m else 0.0
-            if n_l and mean_l < min_multiple - 1e-12:
+            if n_l and mean_l < MIN_MULTIPLE - 1e-12:
                 continue
             if n_m and excess_mid > 0 and not (1.0 + gap / 2 <= mean_m <= threshold - gap):
                 continue
-            if n_h and not (threshold + gap <= mean_h <= max_multiple - gap):
+            if n_h and not (threshold + gap <= mean_h <= MAX_MULTIPLE - gap):
                 continue
 
             base_ss = n_l * mean_l ** 2 + n_m * mean_m ** 2 + n_h * mean_h ** 2
@@ -207,9 +215,9 @@ def synthesize_kauffman(constraints: KauffmanConstraints, seed: int, *,
             parts: list[tuple[int, float, np.ndarray, float]] = []
             cap_total = 0.0
             for k, mean_b, lo, hi in (
-                (n_l, mean_l, min_multiple, 1.0 - gap),
+                (n_l, mean_l, MIN_MULTIPLE, 1.0 - gap),
                 (n_m, mean_m, 1.0 + gap / 2 if excess_mid > 0 else 1.0, threshold - gap),
-                (n_h, mean_h, threshold + gap, max_multiple),
+                (n_h, mean_h, threshold + gap, MAX_MULTIPLE),
             ):
                 if k == 0:
                     parts.append((k, mean_b, np.zeros(0), 0.0))
@@ -281,8 +289,8 @@ def shift_to_mean(p: ReturnPortfolio, target: float) -> ReturnPortfolio:
     until the mean is within 1e-9 of the target. With no flooring the
     spread is untouched.
     """
-    if target < 0:
-        raise ValueError(f"target mean must be >= 0, got {target!r}")
+    if not (math.isfinite(target) and target >= 0):
+        raise ValueError(f"target mean must be finite and >= 0, got {target!r}")
     n = len(p.funds)
     shift = target - fsum(p.funds) / n
     vals = [m + shift for m in p.funds]
@@ -318,8 +326,8 @@ def save_portfolio(path: str | Path, p: ReturnPortfolio, metadata: dict[str, obj
         path.with_suffix(path.suffix + ".meta").write_text("\n".join(meta_lines) + "\n", encoding="utf-8")
 
 
-def load_portfolio(path: str | Path, label: str | None = None) -> ReturnPortfolio:
-    """Read a one-column ``multiple`` CSV written by :func:`save_portfolio`."""
+def load_portfolio(path: str | Path) -> ReturnPortfolio:
+    """Read a one-column ``multiple`` CSV written by :func:`save_portfolio`, labelled by its stem."""
     path = Path(path)
     lines = [ln.strip() for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
     if not lines or lines[0] != "multiple":
@@ -329,6 +337,6 @@ def load_portfolio(path: str | Path, label: str | None = None) -> ReturnPortfoli
     except ValueError as exc:
         raise ValueError(f"{path}: non-numeric multiple: {exc}") from exc
     try:
-        return ReturnPortfolio(funds, label if label is not None else path.stem)
+        return ReturnPortfolio(funds, path.stem)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

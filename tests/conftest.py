@@ -1,7 +1,7 @@
 import pytest
 
 from venturebank.din import DinTerms, PremiumBase
-from venturebank.market_data import load_bundled_series
+from venturebank.market_data import default_snapshot_path, load_libor_csv
 from venturebank.portfolio import (
     KauffmanConstraints,
     compress_pairs,
@@ -14,7 +14,7 @@ DEFAULT_SEED = 42
 
 @pytest.fixture(scope="session")
 def snapshot():
-    return load_bundled_series()
+    return load_libor_csv(default_snapshot_path())
 
 
 @pytest.fixture(scope="session")

@@ -72,7 +72,7 @@ def simulate_bank(cfg: ScenarioConfig) -> BankResult:
         equity_estimate=cfg.original_capital + cash - debt,
     )]
 
-    for year in range(1, cfg.horizon_years + 1):
+    for year in range(1, cfg.din_terms.term_years + 1):
         interest = debt * cfg.bank_rate
         debt += interest
         surplus_interest = cash * cfg.surplus_rate
@@ -86,7 +86,7 @@ def simulate_bank(cfg: ScenarioConfig) -> BankResult:
         exits = 0.0
         if year == payoff_year:
             exits += fsum(m * principal for m in funds if m < 1.0)
-        if year == cfg.horizon_years:
+        if year == cfg.din_terms.term_years:
             exits += fsum(m * principal for m in funds if m >= 1.0)
         receipts = din_sched[year]
 

@@ -5,6 +5,7 @@ line per criterion.
 """
 
 import dataclasses
+import datetime as dt
 import random
 import time
 
@@ -20,7 +21,7 @@ from venturebank.din import (
     coverage_sigma_method,
     underwriter_returns,
 )
-from venturebank.market_data import load_libor_csv, default_snapshot_path, window_stats, year_window
+from venturebank.market_data import load_libor_csv, default_snapshot_path, window_stats
 from venturebank.portfolio import (
     KauffmanConstraints,
     ReturnPortfolio,
@@ -50,7 +51,7 @@ def test_criterion_01_rate_window_statistics():
     results = {}
     ok = True
     for (a, b), (med_t, mean_t) in pairs.items():
-        stats = window_stats(series, *year_window(a, b))
+        stats = window_stats(series, dt.date(a, 1, 1), dt.date(b, 12, 31))
         results[(a, b)] = (stats.median, stats.mean)
         ok &= abs(stats.median - med_t) <= 0.05 and abs(stats.mean - mean_t) <= 0.05
     elapsed = time.perf_counter() - started

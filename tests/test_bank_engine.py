@@ -31,14 +31,14 @@ from venturebank.sweep import run_sweep
 def _random_scenario(rng: random.Random) -> ScenarioConfig:
     n = rng.randint(1, 12)
     funds = tuple(round(rng.uniform(0.0, 4.0), 3) for _ in range(n))
-    payoff = rng.randint(1, 10)
+    term = rng.randint(1, 15)
     terms = DinTerms(
         coverage_fraction=round(rng.uniform(0.03, 0.20), 4),
         coverage_floor=0.0288,
         premium_rate=round(rng.uniform(0.0, 0.08), 4),
         premium_base=rng.choice(list(PremiumBase)),
-        payoff_year=payoff,
-        term_years=10,
+        payoff_year=rng.randint(1, term),
+        term_years=term,
     )
     return ScenarioConfig(
         portfolio=ReturnPortfolio(funds, f"rand-{n}"),
@@ -50,9 +50,17 @@ def _random_scenario(rng: random.Random) -> ScenarioConfig:
 
 
 @st.composite
+def note_timing(draw) -> dict[str, int]:
+    """A note term of 1-15 years and a payoff year within it."""
+    term = draw(st.integers(1, 15))
+    return {"payoff_year": draw(st.integers(1, term)), "term_years": term}
+
+
+@st.composite
 def scenarios(draw) -> ScenarioConfig:
     """Random portfolios and terms, including funds at exactly 1.0, every
-    premium base, payoff at the end of the term and coverage up to 100%."""
+    premium base, every note term from 1 to 15 years, payoff at the end
+    of the term and coverage up to 100%."""
     fund = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 4.0))
     funds = tuple(draw(st.lists(fund, min_size=1, max_size=12)))
     floor = draw(st.floats(0.0, 0.05))
@@ -61,8 +69,7 @@ def scenarios(draw) -> ScenarioConfig:
         coverage_floor=floor,
         premium_rate=draw(st.floats(0.0, 0.08)),
         premium_base=draw(st.sampled_from(list(PremiumBase))),
-        payoff_year=draw(st.integers(1, 10)),
-        term_years=10,
+        **draw(note_timing()),
     )
     return ScenarioConfig(
         portfolio=ReturnPortfolio(funds),
@@ -86,8 +93,7 @@ def dust_scenarios(draw) -> ScenarioConfig:
         coverage_floor=0.0,
         premium_rate=0.0,
         premium_base=draw(st.sampled_from(list(PremiumBase))),
-        payoff_year=draw(st.integers(1, 10)),
-        term_years=10,
+        **draw(note_timing()),
     )
     return ScenarioConfig(
         portfolio=ReturnPortfolio(tuple(draw(st.lists(fund, min_size=1, max_size=12)))),
@@ -229,6 +235,16 @@ class TestConfigValidation:
             ScenarioConfig(anchor131, DinTerms(), bank_rate=0.02, moc=0)
         with pytest.raises(ValueError):
             ScenarioConfig(anchor131, DinTerms(), 0.02, 30, horizon_years=7)
+
+    def test_any_note_term_is_the_horizon(self, anchor131):
+        cfg = ScenarioConfig(anchor131, DinTerms(payoff_year=3, term_years=7), 0.02, 30)
+        assert len(simulate_bank(cfg).ledger) == 8
+        assert simulate_bank(dataclasses.replace(cfg, horizon_years=7)) == simulate_bank(cfg)
+
+    @pytest.mark.parametrize("term, horizon", [(10, 7), (7, 10)])
+    def test_horizon_other_than_the_note_term_rejected(self, anchor131, term, horizon):
+        with pytest.raises(ValueError, match="horizon_years must equal the note term"):
+            ScenarioConfig(anchor131, DinTerms(term_years=term), 0.02, 30, horizon_years=horizon)
 
     @pytest.mark.parametrize("field", ["bank_rate", "moc", "original_capital", "surplus_rate"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

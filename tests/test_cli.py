@@ -195,6 +195,8 @@ class TestCalibrate:
         assert text.count("mode=") == 6
         assert "selected=" in text
         assert "selected=" in out
+        best = next(line for line in text.splitlines() if line.startswith("mode="))
+        assert f"selected={best.split()[0].removeprefix('mode=')}" in text.splitlines()
 
 
 class TestConfigFile:

@@ -84,6 +84,12 @@ class TestCoverageMethods:
                 >= coverage_sigma_method(p, floor).recommended_coverage - 1e-12)
         assert coverage_sigma_method(p, floor).recommended_coverage >= floor - 1e-12
 
+    @pytest.mark.parametrize("method", [coverage_sigma_method, coverage_breakeven_method])
+    @pytest.mark.parametrize("floor", [float("nan"), float("inf")])
+    def test_non_finite_floor_rejected(self, method, floor):
+        with pytest.raises(ValueError, match="floor must be finite"):
+            method(ReturnPortfolio((0.5, 2.0)), floor)
+
 
 class TestPayout:
     terms = DinTerms()
@@ -100,6 +106,15 @@ class TestPayout:
     def test_requires_positive_principal(self):
         with pytest.raises(ValueError):
             din_payout(0.0, 0.5, self.terms)
+
+    @pytest.mark.parametrize("principal", [float("nan"), float("inf")])
+    def test_non_finite_principal_rejected(self, principal):
+        with pytest.raises(ValueError, match="principal must be finite"):
+            din_payout(principal, 0.5, self.terms)
+
+    def test_nan_multiple_rejected(self):
+        with pytest.raises(ValueError, match="multiple must be finite"):
+            din_payout(100.0, float("nan"), self.terms)
 
     @given(multiple=st.floats(0, 3, allow_nan=False),
            principal=st.floats(1, 1000, allow_nan=False))

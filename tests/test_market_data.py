@@ -10,11 +10,10 @@ from venturebank.market_data import (
     EmptyWindowError,
     LiborLoadError,
     LiborSeries,
-    RateObservation,
+    default_snapshot_path,
     funds_rate,
     load_libor_csv,
     window_stats,
-    year_window,
 )
 
 
@@ -29,7 +28,7 @@ class TestLoad:
         path = write_csv(tmp_path, "DATE,USD12MD156N\n2001-01-01,4.5\n2001-01-02,4.6\n2001-01-03,.\n")
         series = load_libor_csv(path)
         assert len(series) == 2
-        assert series.observations[0] == RateObservation(dt.date(2001, 1, 1), 4.5)
+        assert (series.dates[0], series.rates[0]) == (dt.date(2001, 1, 1), 4.5)
 
     def test_malformed_date_names_line(self, tmp_path):
         path = write_csv(tmp_path, "DATE,X\n2016-01-04,1.0\n2016-13-45,1.0\n")
@@ -101,30 +100,47 @@ class TestBundledSnapshot:
 
     @pytest.mark.parametrize("start,end,median,mean", WINDOWS)
     def test_window_pairs(self, snapshot, start, end, median, mean):
-        stats = window_stats(snapshot, *year_window(start, end))
+        stats = window_stats(snapshot, dt.date(start, 1, 1), dt.date(end, 12, 31))
         assert stats.median == pytest.approx(median, abs=0.05)
         assert stats.mean == pytest.approx(mean, abs=0.05)
 
     def test_extremes_of_recent_twenty_years(self, snapshot):
-        rates = snapshot.rates_in_window(*year_window(1996, 2016))
+        rates = snapshot.rates_in_window(dt.date(1996, 1, 1), dt.date(2016, 12, 31))
         assert max(rates) == 7.50
         assert min(rates) == 0.53
 
     def test_snapshot_contains_missing_markers(self):
-        from venturebank.market_data import default_snapshot_path
-
         text = default_snapshot_path().read_text(encoding="utf-8")
         assert ",.\n" in text
 
     def test_data_dir_env_override(self, tmp_path, monkeypatch):
-        from venturebank.market_data import default_snapshot_path, load_bundled_series
-
         (tmp_path / "libor_usd12m.csv").write_text(
             "DATE,USD12MD156N\n2010-01-04,2.0\n", encoding="utf-8"
         )
         monkeypatch.setenv("VENTUREBANK_DATA_DIR", str(tmp_path))
         assert default_snapshot_path() == tmp_path / "libor_usd12m.csv"
-        assert len(load_bundled_series()) == 1
+        assert len(load_libor_csv(default_snapshot_path())) == 1
+
+
+class TestSeries:
+    DAYS = (dt.date(2010, 1, 4), dt.date(2010, 1, 5))
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="at least one observation"):
+            LiborSeries((), ())
+
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(ValueError, match="2 dates but 1 rates"):
+            LiborSeries(self.DAYS, (1.0,))
+
+    def test_dates_must_increase(self):
+        with pytest.raises(ValueError, match="2010-01-04 follows 2010-01-05"):
+            LiborSeries(self.DAYS[::-1], (1.0, 2.0))
+
+    @pytest.mark.parametrize("bad", [-0.1, 50.5, float("nan")])
+    def test_rate_outside_range_names_its_date(self, bad):
+        with pytest.raises(ValueError, match="on 2010-01-05 outside"):
+            LiborSeries(self.DAYS, (1.0, bad))
 
 
 class TestFundsRate:
@@ -150,7 +166,7 @@ def rate_series(draw):
     dates = [start]
     for s in steps:
         dates.append(dates[-1] + dt.timedelta(days=s))
-    return LiborSeries(tuple(RateObservation(d, r) for d, r in zip(dates, rates)))
+    return LiborSeries(tuple(dates), tuple(rates))
 
 
 class TestSeriesProperties:
@@ -159,10 +175,20 @@ class TestSeriesProperties:
     def test_whole_series_equals_open_bounds(self, series):
         assert window_stats(series) == window_stats(series, series.start, series.end)
 
+    @given(series=rate_series(),
+           bounds=st.tuples(st.none() | st.dates(dt.date(1989, 12, 1), dt.date(2015, 8, 1)),
+                            st.none() | st.dates(dt.date(1989, 12, 1), dt.date(2015, 8, 1))))
+    @settings(max_examples=100)
+    def test_window_selects_the_rates_dated_inside_it(self, series, bounds):
+        start, end = bounds
+        assert series.rates_in_window(start, end) == tuple(
+            r for d, r in zip(series.dates, series.rates)
+            if (start is None or d >= start) and (end is None or d <= end))
+
     @given(series=rate_series())
     @settings(max_examples=60)
     def test_median_and_mean_bounded_by_extremes(self, series):
         stats = window_stats(series)
-        rates = [o.rate for o in series.observations]
+        rates = series.rates
         assert min(rates) <= stats.median <= max(rates)
         assert min(rates) - 1e-12 <= stats.mean <= max(rates) + 1e-12

@@ -91,6 +91,13 @@ class TestSynthesis:
         with pytest.raises(ValueError):
             KauffmanConstraints(sigma_clamp_loss=5.0, breakeven_clamp_loss=1.0)
 
+    @pytest.mark.parametrize("field", ["n", "mean", "stddev", "sigma_clamp_loss",
+                                       "breakeven_clamp_loss"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            KauffmanConstraints(**{field: value})
+
 
 class TestCompress:
     def test_even_count_exact(self):
@@ -145,6 +152,11 @@ class TestShift:
         with pytest.raises(ValueError):
             shift_to_mean(ReturnPortfolio((1.0,)), -0.5)
 
+    @pytest.mark.parametrize("target", [math.nan, math.inf])
+    def test_non_finite_target_rejected(self, target):
+        with pytest.raises(ValueError, match="target mean must be finite"):
+            shift_to_mean(ReturnPortfolio((1.0, 2.0), "x"), target)
+
     def test_flooring_redistributes(self):
         # Shift of -0.95 floors two funds; the 1.8 of clipped mass comes
         # out of the only positive fund: 2.9 - 0.95 - 1.8 = 0.15.
@@ -187,6 +199,7 @@ class TestSerialization:
         save_portfolio(path, compressed50, metadata={"seed": 42})
         back = load_portfolio(path)
         assert back.funds == compressed50.funds
+        assert back.label == "p"
         assert (tmp_path / "p.csv.meta").exists()
 
     def test_rejects_wrong_header(self, tmp_path):
