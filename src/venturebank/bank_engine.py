@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import fsum
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .din import DinTerms, payout_schedule, premium_schedule
 from .portfolio import ReturnPortfolio
@@ -132,8 +132,14 @@ def simulate_bank(cfg: ScenarioConfig) -> BankResult:
     return BankResult(final_multiple=multiple, survived=multiple >= 1.0, ledger=tuple(rows))
 
 
-def multiple_curve(cfg: ScenarioConfig, flows: Flows, rates: np.ndarray) -> np.ndarray:
-    """Final multiple of ``cfg`` at each of an array of bank rates.
+def _final_multiple(cfg: ScenarioConfig, flows: Flows, rate):
+    """Final multiple of ``cfg`` at ``rate``, a float or a numpy array of rates."""
+    *_, debt = _debts(cfg, flows, rate)
+    return (cfg.original_capital - debt) / cfg.original_capital
+
+
+def multiple_curve(cfg: ScenarioConfig, flows: Flows, rates: Sequence[float]) -> list[float]:
+    """Final multiple of ``cfg`` at each of a sequence of bank rates.
 
     Runs the ledger of :func:`simulate_bank` over all the rates at once,
     so element ``i`` equals ``simulate_bank(replace(cfg,
@@ -145,8 +151,7 @@ def multiple_curve(cfg: ScenarioConfig, flows: Flows, rates: np.ndarray) -> np.n
     rates = np.asarray(rates, dtype=float)
     if not np.all(rates >= 0):
         raise ValueError("bank_rate must be >= 0")
-    *_, debt = _debts(cfg, flows, rates)
-    return (cfg.original_capital - debt) / cfg.original_capital
+    return _final_multiple(cfg, flows, rates).tolist()
 
 
 def _scan_crossings(margins: list[float]) -> list[int]:
@@ -175,17 +180,15 @@ def break_even_rate(cfg: ScenarioConfig, lo: float, hi: float) -> float | None:
     :class:`BreakEvenBracketError`. A crossing at an exact zero returns
     that grid rate; a sign flip is bisected, relying on the final
     multiple being monotone in the rate between the two grid points.
-    The flows are built once; the scan is one :func:`multiple_curve`
-    call and each bisection step another.
+    The flows are built once; the scan and each bisection step run the
+    ledger on one float rate, bitwise as :func:`multiple_curve` would.
     """
-    import numpy as np
-
-    if not lo < hi:
-        raise ValueError("bracket must satisfy lo < hi")
+    if not (0 <= lo < hi and math.isfinite(hi)):
+        raise ValueError(f"bracket [{lo}, {hi}] must satisfy 0 <= lo < hi, both finite")
     flows = scenario_flows(cfg)
 
     grid = [lo + (hi - lo) * i / (SCAN_POINTS - 1) for i in range(SCAN_POINTS)]
-    margins = (multiple_curve(cfg, flows, np.array(grid)) - 1.0).tolist()
+    margins = [_final_multiple(cfg, flows, r) - 1.0 for r in grid]
     crossings = _scan_crossings(margins)
     if not crossings:
         return None
@@ -201,7 +204,7 @@ def break_even_rate(cfg: ScenarioConfig, lo: float, hi: float) -> float | None:
     f_lo = margins[a]
     while r_hi - r_lo > BREAK_EVEN_TOL:
         mid = (r_lo + r_hi) / 2
-        f_mid = multiple_curve(cfg, flows, np.array([mid]))[0] - 1.0
+        f_mid = _final_multiple(cfg, flows, mid) - 1.0
         if f_mid == 0.0:
             return mid
         if (f_lo > 0) == (f_mid > 0):

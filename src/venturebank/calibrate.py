@@ -83,16 +83,13 @@ def run_calibration(portfolio: ReturnPortfolio) -> CalibrationReport:
     Each (premium base, coverage, leverage) case is one kernel call over
     both rate readings.
     """
-    import numpy as np
-
-    readings = np.array([anchor_bank_rate(r) for r in RATE_READINGS])
+    readings = [anchor_bank_rate(r) for r in RATE_READINGS]
     cases = []
     for base in PremiumBase:
         cfgs = (ScenarioConfig(portfolio, _terms(base, coverage), 0.0, moc)
                 for coverage, moc in ((WORKING_COVERAGE, 30), (WORKING_COVERAGE, 43),
                                       (REDUCED_COVERAGE, 30)))
-        m30s, m43s, reduced = (multiple_curve(cfg, scenario_flows(cfg), readings).tolist()
-                               for cfg in cfgs)
+        m30s, m43s, reduced = (multiple_curve(cfg, scenario_flows(cfg), readings) for cfg in cfgs)
         for reading, m30, m43, m30_reduced in zip(RATE_READINGS, m30s, m43s, reduced):
             uplift = m30_reduced - m30
             score = (abs(m30 - TARGET_M30) + abs(m43 - TARGET_M43)

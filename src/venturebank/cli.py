@@ -105,10 +105,13 @@ def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
 
 
 def _parse_date(text: str, end_of_year: bool) -> dt.date:
-    if len(text) == 4 and text.isdigit():
-        year = int(text)
-        return dt.date(year, 12, 31) if end_of_year else dt.date(year, 1, 1)
-    return dt.date.fromisoformat(text)
+    """argparse type of ``--start`` and ``--end``: a date, or a year meaning its first or last day."""
+    try:
+        if len(text) == 4 and text.isdigit():
+            return dt.date(int(text), 12, 31) if end_of_year else dt.date(int(text), 1, 1)
+        return dt.date.fromisoformat(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected YYYY-MM-DD or YYYY, got {text!r}") from None
 
 
 def _add_terms_flags(p: argparse.ArgumentParser) -> None:
@@ -184,8 +187,7 @@ def _scenario_from(args: argparse.Namespace) -> ScenarioConfig:
 def _cmd_ingest(args: argparse.Namespace) -> int:
     path = Path(args.csv) if args.csv else default_snapshot_path()
     series = load_libor_csv(path)
-    start = _parse_date(args.start, end_of_year=False) if args.start else None
-    end = _parse_date(args.end, end_of_year=True) if args.end else None
+    start, end = args.start, args.end
     stats = window_stats(series, start, end)
     rates = series.rates_in_window(start, end)
     print(f"file={path}")
@@ -315,8 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="load a rate CSV and print window statistics")
     p.add_argument("--csv", help="rate CSV path (default: bundled snapshot)")
-    p.add_argument("--start", help="window start, YYYY-MM-DD or YYYY")
-    p.add_argument("--end", help="window end, YYYY-MM-DD or YYYY")
+    p.add_argument("--start", type=lambda text: _parse_date(text, end_of_year=False),
+                   help="window start, YYYY-MM-DD or YYYY")
+    p.add_argument("--end", type=lambda text: _parse_date(text, end_of_year=True),
+                   help="window end, YYYY-MM-DD or YYYY")
     p.set_defaults(handler=_cmd_ingest)
 
     p = sub.add_parser("synth", help="synthesize the reference portfolio")

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from math import fsum
+from typing import Sequence
 
 from .portfolio import ReturnPortfolio, portfolio_stats
 
@@ -49,10 +51,14 @@ class DinTerms:
     term_years: int = 10
 
     def __post_init__(self) -> None:
-        for name in ("coverage_fraction", "coverage_floor", "premium_rate"):
+        for name in ("coverage_fraction", "coverage_floor", "premium_rate", "payoff_year", "term_years"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        for name in ("payoff_year", "term_years"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.coverage_fraction < self.coverage_floor:
             raise ValueError("coverage_fraction must be >= coverage_floor")
         if not (0 < self.payoff_year <= self.term_years):
@@ -138,8 +144,8 @@ def payout_schedule(p: ReturnPortfolio, terms: DinTerms, principal_per_fund: flo
     return sched
 
 
-def underwriter_returns(terms: DinTerms, flows: Flows, bank_rates: np.ndarray) -> np.ndarray:
-    """Underwriter gross return at each of an array of bank rates; break-even at 0.
+def underwriter_returns(terms: DinTerms, flows: Flows, bank_rates: Sequence[float]) -> list[float]:
+    """Underwriter gross return at each of a sequence of bank rates; break-even at 0.
 
     ``flows`` holds the premium and payout schedules (see
     :func:`bank_engine.scenario_flows`). Payouts land at the payoff year
@@ -161,5 +167,5 @@ def underwriter_returns(terms: DinTerms, flows: Flows, bank_rates: np.ndarray) -
     for col in range(carry.shape[1]):
         carry[:, col] = outstanding * rates
         outstanding = outstanding + carry[:, col]
-    carry_total = np.array([fsum(row) for row in carry.tolist()])
-    return (fsum(flows.premiums) - fsum(flows.receipts) - carry_total) / flows.face_total
+    net = fsum(flows.premiums) - fsum(flows.receipts)
+    return [(net - fsum(row)) / flows.face_total for row in carry.tolist()]

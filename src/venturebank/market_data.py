@@ -161,7 +161,8 @@ def window_stats(series: LiborSeries, start: dt.date | None = None, end: dt.date
         raise ValueError(f"window start {start} after end {end}")
     rates = series.rates_in_window(start, end)
     if not rates:
-        raise EmptyWindowError(f"no observations between {start} and {end}")
+        bounds = " ".join(f"{word} {day}" for word, day in (("from", start), ("through", end)) if day)
+        raise EmptyWindowError(f"no observations {bounds}; the series spans {series.start} to {series.end}")
     return WindowStats(
         median=statistics.median(rates),
         mean=fsum(rates) / len(rates),

@@ -11,6 +11,7 @@ coverage sizing.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from math import fsum
 from pathlib import Path
@@ -78,6 +79,8 @@ class KauffmanConstraints:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        if not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         if self.n < 3:
             raise ValueError("need at least 3 funds")
         if self.stddev < 0:
@@ -99,12 +102,12 @@ def _clamped_mean(funds: tuple[float, ...], threshold: float) -> float:
     return fsum(1.0 if m > threshold else m for m in funds) / len(funds)
 
 
-def _centered_unit(rng: np.random.Generator, k: int) -> np.ndarray:
+def _centered_unit(rng: np.random.Generator, k: int) -> list[float]:
     """k deviations with zero sum and unit sum of squares."""
     import numpy as np
 
     if k < 2:
-        return np.zeros(k)
+        return [0.0] * k
     d = rng.uniform(-1.0, 1.0, k)
     d -= d.mean()
     norm = math.sqrt(float(np.dot(d, d)))
@@ -112,19 +115,18 @@ def _centered_unit(rng: np.random.Generator, k: int) -> np.ndarray:
         d = np.linspace(-1.0, 1.0, k)
         d -= d.mean()
         norm = math.sqrt(float(np.dot(d, d)))
-    return d / norm
+    return (d / norm).tolist()
 
 
 def _bucket_values(rng: np.random.Generator, k: int, mean: float,
-                   lo: float, hi: float) -> tuple[np.ndarray, float]:
+                   lo: float, hi: float) -> tuple[list[float], float]:
     """Deviation shape for a band plus its spread capacity.
 
     Capacity is in sum-of-squares units: the largest extra variance the
     band can absorb while every value stays inside [lo, hi].
     """
     d = _centered_unit(rng, k)
-    lo_ex = float(d.min())
-    hi_ex = float(d.max())
+    lo_ex, hi_ex = min(d), max(d)
     s_max = math.inf
     if lo_ex < 0:
         s_max = min(s_max, (mean - lo) / -lo_ex)
@@ -212,7 +214,7 @@ def synthesize_kauffman(constraints: KauffmanConstraints, seed: int, *,
             delta = max(0.0, delta)
 
             rng = np.random.default_rng([seed, n_l, n_h])
-            parts: list[tuple[int, float, np.ndarray, float]] = []
+            parts: list[tuple[float, list[float], float]] = []
             cap_total = 0.0
             for k, mean_b, lo, hi in (
                 (n_l, mean_l, MIN_MULTIPLE, 1.0 - gap),
@@ -220,25 +222,22 @@ def synthesize_kauffman(constraints: KauffmanConstraints, seed: int, *,
                 (n_h, mean_h, threshold + gap, MAX_MULTIPLE),
             ):
                 if k == 0:
-                    parts.append((k, mean_b, np.zeros(0), 0.0))
                     continue
-                if k and mean_b == 1.0 and excess_mid == 0 and lo == 1.0:
-                    parts.append((k, mean_b, np.zeros(k), 0.0))
+                if mean_b == 1.0 and excess_mid == 0 and lo == 1.0:
+                    parts.append((mean_b, [0.0] * k, 0.0))
                     continue
                 d, cap = _bucket_values(rng, k, mean_b, lo, hi)
-                parts.append((k, mean_b, d, cap))
+                parts.append((mean_b, d, cap))
                 cap_total += cap
             if cap_total + 1e-12 < delta:
                 best_residual = min(best_residual, delta - cap_total)
                 continue
 
             values: list[float] = []
-            for k, mean_b, d, cap in parts:
-                if k == 0:
-                    continue
+            for mean_b, d, cap in parts:
                 take = delta * (cap / cap_total) if cap_total > 0 else 0.0
                 s = math.sqrt(take)
-                values.extend(float(mean_b + s * x) for x in (d if len(d) else np.zeros(k)))
+                values.extend(mean_b + s * x for x in d)
             values.sort(reverse=True)
             out = ReturnPortfolio(tuple(values), name)
             _verify_synthesis(out, c, residuals)

@@ -13,6 +13,10 @@ from .din import underwriter_returns
 from .market_data import funds_rate
 
 
+#: Most points a ``lo:hi:step`` grid spec may expand to.
+MAX_GRID_POINTS = 100_000
+
+
 class SweepError(ValueError):
     """A sweep could not be run."""
 
@@ -77,6 +81,10 @@ def parse_rate_grid(spec: str) -> list[float]:
         raise SweepError(f"bad grid {spec!r}; lo, hi and step must be finite")
     if step <= 0 or not lo < hi:
         raise SweepError(f"bad grid {spec!r}; need lo < hi and step > 0")
+    points = (hi - lo) / step + 1
+    if points > MAX_GRID_POINTS:
+        count = math.ceil(points) if math.isfinite(points) else points
+        raise SweepError(f"bad grid {spec!r}; {count} points, more than {MAX_GRID_POINTS}")
     grid = []
     k = 0
     while True:
@@ -112,17 +120,15 @@ def run_sweep(bases: Sequence[ScenarioConfig], rate_grid_pct: Sequence[float],
     see the same funding cost. Each config's flows are built once and
     its whole grid is one call of each rate kernel.
     """
-    import numpy as np
-
     _validate_grid(rate_grid_pct)
     rates_pct = tuple(funds_rate(g) for g in rate_grid_pct)
-    rates = np.array(rates_pct) / 100.0
+    rates = [pct / 100.0 for pct in rates_pct]
     curves = []
     for cfg in bases:
         try:
             flows = scenario_flows(cfg)
-            multiples = multiple_curve(cfg, flows, rates).tolist()
-            returns = underwriter_returns(cfg.din_terms, flows, rates).tolist()
+            multiples = multiple_curve(cfg, flows, rates)
+            returns = underwriter_returns(cfg.din_terms, flows, rates)
         except ValueError as exc:
             raise SweepError(
                 f"scenario failed for portfolio {cfg.portfolio.label!r} moc {cfg.moc} "

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import re
 
 import numpy as np
 import oracles
@@ -136,17 +137,26 @@ class TestRateKernels:
     @given(cfg=ANY_SCENARIO, rates=RATE_ARRAYS)
     @example(cfg=DUST_EXAMPLE, rates=[0.0, 0.02])
     def test_bank_kernel_matches_simulate_bank(self, cfg, rates):
-        got = multiple_curve(cfg, scenario_flows(cfg), np.array(rates)).tolist()
+        got = multiple_curve(cfg, scenario_flows(cfg), rates)
         want = [oracles.simulate_bank(dataclasses.replace(cfg, bank_rate=r)).final_multiple
                 for r in rates]
         assert list(map(repr, got)) == list(map(repr, want))
+
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=scenarios())
+    @example(cfg=DUST_EXAMPLE)
+    def test_float_path_matches_the_array_kernel(self, cfg):
+        # break_even_rate runs the ledger on one float rate at a time.
+        flows = scenario_flows(cfg)
+        got = bank_engine._final_multiple(cfg, flows, cfg.bank_rate)
+        assert repr(got) == repr(multiple_curve(cfg, flows, [cfg.bank_rate])[0])
 
     @settings(max_examples=150, deadline=None)
     @given(cfg=ANY_SCENARIO, rates=RATE_ARRAYS)
     def test_underwriter_kernel_matches_underwriter_ledger(self, cfg, rates):
         assume(scenario_flows(cfg).face_total > 0)  # zero face: no gross return
         principal = cfg.moc * cfg.original_capital / len(cfg.portfolio.funds)
-        got = underwriter_returns(cfg.din_terms, scenario_flows(cfg), np.array(rates)).tolist()
+        got = underwriter_returns(cfg.din_terms, scenario_flows(cfg), rates)
         want = [oracles.underwriter_ledger(cfg.portfolio, cfg.din_terms, r, principal).gross_return
                 for r in rates]
         assert list(map(repr, got)) == list(map(repr, want))
@@ -384,8 +394,9 @@ class TestBreakEven:
 
     def test_bad_bracket_rejected(self, anchor131, calibrated_terms):
         cfg = ScenarioConfig(anchor131, calibrated_terms, 0.02, 30)
-        with pytest.raises(ValueError):
-            break_even_rate(cfg, 0.05, 0.01)
+        for lo, hi in [(0.05, 0.01), (0.01, math.inf), (math.nan, 0.05), (-0.01, 0.05)]:
+            with pytest.raises(ValueError, match=re.escape(f"bracket [{lo}, {hi}] must satisfy 0 <= lo < hi")):
+                break_even_rate(cfg, lo, hi)
 
     def test_solution_is_a_root(self, anchor131, calibrated_terms):
         # Tolerance is on the rate (1e-6); the multiple moves ~4e2 per
@@ -416,9 +427,7 @@ class TestScanCrossings:
 def scripted_margin(monkeypatch):
     """Make the solver see ``margin(rate)`` in place of the ledger."""
     def install(margin):
-        def fake(cfg, flows, rates):
-            return 1.0 + np.array([margin(r) for r in rates.tolist()])
-        monkeypatch.setattr(bank_engine, "multiple_curve", fake)
+        monkeypatch.setattr(bank_engine, "_final_multiple", lambda cfg, flows, rate: 1.0 + margin(rate))
     return install
 
 

@@ -64,6 +64,20 @@ class TestIngest:
         assert float(values["median"]) == pytest.approx(4.26, abs=0.05)
         assert float(values["mean"]) == pytest.approx(4.58, abs=0.05)
 
+    @pytest.mark.parametrize("flag, text", [("--start", "19960"), ("--end", "2016-02-30"),
+                                            ("--start", "0000")])
+    def test_bad_date_names_the_flag(self, capsys, flag, text):
+        code, out, err = run(capsys, "ingest", flag, text)
+        assert code == 2
+        assert out == ""
+        assert f"argument {flag}: expected YYYY-MM-DD or YYYY, got {text!r}" in err
+
+    def test_empty_window_names_the_bound_and_the_series_span(self, capsys):
+        code, out, err = run(capsys, "ingest", "--end", "1980")
+        assert code == 1
+        assert out == ""
+        assert err == "error: no observations through 1980-12-31; the series spans 1986-01-02 to 2016-12-30\n"
+
     def test_missing_file_is_a_one_line_diagnostic(self, capsys):
         code, _out, err = run(capsys, "ingest", "--csv", "nope.csv")
         assert code == 1
@@ -179,6 +193,8 @@ class TestStartup:
             "assert 'numpy' not in sys.modules, 'coverage'\n"
             "assert run_cli(['simulate', '--portfolio', 'p.csv']) == 0\n"
             "assert 'numpy' not in sys.modules, 'simulate --portfolio'\n"
+            "assert run_cli(['breakeven', '--portfolio', 'p.csv']) == 0\n"
+            "assert 'numpy' not in sys.modules, 'breakeven --portfolio'\n"
         )
         src = str(Path(venturebank.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
@@ -239,7 +255,8 @@ class TestConfigFile:
         assert "funds=99\n" in uncompressed
 
     @pytest.mark.parametrize("line", ["moc=lots", "no_compress=maybe", "premium_base=weekly",
-                                      "moc=inf", "bank_rate=nan", "mocs=30,nan"])
+                                      "moc=inf", "bank_rate=nan", "mocs=30,nan",
+                                      "start=19960", "end=2016-02-30"])
     def test_bad_value_names_file_line_and_key(self, in_tmp, capsys, line):
         (in_tmp / "c.cfg").write_text("# comment\nseed=7\n" + line + "\n", encoding="utf-8")
         code, _, err = run(capsys, "--config", "c.cfg", "simulate")

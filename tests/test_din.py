@@ -43,10 +43,17 @@ class TestTerms:
         with pytest.raises(ValueError):
             DinTerms(premium_rate=-0.01)
 
-    @pytest.mark.parametrize("field", ["coverage_fraction", "coverage_floor", "premium_rate"])
+    @pytest.mark.parametrize("field", ["coverage_fraction", "coverage_floor", "premium_rate",
+                                       "payoff_year", "term_years"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_values_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
+            DinTerms(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [("payoff_year", 2.5), ("payoff_year", 5.0),
+                                              ("term_years", 10.0)])
+    def test_non_integer_years_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
             DinTerms(**{field: value})
 
 

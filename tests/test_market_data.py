@@ -80,6 +80,17 @@ class TestWindowStats:
             window_stats(series, dt.date(2011, 1, 1), dt.date(2011, 12, 31))
         assert not issubclass(EmptyWindowError, LiborLoadError)
 
+    @pytest.mark.parametrize("start, end, bounds", [
+        (dt.date(2011, 1, 1), dt.date(2011, 12, 31), "from 2011-01-01 through 2011-12-31"),
+        (dt.date(2011, 1, 1), None, "from 2011-01-01"),
+        (None, dt.date(2009, 12, 31), "through 2009-12-31"),
+    ])
+    def test_empty_window_names_bounds_and_span(self, tmp_path, start, end, bounds):
+        series = load_libor_csv(write_csv(tmp_path, "DATE,X\n2010-06-01,2.0\n2010-06-02,2.5\n"))
+        with pytest.raises(EmptyWindowError,
+                           match=f"^no observations {bounds}; the series spans 2010-06-01 to 2010-06-02$"):
+            window_stats(series, start, end)
+
     def test_inverted_window_rejected(self, tmp_path):
         series = load_libor_csv(write_csv(tmp_path, "DATE,X\n2010-06-01,2.0\n"))
         with pytest.raises(ValueError, match="after end"):

@@ -98,6 +98,11 @@ class TestSynthesis:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             KauffmanConstraints(**{field: value})
 
+    @pytest.mark.parametrize("value", [99.0, 50.5])
+    def test_non_integer_fund_count_rejected(self, value):
+        with pytest.raises(ValueError, match=f"n must be an integer, got {value!r}"):
+            KauffmanConstraints(n=value)
+
 
 class TestCompress:
     def test_even_count_exact(self):

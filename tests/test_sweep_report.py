@@ -85,6 +85,13 @@ class TestRateGrid:
         with pytest.raises(SweepError):
             parse_rate_grid(bad)
 
+    def test_oversized_grid_rejected(self):
+        with pytest.raises(SweepError, match="'0:50:0.0004'; 125001 points, more than 100000"):
+            parse_rate_grid("0:50:0.0004")
+
+    def test_grid_at_the_size_limit_is_built(self):
+        assert len(parse_rate_grid("0:99999:1")) == 100_000
+
 
 class TestRunSweep:
     def test_singleton(self, anchor131):
