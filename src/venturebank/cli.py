@@ -149,7 +149,7 @@ def _terms_from(args: argparse.Namespace) -> DinTerms:
         coverage_fraction=args.coverage / 100.0,
         coverage_floor=args.coverage_floor / 100.0,
         premium_rate=args.premium_rate / 100.0,
-        premium_base=PremiumBase(args.premium_base),
+        premium_base=args.premium_base,
         payoff_year=args.payoff_year,
         term_years=args.term_years,
     )
@@ -376,6 +376,9 @@ def run_cli(argv: list[str]) -> int:
             # File values become subcommand defaults, so explicit flags still win.
             _apply_config(parser, args.config)
             args = parser.parse_args(argv)
+        if args.command == "breakeven" and not 0 <= args.lo < args.hi:  # flags or config file
+            raise ValueError(f"--lo/--hi must satisfy 0 <= --lo < --hi, "
+                             f"got --lo {args.lo:g} --hi {args.hi:g} (percent)")
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     except (OSError, ValueError) as exc:

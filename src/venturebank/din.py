@@ -12,6 +12,7 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from math import fsum
 from typing import Sequence
 
@@ -53,12 +54,21 @@ class DinTerms:
     def __post_init__(self) -> None:
         for name in ("coverage_fraction", "coverage_floor", "premium_rate", "payoff_year", "term_years"):
             value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         for name in ("payoff_year", "term_years"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        try:
+            object.__setattr__(self, "premium_base", PremiumBase(self.premium_base))
+        except ValueError:
+            raise ValueError(f"premium_base must be one of {', '.join(b.value for b in PremiumBase)}, "
+                             f"got {self.premium_base!r}") from None
+        if self.coverage_floor < 0:
+            raise ValueError(f"coverage_floor must be >= 0, got {self.coverage_floor!r}")
         if self.coverage_fraction < self.coverage_floor:
             raise ValueError("coverage_fraction must be >= coverage_floor")
         if not (0 < self.payoff_year <= self.term_years):
@@ -102,15 +112,25 @@ def coverage_breakeven_method(p: ReturnPortfolio, floor: float) -> CoverageAsses
     return _assess(p, floor, 1.0, CoverageMethod.BREAKEVEN_CLAMP)
 
 
-def din_payout(principal: float, multiple: float, terms: DinTerms) -> float:
-    """Payout on one fund: the shortfall below break-even, capped at the face."""
+def _check_principal(principal: float) -> None:
     if not (math.isfinite(principal) and principal > 0):
         raise ValueError(f"principal must be finite and positive, got {principal!r}")
+
+
+def _payouts(failing: Sequence[float], principal: float, terms: DinTerms) -> list[float]:
+    """Payout on each failing fund: its shortfall below break-even, capped at the face."""
+    cap = terms.coverage_fraction * principal
+    return [min((1.0 - m) * principal, cap) for m in failing]
+
+
+def din_payout(principal: float, multiple: float, terms: DinTerms) -> float:
+    """Payout on one fund: the shortfall below break-even, capped at the face."""
+    _check_principal(principal)
     if not math.isfinite(multiple):
         raise ValueError(f"multiple must be finite, got {multiple!r}")
     if multiple >= 1.0:
         return 0.0
-    return min((1.0 - multiple) * principal, terms.coverage_fraction * principal)
+    return _payouts((multiple,), principal, terms)[0]
 
 
 def premium_schedule(p: ReturnPortfolio, terms: DinTerms, principal_per_fund: float) -> list[float]:
@@ -119,28 +139,31 @@ def premium_schedule(p: ReturnPortfolio, terms: DinTerms, principal_per_fund: fl
     Failed funds (multiple < 1) pay annual premiums only through the
     payoff year; surviving funds pay through the full term. The upfront
     base pays once at year 0 regardless of outcome.
+
+    Every fund paying in a year pays the same amount, so a year's total
+    is that amount added to 0.0 once per paying fund. One running sum,
+    read after the survivors' and after all the funds' additions, fills
+    the schedule in O(funds + term), bitwise as a per-fund loop would.
     """
-    sched = [0.0] * (terms.term_years + 1)
-    for m in p.funds:
-        if terms.premium_base is PremiumBase.PRINCIPAL_UPFRONT:
-            sched[0] += terms.premium_rate * principal_per_fund
-            continue
-        if terms.premium_base is PremiumBase.FACE_ANNUAL:
-            annual = terms.premium_rate * terms.coverage_fraction * principal_per_fund
-        else:
-            annual = terms.premium_rate * principal_per_fund
-        last = terms.payoff_year if m < 1.0 else terms.term_years
-        for year in range(1, last + 1):
-            sched[year] += annual
-    return sched
+    if terms.premium_base is PremiumBase.FACE_ANNUAL:
+        amount = terms.premium_rate * terms.coverage_fraction * principal_per_fund
+    else:
+        amount = terms.premium_rate * principal_per_fund
+    sums = list(accumulate(repeat(amount, len(p.funds)), initial=0.0))
+    if terms.premium_base is PremiumBase.PRINCIPAL_UPFRONT:
+        return [sums[-1]] + [0.0] * terms.term_years
+    by_survivors = sums[len([m for m in p.funds if not m < 1.0])]
+    return ([0.0] + [sums[-1]] * terms.payoff_year
+            + [by_survivors] * (terms.term_years - terms.payoff_year))
 
 
 def payout_schedule(p: ReturnPortfolio, terms: DinTerms, principal_per_fund: float) -> list[float]:
     """Payout cash per model year; everything lands at the payoff year."""
     sched = [0.0] * (terms.term_years + 1)
-    sched[terms.payoff_year] = fsum(
-        din_payout(principal_per_fund, m, terms) for m in p.funds if m < 1.0
-    )
+    failing = [m for m in p.funds if m < 1.0]
+    if failing:
+        _check_principal(principal_per_fund)
+    sched[terms.payoff_year] = fsum(_payouts(failing, principal_per_fund, terms))
     return sched
 
 

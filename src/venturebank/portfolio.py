@@ -77,6 +77,8 @@ class KauffmanConstraints:
     def __post_init__(self) -> None:
         for name in ("n", "mean", "stddev", "sigma_clamp_loss", "breakeven_clamp_loss"):
             value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if not isinstance(self.n, numbers.Integral):

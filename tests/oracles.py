@@ -1,22 +1,63 @@
-"""Bitwise reference ledgers for the shipping kernels.
+"""Bitwise reference schedules and ledgers for the shipping kernels.
 
+``premium_schedule`` and ``payout_schedule`` are the earlier per-fund
+loops: every fund adds its premium to each of its premium years, and
+every failing fund's payout is checked and computed on its own.
 ``simulate_bank`` is the earlier bank ledger with a cash account beside
 the debt: resolutions pay the debt down first, any excess is held as
 cash earning ``surplus_rate``, and premiums are paid from cash before
 more is borrowed. ``underwriter_ledger`` is the per-year underwriter
 ledger at one bank rate. Tests compare ``bank_engine.simulate_bank``,
 ``bank_engine.multiple_curve`` and ``din.underwriter_returns`` with
-them by ``repr``.
+them by ``repr``, and the schedules of ``din`` with the loops here.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from math import fsum
 
 from venturebank.bank_engine import ScenarioConfig
-from venturebank.din import DinTerms, UnderwriterError, payout_schedule, premium_schedule
+from venturebank.din import DinTerms, PremiumBase, UnderwriterError
 from venturebank.portfolio import ReturnPortfolio
+
+
+def din_payout(principal: float, multiple: float, terms: DinTerms) -> float:
+    """Payout on one fund: the shortfall below break-even, capped at the face."""
+    if not (math.isfinite(principal) and principal > 0):
+        raise ValueError(f"principal must be finite and positive, got {principal!r}")
+    if not math.isfinite(multiple):
+        raise ValueError(f"multiple must be finite, got {multiple!r}")
+    if multiple >= 1.0:
+        return 0.0
+    return min((1.0 - multiple) * principal, terms.coverage_fraction * principal)
+
+
+def premium_schedule(p: ReturnPortfolio, terms: DinTerms, principal_per_fund: float) -> list[float]:
+    """Premium cash per model year 0..term_years, one fund at a time."""
+    sched = [0.0] * (terms.term_years + 1)
+    for m in p.funds:
+        if terms.premium_base is PremiumBase.PRINCIPAL_UPFRONT:
+            sched[0] += terms.premium_rate * principal_per_fund
+            continue
+        if terms.premium_base is PremiumBase.FACE_ANNUAL:
+            annual = terms.premium_rate * terms.coverage_fraction * principal_per_fund
+        else:
+            annual = terms.premium_rate * principal_per_fund
+        last = terms.payoff_year if m < 1.0 else terms.term_years
+        for year in range(1, last + 1):
+            sched[year] += annual
+    return sched
+
+
+def payout_schedule(p: ReturnPortfolio, terms: DinTerms, principal_per_fund: float) -> list[float]:
+    """Payout cash per model year, one failing fund at a time."""
+    sched = [0.0] * (terms.term_years + 1)
+    sched[terms.payoff_year] = fsum(
+        din_payout(principal_per_fund, m, terms) for m in p.funds if m < 1.0
+    )
+    return sched
 
 
 @dataclass(frozen=True)

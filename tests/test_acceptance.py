@@ -9,8 +9,6 @@ import datetime as dt
 import random
 import time
 
-import numpy as np
-
 from venturebank.bank_engine import ScenarioConfig, break_even_rate, scenario_flows, simulate_bank
 from venturebank.calibrate import anchor_bank_rate, run_calibration, write_calibration_report
 from venturebank.cli import run_cli
@@ -93,7 +91,7 @@ def test_criterion_03_coverage_ratio():
 
 
 def _gross_return(cfg: ScenarioConfig) -> float:
-    return underwriter_returns(cfg.din_terms, scenario_flows(cfg), np.array([cfg.bank_rate]))[0]
+    return underwriter_returns(cfg.din_terms, scenario_flows(cfg), [cfg.bank_rate])[0]
 
 
 def test_criterion_04_hand_ledger_oracles():

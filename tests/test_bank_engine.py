@@ -5,7 +5,6 @@ import math
 import random
 import re
 
-import numpy as np
 import oracles
 import pytest
 from hypothesis import assume, example, given, settings
@@ -209,9 +208,9 @@ class TestRateKernels:
         cfg = ScenarioConfig(anchor131, DinTerms(), 0.02, 30)
         for bad in (-0.01, math.nan):
             with pytest.raises(ValueError, match="bank_rate"):
-                multiple_curve(cfg, scenario_flows(cfg), np.array([0.02, bad]))
+                multiple_curve(cfg, scenario_flows(cfg), [0.02, bad])
             with pytest.raises(ValueError, match="bank_rate"):
-                underwriter_returns(DinTerms(), scenario_flows(cfg), np.array([bad]))
+                underwriter_returns(DinTerms(), scenario_flows(cfg), [bad])
 
 
 class TestOracles:

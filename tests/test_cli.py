@@ -111,6 +111,29 @@ class TestSimulateAndBreakeven:
         assert code == 0
         assert out.strip() == "breakeven_bank_rate_pct=none"
 
+    @pytest.mark.parametrize("bracket, shown", [(["--lo", "-1"], "--lo -1 --hi 7.5"),
+                                                (["--lo", "5", "--hi", "2"], "--lo 5 --hi 2"),
+                                                (["--lo", "2", "--hi", "2"], "--lo 2 --hi 2")])
+    def test_bad_bracket_is_a_usage_error_in_percent(self, capsys, bracket, shown):
+        code, out, err = run(capsys, "breakeven", *bracket)
+        assert code == 2
+        assert out == ""
+        assert "--lo/--hi must satisfy 0 <= --lo < --hi" in err and f"got {shown} (percent)" in err
+
+    def test_bad_bracket_from_a_config_file(self, in_tmp, capsys):
+        (in_tmp / "c.cfg").write_text("lo=5\nhi=2\n", encoding="utf-8")
+        code, out, err = run(capsys, "--config", "c.cfg", "breakeven")
+        assert code == 2
+        assert out == ""
+        assert "got --lo 5 --hi 2 (percent)" in err
+
+    def test_negative_coverage_floor_rejected(self, in_tmp, capsys):
+        code, out, err = run(capsys, "simulate", "--coverage", "-5", "--coverage-floor", "-10")
+        assert code == 1
+        assert out == ""
+        assert "coverage_floor must be >= 0" in err
+        assert not (in_tmp / "bank_ledger.csv").exists()
+
     def test_non_finite_fund_rejected(self, in_tmp, capsys):
         (in_tmp / "inf.csv").write_text("multiple\n1.0\ninf\n", encoding="utf-8")
         code, out, err = run(capsys, "simulate", "--portfolio", "inf.csv")

@@ -1,6 +1,8 @@
 """Coverage sizing, payouts, and the underwriter's gross return."""
 
-import numpy as np
+import math
+import random
+
 import oracles
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ def gross_return(p: ReturnPortfolio, terms: DinTerms, bank_rate: float,
                  principal_per_fund: float) -> float:
     """``underwriter_returns`` at one rate, for a book of ``principal_per_fund`` a fund."""
     cfg = ScenarioConfig(p, terms, bank_rate, moc=principal_per_fund * len(p.funds))
-    return underwriter_returns(terms, scenario_flows(cfg), np.array([bank_rate]))[0]
+    return underwriter_returns(terms, scenario_flows(cfg), [bank_rate])[0]
 
 
 class TestTerms:
@@ -55,6 +57,30 @@ class TestTerms:
     def test_non_integer_years_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
             DinTerms(**{field: value})
+
+    @pytest.mark.parametrize("field", ["coverage_fraction", "coverage_floor", "premium_rate",
+                                       "payoff_year", "term_years"])
+    def test_non_numbers_rejected_naming_the_field(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be a real number, got '10'"):
+            DinTerms(**{field: "10"})
+
+    def test_negative_coverage_floor_rejected(self):
+        with pytest.raises(ValueError, match="coverage_floor must be >= 0, got -0.1"):
+            DinTerms(coverage_fraction=-0.05, coverage_floor=-0.1)
+
+    @pytest.mark.parametrize("base", list(PremiumBase))
+    def test_premium_base_given_as_its_value_is_priced_as_the_member(self, base):
+        terms = DinTerms(premium_base=base.value, payoff_year=1, term_years=2)
+        assert terms.premium_base is base
+        p = ReturnPortfolio((0.5, 2.0))
+        assert premium_schedule(p, terms, 1.0) == premium_schedule(
+            p, DinTerms(premium_base=base, payoff_year=1, term_years=2), 1.0)
+
+    @pytest.mark.parametrize("value", ["bogus", "FACE_ANNUAL", None, 1])
+    def test_unknown_premium_base_rejected(self, value):
+        with pytest.raises(ValueError, match=f"premium_base must be one of face_annual, "
+                                             f"principal_annual, principal_upfront, got {value!r}"):
+            DinTerms(premium_base=value)
 
 
 class TestCoverageMethods:
@@ -162,6 +188,74 @@ class TestSchedules:
         sched = payout_schedule(p, DinTerms(), 100.0)
         assert sched[5] == pytest.approx(3.88)
         assert sum(sched) == sched[5]
+
+
+@st.composite
+def schedule_cases(draw):
+    """A portfolio of 1-1,000 funds (mixed, all failing, none failing,
+    with funds at exactly 1.0), terms of every premium base with a note
+    of 1-15 years, and a per-fund principal. Amounts include 0, -0.0
+    and the tiny products of a 1e-300 principal."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.one_of(st.integers(1, 12), st.integers(1, 1000)))
+    kind = draw(st.sampled_from(["mixed", "all failing", "none failing"]))
+    if kind == "mixed":
+        funds = [rng.choice([0.0, 1.0, rng.uniform(0.0, 4.0)]) for _ in range(n)]
+    elif kind == "all failing":
+        funds = [rng.random() for _ in range(n)]
+    else:
+        funds = [rng.choice([1.0, rng.uniform(1.0, 4.0)]) for _ in range(n)]
+    term = draw(st.integers(1, 15))
+    coverage = draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 1.0)))
+    terms = DinTerms(
+        coverage_fraction=coverage,
+        coverage_floor=min(coverage, draw(st.sampled_from([0.0, -0.0, 0.0288]))),
+        premium_rate=draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 0.08))),
+        premium_base=draw(st.sampled_from(list(PremiumBase))),
+        payoff_year=draw(st.integers(1, term)),
+        term_years=term,
+    )
+    principal = draw(st.one_of(st.sampled_from([1e-300, 1.0, 100.0]), st.floats(1e-3, 1e3)))
+    return ReturnPortfolio(tuple(funds)), terms, principal
+
+
+def _outcome(schedule, *args):
+    try:
+        return list(map(repr, schedule(*args)))
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestSchedulesMatchThePerFundLoops:
+    """The running-sum premiums and the once-checked payouts equal the
+    per-fund loops of ``oracles`` by ``repr``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=schedule_cases())
+    def test_premium_schedule(self, case):
+        assert _outcome(premium_schedule, *case) == _outcome(oracles.premium_schedule, *case)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=schedule_cases())
+    def test_payout_schedule(self, case):
+        assert _outcome(payout_schedule, *case) == _outcome(oracles.payout_schedule, *case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=schedule_cases(), principal=st.sampled_from([0.0, -1.0, math.nan, math.inf]))
+    def test_bad_principal_raises_only_when_a_fund_fails(self, case, principal):
+        p, terms, _ = case
+        got = _outcome(payout_schedule, p, terms, principal)
+        assert got == _outcome(oracles.payout_schedule, p, terms, principal)
+        assert isinstance(got, str) == any(m < 1.0 for m in p.funds)
+
+    def test_din_payout_matches_the_oracle(self):
+        rng = random.Random(7)
+        for _ in range(2000):
+            terms = DinTerms(coverage_fraction=rng.choice([-0.0, 0.0, rng.random()]),
+                             coverage_floor=-0.0)
+            principal = rng.choice([1e-300, rng.uniform(1e-3, 1e3)])
+            m = rng.choice([0.0, 1.0, rng.uniform(0.0, 2.0)])
+            assert repr(din_payout(principal, m, terms)) == repr(oracles.din_payout(principal, m, terms))
 
 
 class TestUnderwriterLedger:

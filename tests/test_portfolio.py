@@ -98,6 +98,12 @@ class TestSynthesis:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             KauffmanConstraints(**{field: value})
 
+    @pytest.mark.parametrize("field", ["n", "mean", "stddev", "sigma_clamp_loss",
+                                       "breakeven_clamp_loss"])
+    def test_non_numbers_rejected_naming_the_field(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be a real number, got '99'"):
+            KauffmanConstraints(**{field: "99"})
+
     @pytest.mark.parametrize("value", [99.0, 50.5])
     def test_non_integer_fund_count_rejected(self, value):
         with pytest.raises(ValueError, match=f"n must be an integer, got {value!r}"):
