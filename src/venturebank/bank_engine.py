@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import fsum
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
-from .din import DinTerms, payout_schedule, premium_schedule
+from .din import DinTerms, Flows, payout_schedule, premium_schedule
 from .portfolio import ReturnPortfolio
 
 
@@ -42,7 +42,11 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         for name in ("bank_rate", "moc", "original_capital", "surplus_rate"):
             value = getattr(self, name)
-            if not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except TypeError:
+                raise ValueError(f"{name} must be a real number, got {value!r}") from None
+            if not finite:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.surplus_rate != 0.0:
             raise ValueError(f"surplus_rate must be 0.0, got {self.surplus_rate!r}")
@@ -54,15 +58,6 @@ class ScenarioConfig:
             raise ValueError("original_capital must be positive")
         if self.horizon_years not in (None, self.din_terms.term_years):
             raise ValueError("horizon_years must equal the note term")
-
-
-class Flows(NamedTuple):
-    """The rate-independent flows of one scenario, per model year 0..horizon."""
-
-    premiums: list[float]   # bank to underwriter, borrowed
-    receipts: list[float]   # underwriter to bank: payouts, all at the payoff year
-    exits: list[float]      # fund exits: failures at the payoff year, survivors at the horizon
-    face_total: float       # insured face of the whole portfolio
 
 
 def scenario_flows(cfg: ScenarioConfig) -> Flows:

@@ -16,7 +16,6 @@ import math
 import sys
 from pathlib import Path
 
-from . import calibrate as calibrate_mod
 from .bank_engine import (
     ScenarioConfig,
     bank_summary,
@@ -40,8 +39,6 @@ from .portfolio import (
     shift_to_mean,
     synthesize_kauffman,
 )
-from .report import ReportKind, emit_report
-from .sweep import config_digest, parse_rate_grid, run_sweep, write_sweep_csv, write_sweep_meta
 
 DEFAULT_SEED = 42
 DEFAULT_LIBOR_PCT = 1.57  # latest rate in the bundled window
@@ -230,9 +227,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_coverage(args: argparse.Namespace) -> int:
     p = load_portfolio(args.portfolio)
-    print("method,clamp_loss_pct,recommended_pct")
-    print(coverage_sigma_method(p, args.floor).as_csv_row())
-    print(coverage_breakeven_method(p, args.floor).as_csv_row())
+    rows = [method(p, args.floor).as_csv_row() for method in (coverage_sigma_method, coverage_breakeven_method)]
+    print("method,clamp_loss_pct,recommended_pct", *rows, sep="\n")
     return 0
 
 
@@ -260,6 +256,9 @@ def _cmd_breakeven(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .report import ReportKind, emit_report
+    from .sweep import config_digest, parse_rate_grid, run_sweep, write_sweep_csv, write_sweep_meta
+
     grid = parse_rate_grid(args.grid)
     mocs, targets = args.mocs, args.targets
     if not mocs or not targets:
@@ -296,10 +295,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
+    from .calibrate import run_calibration, write_calibration_report
+
     base = synthesize_kauffman(KauffmanConstraints(), args.seed)
     anchor = shift_to_mean(compress_pairs(base), 1.31)
-    report = calibrate_mod.run_calibration(anchor)
-    calibrate_mod.write_calibration_report(args.out, report)
+    report = run_calibration(anchor)
+    write_calibration_report(args.out, report)
     best = report.selected
     print(f"selected={best.mode}")
     print(f"m30={best.m30:.4f} m43={best.m43:.4f} uplift={best.uplift:+.4f} score={best.score:.4f}")

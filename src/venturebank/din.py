@@ -14,7 +14,7 @@ import numbers
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from math import fsum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .portfolio import ReturnPortfolio, portfolio_stats
 
@@ -83,6 +83,19 @@ class DinTerms:
         return self.coverage_fraction / self.coverage_floor
 
 
+class Flows(NamedTuple):
+    """The rate-independent flows of one scenario, per model year 0..horizon.
+
+    Built by :func:`bank_engine.scenario_flows`; defined here so that
+    :func:`underwriter_returns` can name it without an import cycle.
+    """
+
+    premiums: list[float]   # bank to underwriter, borrowed
+    receipts: list[float]   # underwriter to bank: payouts, all at the payoff year
+    exits: list[float]      # fund exits: failures at the payoff year, survivors at the horizon
+    face_total: float       # insured face of the whole portfolio
+
+
 @dataclass(frozen=True)
 class CoverageAssessment:
     method: CoverageMethod
@@ -96,6 +109,8 @@ class CoverageAssessment:
 def _assess(p: ReturnPortfolio, floor: float, threshold: float, method: CoverageMethod) -> CoverageAssessment:
     if not math.isfinite(floor):
         raise ValueError(f"floor must be finite, got {floor!r}")
+    if floor < 0:
+        raise ValueError(f"floor must be >= 0, got {floor!r}")
     clamped = [1.0 if m > threshold else m for m in p.funds]
     loss = max(0.0, (1.0 - fsum(clamped) / len(clamped)) * 100.0)
     return CoverageAssessment(method, loss, floor + loss)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import datetime as dt
 import os
-import statistics
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from importlib import resources
@@ -150,6 +149,12 @@ def load_libor_csv(path: str | Path) -> LiborSeries:
     return LiborSeries(tuple(dates), tuple(rates))
 
 
+def _median(rates: tuple[float, ...]) -> float:
+    """The middle value, or the mean of the two middle ones, as ``statistics.median`` takes it."""
+    ordered, i = sorted(rates), len(rates) // 2
+    return ordered[i] if len(ordered) % 2 else (ordered[i - 1] + ordered[i]) / 2
+
+
 def window_stats(series: LiborSeries, start: dt.date | None = None, end: dt.date | None = None) -> WindowStats:
     """Median, mean and count over the inclusive date window.
 
@@ -164,7 +169,7 @@ def window_stats(series: LiborSeries, start: dt.date | None = None, end: dt.date
         bounds = " ".join(f"{word} {day}" for word, day in (("from", start), ("through", end)) if day)
         raise EmptyWindowError(f"no observations {bounds}; the series spans {series.start} to {series.end}")
     return WindowStats(
-        median=statistics.median(rates),
+        median=_median(rates),
         mean=fsum(rates) / len(rates),
         count=len(rates),
     )

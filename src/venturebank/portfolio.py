@@ -15,6 +15,7 @@ import numbers
 from dataclasses import dataclass
 from math import fsum
 from pathlib import Path
+from typing import Any
 
 
 #: Bounds of a synthesized fund multiple.
@@ -44,9 +45,13 @@ class ReturnPortfolio:
     def __post_init__(self) -> None:
         if not self.funds:
             raise ValueError("portfolio must contain at least one fund")
-        for m in self.funds:
-            if not math.isfinite(m) or m < 0:
-                raise ValueError(f"fund multiple must be finite and >= 0, got {m!r}")
+        for i, m in enumerate(self.funds):
+            try:
+                ok = math.isfinite(m) and m >= 0
+            except TypeError:
+                ok = False
+            if not ok:
+                raise ValueError(f"fund {i}: multiple must be a finite number >= 0, got {m!r}")
 
     def __len__(self) -> int:
         return len(self.funds)
@@ -104,8 +109,8 @@ def _clamped_mean(funds: tuple[float, ...], threshold: float) -> float:
     return fsum(1.0 if m > threshold else m for m in funds) / len(funds)
 
 
-def _centered_unit(rng: np.random.Generator, k: int) -> list[float]:
-    """k deviations with zero sum and unit sum of squares."""
+def _centered_unit(rng: Any, k: int) -> list[float]:
+    """k deviations with zero sum and unit sum of squares, drawn from a numpy ``Generator``."""
     import numpy as np
 
     if k < 2:
@@ -120,7 +125,7 @@ def _centered_unit(rng: np.random.Generator, k: int) -> list[float]:
     return (d / norm).tolist()
 
 
-def _bucket_values(rng: np.random.Generator, k: int, mean: float,
+def _bucket_values(rng: Any, k: int, mean: float,
                    lo: float, hi: float) -> tuple[list[float], float]:
     """Deviation shape for a band plus its spread capacity.
 
@@ -328,16 +333,25 @@ def save_portfolio(path: str | Path, p: ReturnPortfolio, metadata: dict[str, obj
 
 
 def load_portfolio(path: str | Path) -> ReturnPortfolio:
-    """Read a one-column ``multiple`` CSV written by :func:`save_portfolio`, labelled by its stem."""
+    """Read a one-column ``multiple`` CSV written by :func:`save_portfolio`, labelled by its stem.
+
+    Blank lines are skipped; a bad row raises ``ValueError`` naming its line.
+    """
     path = Path(path)
-    lines = [ln.strip() for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
-    if not lines or lines[0] != "multiple":
+    lines = path.read_text(encoding="utf-8").splitlines()
+    rows = [(lineno, ln.strip()) for lineno, ln in enumerate(lines, start=1) if ln.strip()]
+    if not rows or rows[0][1] != "multiple":
         raise ValueError(f"{path}: expected a one-column CSV with header 'multiple'")
+    funds = []
+    for lineno, text in rows[1:]:
+        try:
+            m = float(text)
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: non-numeric multiple {text!r}") from None
+        if not (math.isfinite(m) and m >= 0):
+            raise ValueError(f"{path}: line {lineno}: multiple must be a finite number >= 0, got {m!r}")
+        funds.append(m)
     try:
-        funds = tuple(float(ln) for ln in lines[1:])
-    except ValueError as exc:
-        raise ValueError(f"{path}: non-numeric multiple: {exc}") from exc
-    try:
-        return ReturnPortfolio(funds, path.stem)
+        return ReturnPortfolio(tuple(funds), path.stem)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

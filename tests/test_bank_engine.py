@@ -262,6 +262,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             dataclasses.replace(cfg, **{field: value})
 
+    @pytest.mark.parametrize("field", ["bank_rate", "moc", "original_capital", "surplus_rate"])
+    def test_non_number_values_name_the_field(self, anchor131, field):
+        cfg = ScenarioConfig(anchor131, DinTerms(), 0.02, 30)
+        with pytest.raises(ValueError, match=f"^{field} must be a real number, got '0.02'$"):
+            dataclasses.replace(cfg, **{field: "0.02"})
+
     @pytest.mark.parametrize("value", [0.01, -0.01, 1.0])
     def test_surplus_rate_only_zero(self, anchor131, value):
         assert ScenarioConfig(anchor131, DinTerms(), 0.02, 30, surplus_rate=0.0).surplus_rate == 0.0

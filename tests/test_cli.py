@@ -134,6 +134,13 @@ class TestSimulateAndBreakeven:
         assert "coverage_floor must be >= 0" in err
         assert not (in_tmp / "bank_ledger.csv").exists()
 
+    def test_negative_coverage_sizing_floor_rejected(self, in_tmp, capsys):
+        assert run(capsys, "synth", "--out", "p.csv")[0] == 0
+        code, out, err = run(capsys, "coverage", "--portfolio", "p.csv", "--floor", "-5")
+        assert code == 1
+        assert out == ""
+        assert err == "error: floor must be >= 0, got -5.0\n"
+
     def test_non_finite_fund_rejected(self, in_tmp, capsys):
         (in_tmp / "inf.csv").write_text("multiple\n1.0\ninf\n", encoding="utf-8")
         code, out, err = run(capsys, "simulate", "--portfolio", "inf.csv")
@@ -204,20 +211,29 @@ class TestSweep:
 
 
 class TestStartup:
+    # Modules only sweep, calibrate or the numpy kernels need.
+    HEAVY = ("numpy", "venturebank.sweep", "venturebank.report", "venturebank.calibrate",
+             "statistics", "hashlib")
+
     def test_ingest_and_coverage_never_import_numpy(self, in_tmp, capsys):
+        """The four light commands load neither numpy nor any module of ``HEAVY``."""
         assert run(capsys, "synth", "--out", "p.csv")[0] == 0
         script = (
             "import sys\n"
+            f"heavy = {self.HEAVY!r}\n"
+            "def check(step):\n"
+            "    loaded = [m for m in heavy if m in sys.modules]\n"
+            "    assert not loaded, (step, loaded)\n"
             "from venturebank.cli import run_cli\n"
-            "assert 'numpy' not in sys.modules, 'import'\n"
+            "check('import')\n"
             "assert run_cli(['ingest']) == 0\n"
-            "assert 'numpy' not in sys.modules, 'ingest'\n"
+            "check('ingest')\n"
             "assert run_cli(['coverage', '--portfolio', 'p.csv']) == 0\n"
-            "assert 'numpy' not in sys.modules, 'coverage'\n"
+            "check('coverage')\n"
             "assert run_cli(['simulate', '--portfolio', 'p.csv']) == 0\n"
-            "assert 'numpy' not in sys.modules, 'simulate --portfolio'\n"
+            "check('simulate --portfolio')\n"
             "assert run_cli(['breakeven', '--portfolio', 'p.csv']) == 0\n"
-            "assert 'numpy' not in sys.modules, 'breakeven --portfolio'\n"
+            "check('breakeven --portfolio')\n"
         )
         src = str(Path(venturebank.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}

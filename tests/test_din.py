@@ -123,6 +123,12 @@ class TestCoverageMethods:
         with pytest.raises(ValueError, match="floor must be finite"):
             method(ReturnPortfolio((0.5, 2.0)), floor)
 
+    @pytest.mark.parametrize("method", [coverage_sigma_method, coverage_breakeven_method])
+    def test_negative_floor_rejected(self, method):
+        with pytest.raises(ValueError, match=r"^floor must be >= 0, got -5\.0$"):
+            method(ReturnPortfolio((0.5, 2.0)), -5.0)
+        assert method(ReturnPortfolio((0.5, 2.0)), 0.0).recommended_coverage >= 0.0
+
 
 class TestPayout:
     terms = DinTerms()

@@ -1,6 +1,7 @@
 """Rate CSV ingestion and window statistics."""
 
 import datetime as dt
+import statistics
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from venturebank.market_data import (
     load_libor_csv,
     window_stats,
 )
+from venturebank.market_data import _median
 
 
 def write_csv(tmp_path, body, name="rates.csv"):
@@ -95,6 +97,17 @@ class TestWindowStats:
         series = load_libor_csv(write_csv(tmp_path, "DATE,X\n2010-06-01,2.0\n"))
         with pytest.raises(ValueError, match="after end"):
             window_stats(series, dt.date(2012, 1, 1), dt.date(2011, 1, 1))
+
+    @pytest.mark.parametrize("rates", [
+        (2.5,), (0.1, 0.2), (0.3, 0.1, 0.2), (5.37, 1.0, 0.1, 0.2), (0.1, 0.7, 0.1, 0.7),
+    ])
+    def test_median_matches_statistics(self, rates):
+        assert repr(_median(rates)) == repr(statistics.median(rates))
+
+    @given(st.lists(st.floats(0, 50), min_size=1, max_size=41))
+    @settings(max_examples=200)
+    def test_median_matches_statistics_on_odd_and_even_windows(self, rates):
+        assert repr(_median(tuple(rates))) == repr(statistics.median(rates))
 
     def test_count_ignores_missing_rows(self, tmp_path):
         body = "DATE,X\n2010-01-04,1.0\n2010-01-05,.\n2010-01-06,2.0\n2010-01-07,.\n"

@@ -1,14 +1,20 @@
-"""The package's public surface and version."""
+"""The package's public surface, its lazy exports, annotations and version."""
 
-import ast
+import importlib
+import inspect
+import os
+import subprocess
+import sys
+import typing
 from pathlib import Path
 
 import pytest
 
 import venturebank
 
-INIT = Path(venturebank.__file__)
+SRC = Path(venturebank.__file__).resolve().parents[1]
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+MODULES = ("bank_engine", "calibrate", "cli", "din", "market_data", "portfolio", "report", "sweep")
 
 
 def test_every_exported_name_resolves():
@@ -17,11 +23,64 @@ def test_every_exported_name_resolves():
 
 
 def test_all_lists_exactly_the_imported_names():
-    tree = ast.parse(INIT.read_text(encoding="utf-8"))
-    imported = {alias.asname or alias.name for node in tree.body
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert sorted(venturebank.__all__) == sorted(imported)
+    mapped = [name for names in venturebank._EXPORTS.values() for name in names]
+    assert venturebank.__all__ == sorted(venturebank.__all__)
     assert len(set(venturebank.__all__)) == len(venturebank.__all__)
+    assert len(set(mapped)) == len(mapped)
+    assert sorted(mapped) == venturebank.__all__
+
+
+@pytest.mark.parametrize("module", sorted(venturebank._EXPORTS))
+def test_each_mapped_name_is_its_modules_object(module):
+    mod = importlib.import_module(f"venturebank.{module}")
+    for name in venturebank._EXPORTS[module]:
+        assert name in vars(mod), f"{module} has no {name}"
+        assert getattr(venturebank, name) is vars(mod)[name]
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="module 'venturebank' has no attribute 'no_such_name'"):
+        venturebank.no_such_name  # noqa: B018
+    assert not hasattr(venturebank, "_no_such_private")
+
+
+def test_import_loads_no_submodule_and_star_binds_every_name():
+    script = (
+        "import sys\n"
+        "import venturebank\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('venturebank.'))\n"
+        "assert not loaded, loaded\n"
+        "ns = {}\n"
+        "exec('from venturebank import *', ns)\n"
+        "missing = [n for n in venturebank.__all__ if n not in ns]\n"
+        "assert not missing, missing\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _annotated(module):
+    """Every function and class defined in ``module``, and every function defined in those classes."""
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield obj
+        elif inspect.isclass(obj):
+            yield obj
+            yield from (f for f in vars(obj).values()
+                        if inspect.isfunction(f) and f.__module__ == module.__name__)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_annotation_resolves(module):
+    mod = importlib.import_module(f"venturebank.{module}")
+    objects = list(_annotated(mod))
+    assert objects
+    for obj in objects:
+        typing.get_type_hints(obj)  # NameError on an undefined name
 
 
 def test_version_matches_pyproject():

@@ -46,6 +46,11 @@ class TestStats:
             with pytest.raises(ValueError, match=repr(bad)):
                 ReturnPortfolio((1.0, bad))
 
+    @pytest.mark.parametrize("bad", ["1.0", None, (1.0,)])
+    def test_non_number_fund_names_its_index(self, bad):
+        with pytest.raises(ValueError, match=r"^fund 1: multiple must be a finite number >= 0"):
+            ReturnPortfolio((1.0, bad))
+
 
 class TestSynthesis:
     def test_headline_stats(self, kauffman99):
@@ -218,3 +223,20 @@ class TestSerialization:
         path.write_text("value\n1.0\n", encoding="utf-8")
         with pytest.raises(ValueError, match="multiple"):
             load_portfolio(path)
+
+    @pytest.mark.parametrize("row, problem", [
+        ("abc", "non-numeric multiple 'abc'"),
+        ("nan", "multiple must be a finite number >= 0, got nan"),
+        ("-0.5", "multiple must be a finite number >= 0, got -0.5"),
+    ])
+    def test_bad_row_names_its_line(self, tmp_path, row, problem):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"multiple\n1.0\n\n{row}\n2.0\n", encoding="utf-8")  # blank line 3 counts
+        with pytest.raises(ValueError) as err:
+            load_portfolio(path)
+        assert str(err.value) == f"{path}: line 4: {problem}"
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("\nmultiple\n\n1.5\n0.5\n\n", encoding="utf-8")
+        assert load_portfolio(path).funds == (1.5, 0.5)
