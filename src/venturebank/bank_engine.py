@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import fsum
 from typing import Sequence
 
-from .din import DinTerms, Flows, payout_schedule, premium_schedule
+from .din import DinTerms, Flows, _check_principal, _payouts, _premium_schedule, _rate_array
 from .portfolio import ReturnPortfolio
 
 
@@ -51,43 +51,52 @@ class ScenarioConfig:
         if self.surplus_rate != 0.0:
             raise ValueError(f"surplus_rate must be 0.0, got {self.surplus_rate!r}")
         if self.moc <= 0:
-            raise ValueError("moc must be positive")
+            raise ValueError(f"moc must be positive, got {self.moc!r}")
         if self.bank_rate < 0:
-            raise ValueError("bank_rate must be >= 0")
+            raise ValueError(f"bank_rate must be >= 0, got {self.bank_rate!r}")
         if self.original_capital <= 0:
-            raise ValueError("original_capital must be positive")
+            raise ValueError(f"original_capital must be positive, got {self.original_capital!r}")
         if self.horizon_years not in (None, self.din_terms.term_years):
-            raise ValueError("horizon_years must equal the note term")
+            raise ValueError(f"horizon_years must equal the note term, got {self.horizon_years!r}")
 
 
 def scenario_flows(cfg: ScenarioConfig) -> Flows:
-    """Premium and payout schedules, exit proceeds and insured face of ``cfg``."""
+    """Premiums, payouts, exits, insured face and ledger steps of ``cfg``, from one split of its funds."""
     funds, terms = cfg.portfolio.funds, cfg.din_terms
-    principal = cfg.moc * cfg.original_capital / len(funds)
+    invested = cfg.moc * cfg.original_capital
+    principal = invested / len(funds)
+    failing, survivors = [], []
+    for m in funds:
+        (failing if m < 1.0 else survivors).append(m)
+    premiums = _premium_schedule(len(funds), len(survivors), terms, principal)
+    receipts = [0.0] * (terms.term_years + 1)
+    if failing:  # the principal is checked once, and only when a payout is due
+        _check_principal(principal)
+    receipts[terms.payoff_year] = fsum(_payouts(failing, principal, terms))
     exits = [0.0] * (terms.term_years + 1)
-    exits[terms.payoff_year] += fsum(m * principal for m in funds if m < 1.0)
-    exits[terms.term_years] += fsum(m * principal for m in funds if m >= 1.0)
-    return Flows(premium_schedule(cfg.portfolio, terms, principal),
-                 payout_schedule(cfg.portfolio, terms, principal),
-                 exits, terms.coverage_fraction * principal * len(funds))
+    exits[terms.payoff_year] += fsum([m * principal for m in failing])
+    exits[terms.term_years] += fsum([m * principal for m in survivors])
+    steps = [(p, r + e) for p, r, e in zip(premiums, receipts, exits)][1:]
+    return Flows(premiums, receipts, exits, terms.coverage_fraction * principal * len(funds),
+                 invested + premiums[0], steps)
 
 
-def _debts(cfg: ScenarioConfig, flows: Flows, rate):
+def _debts(flows: Flows, rate) -> list:
     """The bank's debt at the end of each year 0..horizon.
 
-    Year 0 borrows the invested ``moc x capital`` plus any upfront
-    premium. Each later year the debt compounds at ``rate``, the
-    premiums due are borrowed and the payouts and exits repay it. A
-    failing fund returns at most its principal, so the debt can turn
-    negative before the horizon only by rounding dust; at the
-    horizon a negative debt is the survivors' surplus. ``rate`` is a
-    float or a numpy array of rates; both run the same operations.
+    Year 0 borrows ``flows.start`` (the invested ``moc x capital`` plus any upfront
+    premium); each of ``flows.steps`` then compounds the debt at ``rate``, borrows the
+    year's premiums and repays its payouts and exits. A failing fund returns at most its
+    principal, so the debt turns negative before the horizon only by rounding dust; at
+    the horizon a negative debt is the survivors' surplus. ``rate`` is a float or a
+    numpy array of rates; both run the same operations.
     """
-    debt = cfg.moc * cfg.original_capital + flows.premiums[0]
-    yield debt
-    for year in range(1, cfg.din_terms.term_years + 1):
-        debt = debt + debt * rate + flows.premiums[year] - (flows.receipts[year] + flows.exits[year])
-        yield debt
+    debt = flows.start
+    debts = [debt]
+    for premium, repayment in flows.steps:
+        debt = debt + debt * rate + premium - repayment
+        debts.append(debt)
+    return debts
 
 
 @dataclass(frozen=True)
@@ -119,7 +128,7 @@ def simulate_bank(cfg: ScenarioConfig) -> BankResult:
     flows = scenario_flows(cfg)
     rate, capital = cfg.bank_rate, cfg.original_capital
     rows, owed = [], 0.0
-    for year, debt in enumerate(_debts(cfg, flows, rate)):
+    for year, debt in enumerate(_debts(flows, rate)):
         interest, owed = owed * rate, (debt if debt > 0 else 0.0)
         rows.append(BankYear(year, interest, flows.premiums[year], flows.receipts[year],
                              flows.exits[year], owed, capital - debt))
@@ -129,7 +138,7 @@ def simulate_bank(cfg: ScenarioConfig) -> BankResult:
 
 def _final_multiple(cfg: ScenarioConfig, flows: Flows, rate):
     """Final multiple of ``cfg`` at ``rate``, a float or a numpy array of rates."""
-    *_, debt = _debts(cfg, flows, rate)
+    debt = _debts(flows, rate)[-1]
     return (cfg.original_capital - debt) / cfg.original_capital
 
 
@@ -141,12 +150,7 @@ def multiple_curve(cfg: ScenarioConfig, flows: Flows, rates: Sequence[float]) ->
     bank_rate=rates[i])).final_multiple`` bitwise; ``cfg.bank_rate``
     itself is not used. ``flows`` is ``scenario_flows(cfg)``.
     """
-    import numpy as np
-
-    rates = np.asarray(rates, dtype=float)
-    if not np.all(rates >= 0):
-        raise ValueError("bank_rate must be >= 0")
-    return _final_multiple(cfg, flows, rates).tolist()
+    return _final_multiple(cfg, flows, _rate_array(rates)).tolist()
 
 
 def _scan_crossings(margins: list[float]) -> list[int]:

@@ -61,10 +61,6 @@ def _band_distance(value: float, band: tuple[float, float]) -> float:
     return 0.0
 
 
-def _terms(base: PremiumBase, coverage: float) -> DinTerms:
-    return DinTerms(coverage_fraction=coverage, premium_base=base)
-
-
 def anchor_bank_rate(rate_reading: str) -> float:
     """Anchor converted to a per-year bank-rate fraction."""
     if rate_reading == "libor":
@@ -86,7 +82,8 @@ def run_calibration(portfolio: ReturnPortfolio) -> CalibrationReport:
     readings = [anchor_bank_rate(r) for r in RATE_READINGS]
     cases = []
     for base in PremiumBase:
-        cfgs = (ScenarioConfig(portfolio, _terms(base, coverage), 0.0, moc)
+        cfgs = (ScenarioConfig(portfolio, DinTerms(coverage_fraction=coverage, premium_base=base),
+                               0.0, moc)
                 for coverage, moc in ((WORKING_COVERAGE, 30), (WORKING_COVERAGE, 43),
                                       (REDUCED_COVERAGE, 30)))
         m30s, m43s, reduced = (multiple_curve(cfg, scenario_flows(cfg), readings) for cfg in cfgs)

@@ -16,7 +16,7 @@ from itertools import accumulate, repeat
 from math import fsum
 from typing import NamedTuple, Sequence
 
-from .portfolio import ReturnPortfolio, portfolio_stats
+from .portfolio import ReturnPortfolio, _clamped_mean, portfolio_stats
 
 
 class PremiumBase(str, enum.Enum):
@@ -70,11 +70,13 @@ class DinTerms:
         if self.coverage_floor < 0:
             raise ValueError(f"coverage_floor must be >= 0, got {self.coverage_floor!r}")
         if self.coverage_fraction < self.coverage_floor:
-            raise ValueError("coverage_fraction must be >= coverage_floor")
+            raise ValueError(f"coverage_fraction must be >= coverage_floor, got "
+                             f"{self.coverage_fraction!r} < {self.coverage_floor!r}")
         if not (0 < self.payoff_year <= self.term_years):
-            raise ValueError("payoff_year must satisfy 0 < payoff_year <= term_years")
+            raise ValueError(f"payoff_year must satisfy 0 < payoff_year <= term_years, got "
+                             f"{self.payoff_year!r} and {self.term_years!r}")
         if self.premium_rate < 0:
-            raise ValueError("premium_rate must be >= 0")
+            raise ValueError(f"premium_rate must be >= 0, got {self.premium_rate!r}")
 
     def coverage_ratio(self) -> float:
         """Working coverage as a multiple of the regulatory floor."""
@@ -86,14 +88,17 @@ class DinTerms:
 class Flows(NamedTuple):
     """The rate-independent flows of one scenario, per model year 0..horizon.
 
-    Built by :func:`bank_engine.scenario_flows`; defined here so that
-    :func:`underwriter_returns` can name it without an import cycle.
+    Built once per scenario by :func:`bank_engine.scenario_flows`; defined
+    here so that :func:`underwriter_returns` can name it without an import
+    cycle. ``start`` and ``steps`` are what the bank ledger reads.
     """
 
     premiums: list[float]   # bank to underwriter, borrowed
     receipts: list[float]   # underwriter to bank: payouts, all at the payoff year
     exits: list[float]      # fund exits: failures at the payoff year, survivors at the horizon
     face_total: float       # insured face of the whole portfolio
+    start: float            # invested moc x capital plus the year-0 premiums
+    steps: list[tuple[float, float]]  # years 1..horizon: (premiums, receipts[y] + exits[y])
 
 
 @dataclass(frozen=True)
@@ -111,8 +116,7 @@ def _assess(p: ReturnPortfolio, floor: float, threshold: float, method: Coverage
         raise ValueError(f"floor must be finite, got {floor!r}")
     if floor < 0:
         raise ValueError(f"floor must be >= 0, got {floor!r}")
-    clamped = [1.0 if m > threshold else m for m in p.funds]
-    loss = max(0.0, (1.0 - fsum(clamped) / len(clamped)) * 100.0)
+    loss = max(0.0, (1.0 - _clamped_mean(p.funds, threshold)) * 100.0)
     return CoverageAssessment(method, loss, floor + loss)
 
 
@@ -134,8 +138,8 @@ def _check_principal(principal: float) -> None:
 
 def _payouts(failing: Sequence[float], principal: float, terms: DinTerms) -> list[float]:
     """Payout on each failing fund: its shortfall below break-even, capped at the face."""
-    cap = terms.coverage_fraction * principal
-    return [min((1.0 - m) * principal, cap) for m in failing]
+    cap = terms.coverage_fraction * principal  # below, ``min(x, cap)`` bitwise without a call
+    return [cap if cap < x else x for x in [(1.0 - m) * principal for m in failing]]
 
 
 def din_payout(principal: float, multiple: float, terms: DinTerms) -> float:
@@ -148,38 +152,33 @@ def din_payout(principal: float, multiple: float, terms: DinTerms) -> float:
     return _payouts((multiple,), principal, terms)[0]
 
 
-def premium_schedule(p: ReturnPortfolio, terms: DinTerms, principal_per_fund: float) -> list[float]:
-    """Premium cash per model year 0..term_years across the whole portfolio.
+def _premium_schedule(funds: int, survivors: int, terms: DinTerms, principal: float) -> list[float]:
+    """Premium cash per model year 0..term_years; ``survivors`` of the ``funds`` do not fail.
 
-    Failed funds (multiple < 1) pay annual premiums only through the
-    payoff year; surviving funds pay through the full term. The upfront
-    base pays once at year 0 regardless of outcome.
-
-    Every fund paying in a year pays the same amount, so a year's total
-    is that amount added to 0.0 once per paying fund. One running sum,
-    read after the survivors' and after all the funds' additions, fills
-    the schedule in O(funds + term), bitwise as a per-fund loop would.
+    Failed funds pay through the payoff year, survivors through the term, the upfront
+    base once at year 0. Every payer adds the same amount, so one running sum from 0.0,
+    read at the survivor and at the fund count, fills the schedule bitwise as a per-fund loop would.
     """
     if terms.premium_base is PremiumBase.FACE_ANNUAL:
-        amount = terms.premium_rate * terms.coverage_fraction * principal_per_fund
+        amount = terms.premium_rate * terms.coverage_fraction * principal
     else:
-        amount = terms.premium_rate * principal_per_fund
-    sums = list(accumulate(repeat(amount, len(p.funds)), initial=0.0))
+        amount = terms.premium_rate * principal
+    sums = list(accumulate(repeat(amount, funds), initial=0.0))
     if terms.premium_base is PremiumBase.PRINCIPAL_UPFRONT:
         return [sums[-1]] + [0.0] * terms.term_years
-    by_survivors = sums[len([m for m in p.funds if not m < 1.0])]
     return ([0.0] + [sums[-1]] * terms.payoff_year
-            + [by_survivors] * (terms.term_years - terms.payoff_year))
+            + [sums[survivors]] * (terms.term_years - terms.payoff_year))
 
 
-def payout_schedule(p: ReturnPortfolio, terms: DinTerms, principal_per_fund: float) -> list[float]:
-    """Payout cash per model year; everything lands at the payoff year."""
-    sched = [0.0] * (terms.term_years + 1)
-    failing = [m for m in p.funds if m < 1.0]
-    if failing:
-        _check_principal(principal_per_fund)
-    sched[terms.payoff_year] = fsum(_payouts(failing, principal_per_fund, terms))
-    return sched
+def _rate_array(rates: Sequence[float]):
+    """``rates`` as a numpy float array, each checked to be >= 0."""
+    import numpy as np
+
+    rates = np.asarray(rates, dtype=float)
+    ok = rates >= 0
+    if not ok.all():
+        raise ValueError(f"bank_rate must be >= 0, got {rates[ok.argmin()].item()!r}")
+    return rates
 
 
 def underwriter_returns(terms: DinTerms, flows: Flows, bank_rates: Sequence[float]) -> list[float]:
@@ -194,9 +193,7 @@ def underwriter_returns(terms: DinTerms, flows: Flows, bank_rates: Sequence[floa
     """
     import numpy as np
 
-    rates = np.asarray(bank_rates, dtype=float)
-    if not np.all(rates >= 0):
-        raise ValueError("bank_rate must be >= 0")
+    rates = _rate_array(bank_rates)
     if flows.face_total <= 0:
         raise UnderwriterError("total insured face is zero; gross return undefined")
 

@@ -89,11 +89,13 @@ class KauffmanConstraints:
         if not isinstance(self.n, numbers.Integral):
             raise ValueError(f"n must be an integer, got {self.n!r}")
         if self.n < 3:
-            raise ValueError("need at least 3 funds")
+            raise ValueError(f"need at least 3 funds, got n={self.n!r}")
         if self.stddev < 0:
-            raise ValueError("stddev must be >= 0")
+            raise ValueError(f"stddev must be >= 0, got {self.stddev!r}")
         if not (0 <= self.sigma_clamp_loss <= self.breakeven_clamp_loss):
-            raise ValueError("clamp losses must satisfy 0 <= sigma <= breakeven")
+            raise ValueError("clamp losses must satisfy 0 <= sigma <= breakeven, got "
+                             f"sigma_clamp_loss={self.sigma_clamp_loss!r}, "
+                             f"breakeven_clamp_loss={self.breakeven_clamp_loss!r}")
 
 
 def portfolio_stats(p: ReturnPortfolio) -> PortfolioStats:

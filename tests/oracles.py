@@ -1,15 +1,17 @@
 """Bitwise reference schedules and ledgers for the shipping kernels.
 
-``premium_schedule`` and ``payout_schedule`` are the earlier per-fund
-loops: every fund adds its premium to each of its premium years, and
-every failing fund's payout is checked and computed on its own.
+``premium_schedule``, ``payout_schedule`` and ``exit_schedule`` are the
+earlier per-fund loops, each its own pass over the funds: every fund
+adds its premium to each of its premium years, every failing fund's
+payout is checked and computed on its own, and the exits are split at
+1.0 again; ``scenario_flows`` gathers the three.
 ``simulate_bank`` is the earlier bank ledger with a cash account beside
 the debt: resolutions pay the debt down first, any excess is held as
 cash earning ``surplus_rate``, and premiums are paid from cash before
 more is borrowed. ``underwriter_ledger`` is the per-year underwriter
 ledger at one bank rate. Tests compare ``bank_engine.simulate_bank``,
 ``bank_engine.multiple_curve`` and ``din.underwriter_returns`` with
-them by ``repr``, and the schedules of ``din`` with the loops here.
+them by ``repr``, and ``bank_engine.scenario_flows`` with the loops here.
 """
 
 from __future__ import annotations
@@ -58,6 +60,22 @@ def payout_schedule(p: ReturnPortfolio, terms: DinTerms, principal_per_fund: flo
         din_payout(principal_per_fund, m, terms) for m in p.funds if m < 1.0
     )
     return sched
+
+
+def exit_schedule(p: ReturnPortfolio, terms: DinTerms, principal_per_fund: float) -> list[float]:
+    """Exit proceeds per model year: failing funds at the payoff year, survivors at the horizon."""
+    sched = [0.0] * (terms.term_years + 1)
+    sched[terms.payoff_year] += fsum(m * principal_per_fund for m in p.funds if m < 1.0)
+    sched[terms.term_years] += fsum(m * principal_per_fund for m in p.funds if m >= 1.0)
+    return sched
+
+
+def scenario_flows(cfg: ScenarioConfig) -> tuple[list[float], list[float], list[float], float]:
+    """Premiums, payouts, exits and insured face of ``cfg``, each from its own pass over the funds."""
+    p, terms = cfg.portfolio, cfg.din_terms
+    principal = cfg.moc * cfg.original_capital / len(p.funds)
+    return (premium_schedule(p, terms, principal), payout_schedule(p, terms, principal),
+            exit_schedule(p, terms, principal), terms.coverage_fraction * principal * len(p.funds))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,13 @@ from venturebank.bank_engine import (
 )
 from venturebank.din import DinTerms, PremiumBase, underwriter_returns
 from venturebank.market_data import funds_rate
-from venturebank.portfolio import ReturnPortfolio
+from venturebank.portfolio import (
+    KauffmanConstraints,
+    ReturnPortfolio,
+    compress_pairs,
+    shift_to_mean,
+    synthesize_kauffman,
+)
 from venturebank.sweep import run_sweep
 
 
@@ -207,10 +213,11 @@ class TestRateKernels:
     def test_negative_or_nan_rate_rejected(self, anchor131):
         cfg = ScenarioConfig(anchor131, DinTerms(), 0.02, 30)
         for bad in (-0.01, math.nan):
-            with pytest.raises(ValueError, match="bank_rate"):
-                multiple_curve(cfg, scenario_flows(cfg), [0.02, bad])
-            with pytest.raises(ValueError, match="bank_rate"):
-                underwriter_returns(DinTerms(), scenario_flows(cfg), [bad])
+            first_bad = f"^bank_rate must be >= 0, got {bad!r}$"
+            with pytest.raises(ValueError, match=first_bad):
+                multiple_curve(cfg, scenario_flows(cfg), [0.02, bad, -5.0])
+            with pytest.raises(ValueError, match=first_bad):
+                underwriter_returns(DinTerms(), scenario_flows(cfg), [bad, -5.0])
 
 
 class TestOracles:
@@ -244,6 +251,18 @@ class TestConfigValidation:
             ScenarioConfig(anchor131, DinTerms(), bank_rate=0.02, moc=0)
         with pytest.raises(ValueError):
             ScenarioConfig(anchor131, DinTerms(), 0.02, 30, horizon_years=7)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"moc": 0.0}, "moc must be positive, got 0.0"),
+        ({"moc": -30}, "moc must be positive, got -30"),
+        ({"bank_rate": -0.01}, "bank_rate must be >= 0, got -0.01"),
+        ({"original_capital": 0.0}, "original_capital must be positive, got 0.0"),
+        ({"horizon_years": 7}, "horizon_years must equal the note term, got 7"),
+    ])
+    def test_out_of_domain_value_is_named(self, anchor131, kwargs, message):
+        cfg = ScenarioConfig(anchor131, DinTerms(), 0.02, 30)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(cfg, **kwargs)
 
     def test_any_note_term_is_the_horizon(self, anchor131):
         cfg = ScenarioConfig(anchor131, DinTerms(payoff_year=3, term_years=7), 0.02, 30)
@@ -412,6 +431,44 @@ class TestBreakEven:
         assert multiple == pytest.approx(1.0, abs=1e-3)
         assert simulate_bank(dataclasses.replace(cfg, bank_rate=rate - 2e-6)).final_multiple >= multiple
         assert simulate_bank(dataclasses.replace(cfg, bank_rate=rate + 2e-6)).final_multiple <= multiple
+
+
+# One solve of each class of synthesized portfolio (funds x premium base x
+# rate or None): synthesis seed, funds, target mean, coverage %, MOC, base,
+# the break-even rate over the interbank range 0.53-7.50% plus spread, and
+# the final multiple at the bracket's low end.
+PINNED_SOLVES = [
+    (4259, 50, 1.23, 3.88, 30.0, "face_annual", 0.02112782775878906, 5.391930833943498),
+    (687, 50, 1.02, 2.88, 30.0, "face_annual", None, 0.10089686169281009),
+    (1667, 50, 1.51, 3.88, 30.0, "principal_annual", 0.007802977905273439, 1.0010720105128286),
+    (4065, 50, 1.49, 3.88, 30.0, "principal_annual", None, 0.3938188224578312),
+    (8867, 50, 1.36, 20.33, 30.0, "principal_upfront", 0.032624243774414065, 9.671193021491298),
+    (6823, 50, 1.03, 2.88, 43.0, "principal_upfront", None, -1.894451359656955),
+    (7890, 99, 1.06, 3.88, 30.0, "face_annual", 0.008306669311523436, 1.1318797511946102),
+    (515, 99, 1.03, 5.6, 43.0, "face_annual", None, 0.3014818565592918),
+    (1306, 99, 1.48, 20.33, 30.0, "principal_annual", 0.008527034301757812, 1.262191528982953),
+    (3065, 99, 1.31, 3.88, 43.0, "principal_annual", None, -7.941517137501606),
+    (8024, 99, 1.3, 20.33, 43.0, "principal_upfront", 0.027209561157226565, 10.634518086434937),
+    (2986, 99, 1.09, 3.88, 43.0, "principal_upfront", None, 0.46175748086149326),
+    (1109, 990, 1.21, 5.6, 30.0, "face_annual", 0.01879570251464844, 4.633896631350826),
+    (4629, 990, 1.11, 20.33, 43.0, "face_annual", None, 0.9140883889795504),
+    (3054, 990, 1.55, 3.88, 30.0, "principal_annual", 0.01047203186035156, 1.9846086591056746),
+    (9842, 990, 1.49, 3.88, 43.0, "principal_annual", None, -0.19505233672975208),
+    (6835, 990, 1.34, 3.88, 30.0, "principal_upfront", 0.026514432983398444, 7.574545566028242),
+    (8093, 990, 1.01, 3.88, 30.0, "principal_upfront", None, -0.9313455640741246),
+]
+
+
+@pytest.mark.parametrize("seed, funds, mean, coverage, moc, base, want, multiple_at_lo", PINNED_SOLVES,
+                         ids=[f"{c[1]}-{c[5]}-{'none' if c[6] is None else 'rate'}" for c in PINNED_SOLVES])
+def test_break_even_rate_is_pinned(seed, funds, mean, coverage, moc, base, want, multiple_at_lo):
+    """Bit drift in the flows or the ledger moves the multiple, and a wrong turn of the solver the rate."""
+    p = synthesize_kauffman(KauffmanConstraints(n=990 if funds == 990 else 99), seed)
+    p = shift_to_mean(compress_pairs(p) if funds == 50 else p, mean)
+    lo, hi = funds_rate(0.53) / 100.0, funds_rate(7.50) / 100.0
+    cfg = ScenarioConfig(p, DinTerms(coverage_fraction=coverage / 100.0, premium_base=base), lo, moc)
+    assert repr(simulate_bank(cfg).final_multiple) == repr(multiple_at_lo)
+    assert repr(break_even_rate(cfg, lo, hi)) == repr(want)
 
 
 class TestScanCrossings:

@@ -148,6 +148,20 @@ class TestSimulateAndBreakeven:
         assert out == ""
         assert "inf.csv" in err and "inf" in err.replace("inf.csv", "")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["synth", "--n", "2"], "need at least 3 funds, got n=2"),
+        (["simulate", "--moc", "0"], "moc must be positive, got 0.0"),
+        (["simulate", "--coverage", "1", "--coverage-floor", "2"],
+         "coverage_fraction must be >= coverage_floor, got 0.01 < 0.02"),
+        (["simulate", "--premium-rate", "-1"], "premium_rate must be >= 0, got -0.01"),
+    ])
+    def test_out_of_domain_value_is_named(self, in_tmp, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+        assert not any(in_tmp.iterdir())
+
 
 class TestNonFiniteFlags:
     @pytest.mark.parametrize("argv", [

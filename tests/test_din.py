@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import oracles
 import pytest
@@ -17,11 +18,14 @@ from venturebank.din import (
     coverage_breakeven_method,
     coverage_sigma_method,
     din_payout,
-    payout_schedule,
-    premium_schedule,
     underwriter_returns,
 )
 from venturebank.portfolio import ReturnPortfolio
+
+
+def flows_of(p: ReturnPortfolio, terms: DinTerms, principal_per_fund: float):
+    """``scenario_flows`` of a book of about ``principal_per_fund`` a fund."""
+    return scenario_flows(ScenarioConfig(p, terms, 0.0, moc=principal_per_fund * len(p.funds)))
 
 
 def gross_return(p: ReturnPortfolio, terms: DinTerms, bank_rate: float,
@@ -44,6 +48,17 @@ class TestTerms:
             DinTerms(payoff_year=11, term_years=10)
         with pytest.raises(ValueError):
             DinTerms(premium_rate=-0.01)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"coverage_fraction": 0.01, "coverage_floor": 0.02},
+         "coverage_fraction must be >= coverage_floor, got 0.01 < 0.02"),
+        ({"payoff_year": 0}, "payoff_year must satisfy 0 < payoff_year <= term_years, got 0 and 10"),
+        ({"payoff_year": 11}, "payoff_year must satisfy 0 < payoff_year <= term_years, got 11 and 10"),
+        ({"premium_rate": -0.01}, "premium_rate must be >= 0, got -0.01"),
+    ])
+    def test_out_of_domain_value_is_named(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DinTerms(**kwargs)
 
     @pytest.mark.parametrize("field", ["coverage_fraction", "coverage_floor", "premium_rate",
                                        "payoff_year", "term_years"])
@@ -73,7 +88,7 @@ class TestTerms:
         terms = DinTerms(premium_base=base.value, payoff_year=1, term_years=2)
         assert terms.premium_base is base
         p = ReturnPortfolio((0.5, 2.0))
-        assert premium_schedule(p, terms, 1.0) == premium_schedule(
+        assert flows_of(p, terms, 1.0) == flows_of(
             p, DinTerms(premium_base=base, payoff_year=1, term_years=2), 1.0)
 
     @pytest.mark.parametrize("value", ["bogus", "FACE_ANNUAL", None, 1])
@@ -174,7 +189,7 @@ class TestSchedules:
     def test_failed_funds_stop_premiums_at_payoff_year(self):
         p = ReturnPortfolio((0.5, 1.5))
         terms = DinTerms()
-        sched = premium_schedule(p, terms, 100.0)
+        sched = flows_of(p, terms, 100.0).premiums
         annual = terms.premium_rate * terms.coverage_fraction * 100.0
         assert sched[0] == 0.0
         assert sched[1] == pytest.approx(2 * annual)
@@ -185,23 +200,23 @@ class TestSchedules:
     def test_upfront_base_pays_once(self):
         p = ReturnPortfolio((0.5, 1.5))
         terms = DinTerms(premium_base=PremiumBase.PRINCIPAL_UPFRONT)
-        sched = premium_schedule(p, terms, 100.0)
+        sched = flows_of(p, terms, 100.0).premiums
         assert sched[0] == pytest.approx(2 * 0.05 * 100.0)
         assert all(v == 0.0 for v in sched[1:])
 
     def test_payouts_land_at_payoff_year(self):
         p = ReturnPortfolio((0.5, 1.5))
-        sched = payout_schedule(p, DinTerms(), 100.0)
+        sched = flows_of(p, DinTerms(), 100.0).receipts
         assert sched[5] == pytest.approx(3.88)
         assert sum(sched) == sched[5]
 
 
 @st.composite
 def schedule_cases(draw):
-    """A portfolio of 1-1,000 funds (mixed, all failing, none failing,
-    with funds at exactly 1.0), terms of every premium base with a note
-    of 1-15 years, and a per-fund principal. Amounts include 0, -0.0
-    and the tiny products of a 1e-300 principal."""
+    """A scenario on a portfolio of 1-1,000 funds (mixed, all failing,
+    none failing, with funds at exactly 1.0), terms of every premium
+    base with a note of 1-15 years, and a leverage. Amounts include 0,
+    -0.0 and the tiny products of a per-fund principal below 1e-300."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.one_of(st.integers(1, 12), st.integers(1, 1000)))
     kind = draw(st.sampled_from(["mixed", "all failing", "none failing"]))
@@ -221,45 +236,63 @@ def schedule_cases(draw):
         payoff_year=draw(st.integers(1, term)),
         term_years=term,
     )
-    principal = draw(st.one_of(st.sampled_from([1e-300, 1.0, 100.0]), st.floats(1e-3, 1e3)))
-    return ReturnPortfolio(tuple(funds)), terms, principal
+    moc = draw(st.one_of(st.sampled_from([1e-300, 1.0, 100.0]), st.floats(1e-3, 1e3)))
+    return ScenarioConfig(ReturnPortfolio(tuple(funds)), terms, 0.0, moc)
 
 
-def _outcome(schedule, *args):
+def _outcome(build, cfg, *parts):
+    """``repr`` of the named parts of ``build(cfg)``, or the message of its ``ValueError``."""
     try:
-        return list(map(repr, schedule(*args)))
+        flows = build(cfg)
     except ValueError as exc:
         return str(exc)
+    return [repr(flows[FLOW_PARTS.index(part)]) for part in parts]
+
+
+FLOW_PARTS = ("premiums", "receipts", "exits", "face_total")
 
 
 class TestSchedulesMatchThePerFundLoops:
-    """The running-sum premiums and the once-checked payouts equal the
-    per-fund loops of ``oracles`` by ``repr``."""
+    """The premiums, payouts, exits and insured face that ``scenario_flows``
+    builds from one split of the funds equal the per-fund loops of
+    ``oracles`` by ``repr``."""
 
     @settings(max_examples=300, deadline=None)
-    @given(case=schedule_cases())
-    def test_premium_schedule(self, case):
-        assert _outcome(premium_schedule, *case) == _outcome(oracles.premium_schedule, *case)
+    @given(cfg=schedule_cases())
+    def test_premium_schedule(self, cfg):
+        assert _outcome(scenario_flows, cfg, "premiums") == _outcome(oracles.scenario_flows, cfg, "premiums")
 
     @settings(max_examples=300, deadline=None)
-    @given(case=schedule_cases())
-    def test_payout_schedule(self, case):
-        assert _outcome(payout_schedule, *case) == _outcome(oracles.payout_schedule, *case)
+    @given(cfg=schedule_cases())
+    def test_payout_schedule(self, cfg):
+        assert _outcome(scenario_flows, cfg, "receipts") == _outcome(oracles.scenario_flows, cfg, "receipts")
+
+    @settings(max_examples=300, deadline=None)
+    @given(cfg=schedule_cases())
+    def test_exits_and_insured_face(self, cfg):
+        parts = ("exits", "face_total")
+        assert _outcome(scenario_flows, cfg, *parts) == _outcome(oracles.scenario_flows, cfg, *parts)
 
     @settings(max_examples=100, deadline=None)
-    @given(case=schedule_cases(), principal=st.sampled_from([0.0, -1.0, math.nan, math.inf]))
-    def test_bad_principal_raises_only_when_a_fund_fails(self, case, principal):
-        p, terms, _ = case
-        got = _outcome(payout_schedule, p, terms, principal)
-        assert got == _outcome(oracles.payout_schedule, p, terms, principal)
-        assert isinstance(got, str) == any(m < 1.0 for m in p.funds)
+    @given(cfg=schedule_cases(), book=st.sampled_from([(5e-324, 1.0, "0.0"), (1e308, 10.0, "inf")]))
+    def test_bad_principal_raises_only_when_a_fund_fails(self, cfg, book):
+        # Two or more funds, so 5e-324 / n underflows to 0.0; 1e308 x 10 overflows to inf.
+        moc, capital, shown = book
+        funds = cfg.portfolio.funds + (2.0,)
+        cfg = ScenarioConfig(ReturnPortfolio(funds), cfg.din_terms, 0.0, moc, capital)
+        got = _outcome(scenario_flows, cfg, *FLOW_PARTS)
+        assert got == _outcome(oracles.scenario_flows, cfg, *FLOW_PARTS)
+        if any(m < 1.0 for m in funds):
+            assert got == f"principal must be finite and positive, got {shown}"
+        else:
+            assert isinstance(got, list)
 
     def test_din_payout_matches_the_oracle(self):
         rng = random.Random(7)
         for _ in range(2000):
             terms = DinTerms(coverage_fraction=rng.choice([-0.0, 0.0, rng.random()]),
                              coverage_floor=-0.0)
-            principal = rng.choice([1e-300, rng.uniform(1e-3, 1e3)])
+            principal = rng.choice([5e-324, 1e-300, rng.uniform(1e-3, 1e3)])  # 5e-324: payouts tie at ±0.0
             m = rng.choice([0.0, 1.0, rng.uniform(0.0, 2.0)])
             assert repr(din_payout(principal, m, terms)) == repr(oracles.din_payout(principal, m, terms))
 

@@ -1,5 +1,6 @@
 """The package's public surface, its lazy exports, annotations and version."""
 
+import ast
 import importlib
 import inspect
 import os
@@ -81,6 +82,20 @@ def test_every_annotation_resolves(module):
     assert objects
     for obj in objects:
         typing.get_type_hints(obj)  # NameError on an undefined name
+
+
+def test_every_public_function_and_class_has_a_caller():
+    """A public module-level def is named somewhere in ``src/`` or exported; docstrings do not count."""
+    package = SRC / "venturebank"
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+    named = {node.id if isinstance(node, ast.Name) else node.attr
+             for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    exported = {name for names in venturebank._EXPORTS.values() for name in names}
+    uncalled = [f"{module}:{node.name}" for module, tree in trees.items() for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and not node.name.startswith("_") and node.name not in named | exported]
+    assert not uncalled
 
 
 def test_version_matches_pyproject():

@@ -1,6 +1,7 @@
 """Portfolio synthesis, compression, and mean shifting."""
 
 import math
+import re
 from math import fsum
 
 import pytest
@@ -95,6 +96,18 @@ class TestSynthesis:
             KauffmanConstraints(n=2)
         with pytest.raises(ValueError):
             KauffmanConstraints(sigma_clamp_loss=5.0, breakeven_clamp_loss=1.0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n": 2}, "need at least 3 funds, got n=2"),
+        ({"stddev": -0.5}, "stddev must be >= 0, got -0.5"),
+        ({"sigma_clamp_loss": 5.0, "breakeven_clamp_loss": 1.0},
+         "clamp losses must satisfy 0 <= sigma <= breakeven, got sigma_clamp_loss=5.0, breakeven_clamp_loss=1.0"),
+        ({"sigma_clamp_loss": -1.0}, "clamp losses must satisfy 0 <= sigma <= breakeven, "
+                                     "got sigma_clamp_loss=-1.0, breakeven_clamp_loss=17.45"),
+    ])
+    def test_out_of_domain_value_is_named(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            KauffmanConstraints(**kwargs)
 
     @pytest.mark.parametrize("field", ["n", "mean", "stddev", "sigma_clamp_loss",
                                        "breakeven_clamp_loss"])
