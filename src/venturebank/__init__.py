@@ -11,7 +11,7 @@ _EXPORTS = {
                     "break_even_rate", "simulate_bank"),
     "calibrate": ("CalibrationReport", "run_calibration"),
     "din": ("CoverageAssessment", "CoverageMethod", "DinTerms", "PremiumBase",
-            "coverage_breakeven_method", "coverage_sigma_method", "din_payout"),
+            "coverage_breakeven_method", "coverage_sigma_method"),
     "market_data": ("EmptyWindowError", "LiborLoadError", "LiborSeries", "WindowStats",
                     "funds_rate", "load_libor_csv", "window_stats"),
     "portfolio": ("CalibrationError", "KauffmanConstraints", "PortfolioStats", "ReturnPortfolio",

@@ -1,21 +1,24 @@
-"""Venture-bank debt ledger over the note term under forced interbank funding.
+"""A scenario's flows, the venture-bank debt ledger and the underwriter's return.
 
 The bank invests a leveraged multiple of its original capital across the
 portfolio, funds the whole book with interbank debt for the life of the
 investments, and finances premiums by borrowing. Failing funds resolve
 at the payoff year (residual value plus the insurance payout retire
 debt); survivors pay out at the end of the note term. The result is the
-equity multiple on original capital, with break-even at 1.0.
+equity multiple on original capital, with break-even at 1.0. The
+underwriter collects the premiums, pays the payouts and finances them at
+the bank rate through the end of the term.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from math import fsum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .din import DinTerms, Flows, _check_principal, _payouts, _premium_schedule, _rate_array
+from .din import DinTerms, PremiumBase
 from .portfolio import ReturnPortfolio
 
 
@@ -27,6 +30,10 @@ BREAK_EVEN_TOL = 1e-6
 
 class BreakEvenBracketError(ValueError):
     """The bracket does not isolate a single break-even crossing."""
+
+
+class UnderwriterError(ValueError):
+    """The underwriter's gross return is undefined for the given inputs."""
 
 
 @dataclass(frozen=True)
@@ -60,6 +67,39 @@ class ScenarioConfig:
             raise ValueError(f"horizon_years must equal the note term, got {self.horizon_years!r}")
 
 
+class Flows(NamedTuple):
+    """The rate-independent flows of one scenario, per model year 0..horizon.
+
+    Built once per scenario by :func:`scenario_flows`. ``start`` and
+    ``steps`` are what the bank ledger reads.
+    """
+
+    premiums: list[float]   # bank to underwriter, borrowed
+    receipts: list[float]   # underwriter to bank: payouts, all at the payoff year
+    exits: list[float]      # fund exits: failures at the payoff year, survivors at the horizon
+    face_total: float       # insured face of the whole portfolio
+    start: float            # invested moc x capital plus the year-0 premiums
+    steps: list[tuple[float, float]]  # years 1..horizon: (premiums, receipts[y] + exits[y])
+
+
+def _premium_schedule(funds: int, survivors: int, terms: DinTerms, principal: float) -> list[float]:
+    """Premium cash per model year 0..term_years; ``survivors`` of the ``funds`` do not fail.
+
+    Failed funds pay through the payoff year, survivors through the term, the upfront
+    base once at year 0. Every payer adds the same amount, so one running sum from 0.0,
+    read at the survivor and at the fund count, fills the schedule bitwise as a per-fund loop would.
+    """
+    if terms.premium_base is PremiumBase.FACE_ANNUAL:
+        amount = terms.premium_rate * terms.coverage_fraction * principal
+    else:
+        amount = terms.premium_rate * principal
+    sums = list(accumulate(repeat(amount, funds), initial=0.0))
+    if terms.premium_base is PremiumBase.PRINCIPAL_UPFRONT:
+        return [sums[-1]] + [0.0] * terms.term_years
+    return ([0.0] + [sums[-1]] * terms.payoff_year
+            + [sums[survivors]] * (terms.term_years - terms.payoff_year))
+
+
 def scenario_flows(cfg: ScenarioConfig) -> Flows:
     """Premiums, payouts, exits, insured face and ledger steps of ``cfg``, from one split of its funds."""
     funds, terms = cfg.portfolio.funds, cfg.din_terms
@@ -70,9 +110,10 @@ def scenario_flows(cfg: ScenarioConfig) -> Flows:
         (failing if m < 1.0 else survivors).append(m)
     premiums = _premium_schedule(len(funds), len(survivors), terms, principal)
     receipts = [0.0] * (terms.term_years + 1)
-    if failing:  # the principal is checked once, and only when a payout is due
-        _check_principal(principal)
-    receipts[terms.payoff_year] = fsum(_payouts(failing, principal, terms))
+    if failing and not (math.isfinite(principal) and principal > 0):  # only when a payout is due
+        raise ValueError(f"principal must be finite and positive, got {principal!r}")
+    cap = terms.coverage_fraction * principal  # payout: shortfall capped at the face, ``min`` without a call
+    receipts[terms.payoff_year] = fsum([cap if cap < x else x for x in [(1.0 - m) * principal for m in failing]])
     exits = [0.0] * (terms.term_years + 1)
     exits[terms.payoff_year] += fsum([m * principal for m in failing])
     exits[terms.term_years] += fsum([m * principal for m in survivors])
@@ -133,13 +174,30 @@ def simulate_bank(cfg: ScenarioConfig) -> BankResult:
         rows.append(BankYear(year, interest, flows.premiums[year], flows.receipts[year],
                              flows.exits[year], owed, capital - debt))
     multiple = (capital - debt) / capital
+    if not math.isfinite(multiple):
+        raise _overflow(cfg)
     return BankResult(final_multiple=multiple, survived=multiple >= 1.0, ledger=tuple(rows))
+
+
+def _overflow(cfg: ScenarioConfig) -> ValueError:
+    return ValueError(f"final multiple not finite at moc {cfg.moc!r} and capital {cfg.original_capital!r}")
 
 
 def _final_multiple(cfg: ScenarioConfig, flows: Flows, rate):
     """Final multiple of ``cfg`` at ``rate``, a float or a numpy array of rates."""
     debt = _debts(flows, rate)[-1]
     return (cfg.original_capital - debt) / cfg.original_capital
+
+
+def _rate_array(rates: Sequence[float]):
+    """``rates`` as a numpy float array, each checked to be >= 0."""
+    import numpy as np
+
+    rates = np.asarray(rates, dtype=float)
+    ok = rates >= 0
+    if not ok.all():
+        raise ValueError(f"bank_rate must be >= 0, got {rates[ok.argmin()].item()!r}")
+    return rates
 
 
 def multiple_curve(cfg: ScenarioConfig, flows: Flows, rates: Sequence[float]) -> list[float]:
@@ -150,7 +208,38 @@ def multiple_curve(cfg: ScenarioConfig, flows: Flows, rates: Sequence[float]) ->
     bank_rate=rates[i])).final_multiple`` bitwise; ``cfg.bank_rate``
     itself is not used. ``flows`` is ``scenario_flows(cfg)``.
     """
-    return _final_multiple(cfg, flows, _rate_array(rates)).tolist()
+    import numpy as np
+
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        multiples = _final_multiple(cfg, flows, _rate_array(rates))
+    if not np.isfinite(multiples).all():
+        raise _overflow(cfg)
+    return multiples.tolist()
+
+
+def underwriter_returns(terms: DinTerms, flows: Flows, bank_rates: Sequence[float]) -> list[float]:
+    """Underwriter gross return at each of a sequence of bank rates; break-even at 0.
+
+    ``flows`` holds the premium and payout schedules (see
+    :func:`scenario_flows`). Payouts land at the payoff year and then
+    accrue compound carry cost at the bank rate (a per-year fraction)
+    through the end of the term. The gross return nets premiums against
+    payouts and carry, per unit of total insured face; each rate's carry
+    is summed exactly with ``math.fsum``.
+    """
+    import numpy as np
+
+    rates = _rate_array(bank_rates)
+    if flows.face_total <= 0:
+        raise UnderwriterError("total insured face is zero; gross return undefined")
+
+    carry = np.zeros((len(rates), terms.term_years - terms.payoff_year))
+    outstanding = np.full(rates.shape, flows.receipts[terms.payoff_year])
+    for col in range(carry.shape[1]):
+        carry[:, col] = outstanding * rates
+        outstanding = outstanding + carry[:, col]
+    net = fsum(flows.premiums) - fsum(flows.receipts)
+    return [(net - fsum(row)) / flows.face_total for row in carry.tolist()]
 
 
 def _scan_crossings(margins: list[float]) -> list[int]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .bank_engine import ScenarioConfig, multiple_curve, scenario_flows
+from .bank_engine import ScenarioConfig, simulate_bank
 from .din import DinTerms, PremiumBase
 from .market_data import FUNDS_RATE_SPREAD
 from .portfolio import ReturnPortfolio
@@ -76,19 +76,19 @@ def run_calibration(portfolio: ReturnPortfolio) -> CalibrationReport:
     ``portfolio`` should be the compressed reference portfolio shifted
     to the 1.31 mean. Lower score is better: the sum of the two anchor
     residuals and the distance of the coverage uplift from its band.
-    Each (premium base, coverage, leverage) case is one kernel call over
-    both rate readings.
+    Each (premium base, rate reading, coverage, leverage) case is one
+    :func:`simulate_bank` run.
     """
-    readings = [anchor_bank_rate(r) for r in RATE_READINGS]
+    def multiple(base: PremiumBase, reading: str, coverage: float, moc: float) -> float:
+        terms = DinTerms(coverage_fraction=coverage, premium_base=base)
+        return simulate_bank(ScenarioConfig(portfolio, terms, anchor_bank_rate(reading), moc)).final_multiple
+
     cases = []
     for base in PremiumBase:
-        cfgs = (ScenarioConfig(portfolio, DinTerms(coverage_fraction=coverage, premium_base=base),
-                               0.0, moc)
-                for coverage, moc in ((WORKING_COVERAGE, 30), (WORKING_COVERAGE, 43),
-                                      (REDUCED_COVERAGE, 30)))
-        m30s, m43s, reduced = (multiple_curve(cfg, scenario_flows(cfg), readings) for cfg in cfgs)
-        for reading, m30, m43, m30_reduced in zip(RATE_READINGS, m30s, m43s, reduced):
-            uplift = m30_reduced - m30
+        for reading in RATE_READINGS:
+            m30 = multiple(base, reading, WORKING_COVERAGE, 30)
+            m43 = multiple(base, reading, WORKING_COVERAGE, 43)
+            uplift = multiple(base, reading, REDUCED_COVERAGE, 30) - m30
             score = (abs(m30 - TARGET_M30) + abs(m43 - TARGET_M43)
                      + _band_distance(uplift, UPLIFT_BAND))
             cases.append(CalibrationCase(base, reading, m30, m43, uplift, score))

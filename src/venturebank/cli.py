@@ -57,6 +57,14 @@ def _finite(text: str) -> float:
     return value
 
 
+def _non_negative(text: str) -> float:
+    """argparse type of a rate or coverage flag: a finite number, not below 0."""
+    value = _finite(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
 def _finite_list(text: str) -> list[float]:
     """argparse type of a comma-separated list of finite numbers."""
     return [_finite(t) for t in text.split(",") if t]
@@ -112,11 +120,11 @@ def _parse_date(text: str, end_of_year: bool) -> dt.date:
 
 
 def _add_terms_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--coverage", type=_finite, default=3.88,
+    p.add_argument("--coverage", type=_non_negative, default=3.88,
                    help="insured percent of each investment (default 3.88)")
-    p.add_argument("--coverage-floor", type=_finite, default=2.88,
+    p.add_argument("--coverage-floor", type=_non_negative, default=2.88,
                    help="regulatory coverage floor, percent (default 2.88)")
-    p.add_argument("--premium-rate", type=_finite, default=5.0,
+    p.add_argument("--premium-rate", type=_non_negative, default=5.0,
                    help="annual premium, percent of the premium base (default 5)")
     p.add_argument("--premium-base", choices=[b.value for b in PremiumBase],
                    default=PremiumBase.FACE_ANNUAL.value)
@@ -135,7 +143,7 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     rate = p.add_mutually_exclusive_group()
     rate.add_argument("--libor", type=_finite, default=None,
                       help=f"interbank rate percent; bank pays +0.25 (default {DEFAULT_LIBOR_PCT})")
-    rate.add_argument("--bank-rate", type=_finite, default=None,
+    rate.add_argument("--bank-rate", type=_non_negative, default=None,
                       help="bank funding rate percent, bypassing the spread")
     p.add_argument("--capital", type=_finite, default=1.0)
     _add_terms_flags(p)
@@ -380,6 +388,9 @@ def run_cli(argv: list[str]) -> int:
         if args.command == "breakeven" and not 0 <= args.lo < args.hi:  # flags or config file
             raise ValueError(f"--lo/--hi must satisfy 0 <= --lo < --hi, "
                              f"got --lo {args.lo:g} --hi {args.hi:g} (percent)")
+        if "coverage" in args and args.coverage < args.coverage_floor:
+            raise ValueError(f"--coverage must be >= --coverage-floor, got --coverage {args.coverage:g} "
+                             f"--coverage-floor {args.coverage_floor:g} (percent)")
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     except (OSError, ValueError) as exc:

@@ -106,9 +106,9 @@ def portfolio_stats(p: ReturnPortfolio) -> PortfolioStats:
     return PortfolioStats(mean=mean, stddev=math.sqrt(var))
 
 
-def _clamped_mean(funds: tuple[float, ...], threshold: float) -> float:
-    """Mean after resetting every fund above the threshold to 1.0."""
-    return fsum(1.0 if m > threshold else m for m in funds) / len(funds)
+def clamp_loss(p: ReturnPortfolio, threshold: float) -> float:
+    """Percentage points of mean lost by resetting every fund above ``threshold`` to 1.0."""
+    return (1.0 - fsum(1.0 if m > threshold else m for m in p.funds) / len(p.funds)) * 100.0
 
 
 def _centered_unit(rng: Any, k: int) -> list[float]:
@@ -260,8 +260,8 @@ def synthesize_kauffman(constraints: KauffmanConstraints, seed: int, *,
 
 def _verify_synthesis(p: ReturnPortfolio, c: KauffmanConstraints, residuals: dict[str, float]) -> None:
     stats = portfolio_stats(p)
-    be_loss = (1.0 - _clamped_mean(p.funds, 1.0)) * 100.0
-    sg_loss = (1.0 - _clamped_mean(p.funds, 1.0 + stats.stddev)) * 100.0
+    be_loss = clamp_loss(p, 1.0)
+    sg_loss = clamp_loss(p, 1.0 + stats.stddev)
     checks = {
         "mean": (stats.mean, c.mean, 5e-4),
         "stddev": (stats.stddev, c.stddev, 5e-4),

@@ -28,6 +28,15 @@ class ReportKind(enum.Enum):
     UNDERWRITER_RETURN = "underwriter_return"  # gross return, break-even at 0.0
 
 
+#: Per chart: title, y-axis label, break-even reference line and its label.
+_CHARTS = {
+    ReportKind.BANK_MULTIPLE: ("Venture bank sensitivity to funding rate",
+                               "ten-year equity multiple", 1.0, "break-even = 1.0"),
+    ReportKind.UNDERWRITER_RETURN: ("Underwriter gross return sensitivity to funding rate",
+                                    "gross return on insured face", 0.0, "break-even = 0"),
+}
+
+
 def _series_for(table: SweepTable, kind: ReportKind) -> dict[str, tuple[float, ...]]:
     """Legend name -> y value at each rate of ``table.rates_pct``."""
     if kind is ReportKind.BANK_MULTIPLE:
@@ -134,23 +143,10 @@ def emit_report(table: SweepTable, kind: ReportKind, out: str | Path) -> Path:
     """
     if not table.rates_pct or not table.curves:
         raise ValueError("cannot render an empty sweep table")
+    title, y_label, ref_y, ref_label = _CHARTS[kind]
+    svg = _svg_chart(table.rates_pct, _series_for(table, kind), title, "bank funding rate (%)",
+                     y_label, ref_y, ref_label)
     out = Path(out)
-    if kind is ReportKind.BANK_MULTIPLE:
-        svg = _svg_chart(
-            table.rates_pct, _series_for(table, kind),
-            title="Venture bank sensitivity to funding rate",
-            x_label="bank funding rate (%)",
-            y_label="ten-year equity multiple",
-            ref_y=1.0, ref_label="break-even = 1.0",
-        )
-    else:
-        svg = _svg_chart(
-            table.rates_pct, _series_for(table, kind),
-            title="Underwriter gross return sensitivity to funding rate",
-            x_label="bank funding rate (%)",
-            y_label="gross return on insured face",
-            ref_y=0.0, ref_label="break-even = 0",
-        )
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(svg, encoding="utf-8")
     return out

@@ -8,8 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .bank_engine import ScenarioConfig, multiple_curve, scenario_flows
-from .din import underwriter_returns
+from .bank_engine import ScenarioConfig, multiple_curve, scenario_flows, underwriter_returns
 from .market_data import funds_rate
 
 

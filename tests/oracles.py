@@ -9,9 +9,11 @@ payout is checked and computed on its own, and the exits are split at
 the debt: resolutions pay the debt down first, any excess is held as
 cash earning ``surplus_rate``, and premiums are paid from cash before
 more is borrowed. ``underwriter_ledger`` is the per-year underwriter
-ledger at one bank rate. Tests compare ``bank_engine.simulate_bank``,
-``bank_engine.multiple_curve`` and ``din.underwriter_returns`` with
-them by ``repr``, and ``bank_engine.scenario_flows`` with the loops here.
+ledger at one bank rate. ``din_payout`` is the earlier scalar payout on
+one fund. Tests compare ``bank_engine.simulate_bank``,
+``bank_engine.multiple_curve`` and ``bank_engine.underwriter_returns``
+with them by ``repr``, and ``bank_engine.scenario_flows`` with the loops
+and the payout here.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import math
 from dataclasses import dataclass
 from math import fsum
 
-from venturebank.bank_engine import ScenarioConfig
-from venturebank.din import DinTerms, PremiumBase, UnderwriterError
+from venturebank.bank_engine import ScenarioConfig, UnderwriterError
+from venturebank.din import DinTerms, PremiumBase
 from venturebank.portfolio import ReturnPortfolio
 
 

@@ -9,7 +9,13 @@ import datetime as dt
 import random
 import time
 
-from venturebank.bank_engine import ScenarioConfig, break_even_rate, scenario_flows, simulate_bank
+from venturebank.bank_engine import (
+    ScenarioConfig,
+    break_even_rate,
+    scenario_flows,
+    simulate_bank,
+    underwriter_returns,
+)
 from venturebank.calibrate import anchor_bank_rate, run_calibration, write_calibration_report
 from venturebank.cli import run_cli
 from venturebank.din import (
@@ -17,7 +23,6 @@ from venturebank.din import (
     PremiumBase,
     coverage_breakeven_method,
     coverage_sigma_method,
-    underwriter_returns,
 )
 from venturebank.market_data import load_libor_csv, default_snapshot_path, window_stats
 from venturebank.portfolio import (

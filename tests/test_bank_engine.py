@@ -20,9 +20,10 @@ from venturebank.bank_engine import (
     multiple_curve,
     scenario_flows,
     simulate_bank,
+    underwriter_returns,
     write_bank_csv,
 )
-from venturebank.din import DinTerms, PremiumBase, underwriter_returns
+from venturebank.din import DinTerms, PremiumBase
 from venturebank.market_data import funds_rate
 from venturebank.portfolio import (
     KauffmanConstraints,

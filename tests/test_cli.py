@@ -128,10 +128,10 @@ class TestSimulateAndBreakeven:
         assert "got --lo 5 --hi 2 (percent)" in err
 
     def test_negative_coverage_floor_rejected(self, in_tmp, capsys):
-        code, out, err = run(capsys, "simulate", "--coverage", "-5", "--coverage-floor", "-10")
-        assert code == 1
+        code, out, err = run(capsys, "simulate", "--coverage", "5", "--coverage-floor", "-10")
+        assert code == 2
         assert out == ""
-        assert "coverage_floor must be >= 0" in err
+        assert "argument --coverage-floor: must be >= 0, got '-10'" in err
         assert not (in_tmp / "bank_ledger.csv").exists()
 
     def test_negative_coverage_sizing_floor_rejected(self, in_tmp, capsys):
@@ -151,15 +151,41 @@ class TestSimulateAndBreakeven:
     @pytest.mark.parametrize("argv, message", [
         (["synth", "--n", "2"], "need at least 3 funds, got n=2"),
         (["simulate", "--moc", "0"], "moc must be positive, got 0.0"),
-        (["simulate", "--coverage", "1", "--coverage-floor", "2"],
-         "coverage_fraction must be >= coverage_floor, got 0.01 < 0.02"),
-        (["simulate", "--premium-rate", "-1"], "premium_rate must be >= 0, got -0.01"),
     ])
     def test_out_of_domain_value_is_named(self, in_tmp, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
         assert err == f"error: {message}\n"
+        assert not any(in_tmp.iterdir())
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--premium-rate", "-1"], "argument --premium-rate: must be >= 0, got '-1'"),
+        (["simulate", "--bank-rate", "-1"], "argument --bank-rate: must be >= 0, got '-1'"),
+        (["sweep", "--coverage", "-0.5"], "argument --coverage: must be >= 0, got '-0.5'"),
+        (["simulate", "--coverage", "1", "--coverage-floor", "2"],
+         "--coverage must be >= --coverage-floor, got --coverage 1 --coverage-floor 2 (percent)"),
+    ])
+    def test_percent_flag_out_of_domain_is_a_usage_error(self, in_tmp, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert not any(in_tmp.iterdir())
+
+    def test_coverage_below_floor_from_a_config_file(self, in_tmp, capsys):
+        (in_tmp / "c.cfg").write_text("coverage=1\ncoverage_floor=2\n", encoding="utf-8")
+        code, out, err = run(capsys, "--config", "c.cfg", "simulate")
+        assert code == 2
+        assert out == ""
+        assert "got --coverage 1 --coverage-floor 2 (percent)" in err
+        assert not (in_tmp / "bank_ledger.csv").exists()
+
+    def test_overflowing_ledger_writes_nothing(self, in_tmp, capsys):
+        code, out, err = run(capsys, "simulate", "--moc", "1e308", "--libor", "7.5")
+        assert code == 1
+        assert out == ""
+        assert "final multiple not finite at moc 1e+308 and capital 1.0" in err
         assert not any(in_tmp.iterdir())
 
 
@@ -215,6 +241,14 @@ class TestSweep:
         run(capsys, "sweep", "--out-dir", "out")
         assert "generated_at=" in (in_tmp / "out" / "sweep.meta").read_text()
         assert "generated_at" not in (in_tmp / "out" / "sweep.csv").read_text()
+
+    def test_overflowing_sweep_writes_nothing(self, in_tmp, capsys):
+        code, out, err = run(capsys, "sweep", "--mocs", "1e308", "--out-dir", "out")
+        assert code == 1
+        assert out == ""
+        assert "scenario failed for portfolio '1.10x' moc 1e+308" in err
+        assert "final multiple not finite at moc 1e+308 and capital 1.0" in err
+        assert not (in_tmp / "out").exists()
 
     @pytest.mark.parametrize("argv", [["--targets", "1.101,1.104"], ["--mocs", "30,30"]])
     def test_duplicate_curve_names_label_and_moc(self, in_tmp, capsys, argv):
@@ -309,7 +343,7 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("line", ["moc=lots", "no_compress=maybe", "premium_base=weekly",
                                       "moc=inf", "bank_rate=nan", "mocs=30,nan",
-                                      "start=19960", "end=2016-02-30"])
+                                      "start=19960", "end=2016-02-30", "premium_rate=-1"])
     def test_bad_value_names_file_line_and_key(self, in_tmp, capsys, line):
         (in_tmp / "c.cfg").write_text("# comment\nseed=7\n" + line + "\n", encoding="utf-8")
         code, _, err = run(capsys, "--config", "c.cfg", "simulate")

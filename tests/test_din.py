@@ -9,16 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from venturebank.bank_engine import ScenarioConfig, scenario_flows
+from venturebank.bank_engine import ScenarioConfig, UnderwriterError, scenario_flows, underwriter_returns
 from venturebank.din import (
     CoverageMethod,
     DinTerms,
     PremiumBase,
-    UnderwriterError,
     coverage_breakeven_method,
     coverage_sigma_method,
-    din_payout,
-    underwriter_returns,
 )
 from venturebank.portfolio import ReturnPortfolio
 
@@ -26,6 +23,12 @@ from venturebank.portfolio import ReturnPortfolio
 def flows_of(p: ReturnPortfolio, terms: DinTerms, principal_per_fund: float):
     """``scenario_flows`` of a book of about ``principal_per_fund`` a fund."""
     return scenario_flows(ScenarioConfig(p, terms, 0.0, moc=principal_per_fund * len(p.funds)))
+
+
+def payout(principal: float, multiple: float, terms: DinTerms) -> float:
+    """The payout on one fund of ``principal``: the receipts of a one-fund book at the payoff year."""
+    cfg = ScenarioConfig(ReturnPortfolio((multiple,)), terms, 0.0, moc=principal)
+    return scenario_flows(cfg).receipts[terms.payoff_year]
 
 
 def gross_return(p: ReturnPortfolio, terms: DinTerms, bank_rate: float,
@@ -149,32 +152,32 @@ class TestPayout:
     terms = DinTerms()
 
     def test_no_default_no_payout(self):
-        assert din_payout(100.0, 1.2, self.terms) == 0.0
+        assert payout(100.0, 1.2, self.terms) == 0.0
 
     def test_deep_loss_capped_at_face(self):
-        assert din_payout(100.0, 0.5, self.terms) == pytest.approx(3.88, abs=1e-12)
+        assert payout(100.0, 0.5, self.terms) == pytest.approx(3.88, abs=1e-12)
 
     def test_shallow_loss_pays_the_shortfall(self):
-        assert din_payout(100.0, 0.99, self.terms) == pytest.approx(1.00, abs=1e-9)
+        assert payout(100.0, 0.99, self.terms) == pytest.approx(1.00, abs=1e-9)
 
     def test_requires_positive_principal(self):
-        with pytest.raises(ValueError):
-            din_payout(0.0, 0.5, self.terms)
+        with pytest.raises(ValueError, match="moc must be positive, got 0.0"):
+            payout(0.0, 0.5, self.terms)
 
     @pytest.mark.parametrize("principal", [float("nan"), float("inf")])
     def test_non_finite_principal_rejected(self, principal):
-        with pytest.raises(ValueError, match="principal must be finite"):
-            din_payout(principal, 0.5, self.terms)
+        with pytest.raises(ValueError, match="moc must be finite"):
+            payout(principal, 0.5, self.terms)
 
     def test_nan_multiple_rejected(self):
-        with pytest.raises(ValueError, match="multiple must be finite"):
-            din_payout(100.0, float("nan"), self.terms)
+        with pytest.raises(ValueError, match="fund 0: multiple must be a finite number"):
+            payout(100.0, float("nan"), self.terms)
 
     @given(multiple=st.floats(0, 3, allow_nan=False),
            principal=st.floats(1, 1000, allow_nan=False))
     @settings(max_examples=100)
     def test_bounded_by_face(self, multiple, principal):
-        pay = din_payout(principal, multiple, self.terms)
+        pay = payout(principal, multiple, self.terms)
         assert 0.0 <= pay <= self.terms.coverage_fraction * principal + 1e-12
 
     @given(principal=st.floats(1, 1000, allow_nan=False),
@@ -182,7 +185,7 @@ class TestPayout:
     @settings(max_examples=100)
     def test_non_increasing_in_multiple(self, principal, a, b):
         lo, hi = min(a, b), max(a, b)
-        assert din_payout(principal, lo, self.terms) >= din_payout(principal, hi, self.terms) - 1e-12
+        assert payout(principal, lo, self.terms) >= payout(principal, hi, self.terms) - 1e-12
 
 
 class TestSchedules:
@@ -294,7 +297,9 @@ class TestSchedulesMatchThePerFundLoops:
                              coverage_floor=-0.0)
             principal = rng.choice([5e-324, 1e-300, rng.uniform(1e-3, 1e3)])  # 5e-324: payouts tie at ±0.0
             m = rng.choice([0.0, 1.0, rng.uniform(0.0, 2.0)])
-            assert repr(din_payout(principal, m, terms)) == repr(oracles.din_payout(principal, m, terms))
+            # One fund's receipts are an fsum of its payout, which turns a -0.0 payout into 0.0.
+            want = math.fsum([oracles.din_payout(principal, m, terms)])
+            assert repr(payout(principal, m, terms)) == repr(want)
 
 
 class TestUnderwriterLedger:

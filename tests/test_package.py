@@ -98,6 +98,19 @@ def test_every_public_function_and_class_has_a_caller():
     assert not uncalled
 
 
+def test_no_module_imports_a_private_name_of_another():
+    """No package module imports a single-underscore name from a sibling; dunders are exempt."""
+    package = SRC / "venturebank"
+    private = [f"{path.name}:{node.lineno}: {alias.name}"
+               for path in sorted(package.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").split(".")[0] == "venturebank")
+               for alias in node.names
+               if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert not private
+
+
 def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     with PYPROJECT.open("rb") as fh:
