@@ -18,6 +18,7 @@ from itertools import accumulate, repeat
 from math import fsum
 from typing import NamedTuple, Sequence
 
+from .checks import finite_real
 from .din import DinTerms, PremiumBase
 from .portfolio import ReturnPortfolio
 
@@ -48,13 +49,7 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         for name in ("bank_rate", "moc", "original_capital", "surplus_rate"):
-            value = getattr(self, name)
-            try:
-                finite = math.isfinite(value)
-            except TypeError:
-                raise ValueError(f"{name} must be a real number, got {value!r}") from None
-            if not finite:
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            finite_real(name, getattr(self, name))
         if self.surplus_rate != 0.0:
             raise ValueError(f"surplus_rate must be 0.0, got {self.surplus_rate!r}")
         if self.moc <= 0:
@@ -271,8 +266,8 @@ def break_even_rate(cfg: ScenarioConfig, lo: float, hi: float) -> float | None:
     The flows are built once; the scan and each bisection step run the
     ledger on one float rate, bitwise as :func:`multiple_curve` would.
     """
-    if not (0 <= lo < hi and math.isfinite(hi)):
-        raise ValueError(f"bracket [{lo}, {hi}] must satisfy 0 <= lo < hi, both finite")
+    if not 0 <= finite_real("lo", lo) < finite_real("hi", hi):
+        raise ValueError(f"bracket [{lo}, {hi}] must satisfy 0 <= lo < hi")
     flows = scenario_flows(cfg)
 
     grid = [lo + (hi - lo) * i / (SCAN_POINTS - 1) for i in range(SCAN_POINTS)]

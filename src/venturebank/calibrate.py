@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .bank_engine import ScenarioConfig, simulate_bank
 from .din import DinTerms, PremiumBase
-from .market_data import FUNDS_RATE_SPREAD
+from .market_data import funds_rate
 from .portfolio import ReturnPortfolio
 
 ANCHOR_RATE_PCT = 2.0          # quoted funds-rate anchor, percent
@@ -64,7 +64,7 @@ def _band_distance(value: float, band: tuple[float, float]) -> float:
 def anchor_bank_rate(rate_reading: str) -> float:
     """Anchor converted to a per-year bank-rate fraction."""
     if rate_reading == "libor":
-        return (ANCHOR_RATE_PCT + FUNDS_RATE_SPREAD) / 100.0
+        return funds_rate(ANCHOR_RATE_PCT) / 100.0
     if rate_reading == "bank":
         return ANCHOR_RATE_PCT / 100.0
     raise ValueError(f"unknown rate reading {rate_reading!r}")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime as dt
-import math
 import sys
 from pathlib import Path
 
@@ -23,6 +22,7 @@ from .bank_engine import (
     simulate_bank,
     write_bank_csv,
 )
+from .checks import finite_real
 from .din import (
     DinTerms,
     PremiumBase,
@@ -49,25 +49,28 @@ _FLAG_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False,
 def _finite(text: str) -> float:
     """argparse type of every float flag: a finite number."""
     try:
-        value = float(text)
+        return finite_real("value", float(text))
     except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}") from None
 
 
 def _non_negative(text: str) -> float:
     """argparse type of a rate or coverage flag: a finite number, not below 0."""
-    value = _finite(text)
-    if value < 0:
+    if (value := _finite(text)) < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
     return value
 
 
-def _finite_list(text: str) -> list[float]:
-    """argparse type of a comma-separated list of finite numbers."""
-    return [_finite(t) for t in text.split(",") if t]
+def _positive(text: str) -> float:
+    """argparse type of a leverage or capital flag: a finite number above 0."""
+    if (value := _finite(text)) <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    return value
+
+
+def _list_of(kind):
+    """argparse type of a comma-separated list, each entry typed by ``kind``."""
+    return lambda text: [kind(t) for t in text.split(",") if t]
 
 
 def _config_value(action: argparse.Action, text: str) -> object:
@@ -139,13 +142,12 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
                    help="shift the portfolio to this mean before simulating")
     p.add_argument("--no-compress", action="store_true",
                    help="skip pair compression in the synthesis pipeline")
-    p.add_argument("--moc", type=_finite, default=30.0, help="leverage multiple (default 30)")
+    p.add_argument("--moc", type=_positive, default=30.0, help="leverage multiple (default 30)")
     rate = p.add_mutually_exclusive_group()
     rate.add_argument("--libor", type=_finite, default=None,
                       help=f"interbank rate percent; bank pays +0.25 (default {DEFAULT_LIBOR_PCT})")
     rate.add_argument("--bank-rate", type=_non_negative, default=None,
                       help="bank funding rate percent, bypassing the spread")
-    p.add_argument("--capital", type=_finite, default=1.0)
     _add_terms_flags(p)
 
 
@@ -179,13 +181,13 @@ def _bank_rate_fraction(args: argparse.Namespace) -> float:
     return funds_rate(libor) / 100.0
 
 
-def _scenario_from(args: argparse.Namespace) -> ScenarioConfig:
+def _scenario_from(args: argparse.Namespace, capital: float) -> ScenarioConfig:
     return ScenarioConfig(
         portfolio=_portfolio_from(args),
         din_terms=_terms_from(args),
         bank_rate=_bank_rate_fraction(args),
         moc=args.moc,
-        original_capital=args.capital,
+        original_capital=capital,
     )
 
 
@@ -241,7 +243,7 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _scenario_from(args)
+    cfg = _scenario_from(args, args.capital)
     result = simulate_bank(cfg)
     write_bank_csv(args.ledger_out, result)
     print(f"portfolio={cfg.portfolio.label}")
@@ -254,7 +256,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_breakeven(args: argparse.Namespace) -> int:
-    cfg = _scenario_from(args)
+    cfg = _scenario_from(args, 1.0)  # every flow scales with capital, which moves the rate only by rounding
     rate = break_even_rate(cfg, args.lo / 100.0, args.hi / 100.0)
     if rate is None:
         print("breakeven_bank_rate_pct=none")
@@ -280,10 +282,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         shifted = shift_to_mean(compressed, target)
         shifted = dataclasses.replace(shifted, label=f"{target:.2f}x")
         for moc in mocs:
-            configs.append(ScenarioConfig(
-                portfolio=shifted, din_terms=terms, bank_rate=0.0, moc=moc,
-                original_capital=args.capital,
-            ))
+            configs.append(ScenarioConfig(portfolio=shifted, din_terms=terms, bank_rate=0.0, moc=moc))
 
     table = run_sweep(configs, grid, provenance={
         "config_digest": config_digest(configs, grid),
@@ -350,6 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run one bank scenario and write its ledger")
     _add_scenario_flags(p)
+    p.add_argument("--capital", type=_positive, default=1.0, help="original capital (default 1)")
     p.add_argument("--ledger-out", default="bank_ledger.csv")
     p.set_defaults(handler=_cmd_simulate)
 
@@ -361,10 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="rate-grid sweep with CSV and SVG reports")
     p.add_argument("--grid", default="0.53:7.50:0.25", help="lo:hi:step in percent")
-    p.add_argument("--mocs", type=_finite_list, default="30,43")
-    p.add_argument("--targets", type=_finite_list, default="1.10,1.31,1.50")
+    p.add_argument("--mocs", type=_list_of(_positive), default="30,43")
+    p.add_argument("--targets", type=_list_of(_finite), default="1.10,1.31,1.50")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--capital", type=_finite, default=1.0)
     p.add_argument("--out-dir", default=".")
     _add_terms_flags(p)
     p.set_defaults(handler=_cmd_sweep)

@@ -10,10 +10,9 @@ flows these terms produce are built in :mod:`bank_engine`.
 from __future__ import annotations
 
 import enum
-import math
-import numbers
 from dataclasses import dataclass
 
+from .checks import finite_real
 from .portfolio import ReturnPortfolio, clamp_loss, portfolio_stats
 
 
@@ -47,15 +46,7 @@ class DinTerms:
 
     def __post_init__(self) -> None:
         for name in ("coverage_fraction", "coverage_floor", "premium_rate", "payoff_year", "term_years"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        for name in ("payoff_year", "term_years"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            finite_real(name, getattr(self, name), integer=name in ("payoff_year", "term_years"))
         try:
             object.__setattr__(self, "premium_base", PremiumBase(self.premium_base))
         except ValueError:
@@ -72,12 +63,6 @@ class DinTerms:
         if self.premium_rate < 0:
             raise ValueError(f"premium_rate must be >= 0, got {self.premium_rate!r}")
 
-    def coverage_ratio(self) -> float:
-        """Working coverage as a multiple of the regulatory floor."""
-        if self.coverage_floor == 0:
-            raise ValueError("coverage_floor is zero; ratio undefined")
-        return self.coverage_fraction / self.coverage_floor
-
 
 @dataclass(frozen=True)
 class CoverageAssessment:
@@ -90,9 +75,7 @@ class CoverageAssessment:
 
 
 def _assess(p: ReturnPortfolio, floor: float, threshold: float, method: CoverageMethod) -> CoverageAssessment:
-    if not math.isfinite(floor):
-        raise ValueError(f"floor must be finite, got {floor!r}")
-    if floor < 0:
+    if finite_real("floor", floor) < 0:
         raise ValueError(f"floor must be >= 0, got {floor!r}")
     loss = max(0.0, clamp_loss(p, threshold))
     return CoverageAssessment(method, loss, floor + loss)

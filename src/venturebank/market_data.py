@@ -20,6 +20,8 @@ from importlib import resources
 from math import fsum
 from pathlib import Path
 
+from .checks import finite_real
+
 #: Spread (percentage points) the bank pays over the interbank rate.
 FUNDS_RATE_SPREAD = 0.25
 
@@ -63,6 +65,10 @@ class LiborSeries:
             if cur <= prev:
                 raise ValueError(f"dates must be strictly increasing; {cur} follows {prev}")
         for day, rate in zip(self.dates, self.rates):
+            try:
+                finite_real("rate", rate)
+            except ValueError as exc:
+                raise ValueError(f"{day}: {exc}") from None
             if not (RATE_MIN <= rate <= RATE_MAX):
                 raise ValueError(_out_of_range(day, rate))
 
@@ -177,7 +183,7 @@ def window_stats(series: LiborSeries, start: dt.date | None = None, end: dt.date
 
 def funds_rate(libor: float) -> float:
     """Bank funding rate in percent: the interbank rate plus the fixed spread."""
-    if libor < 0:
+    if finite_real("interbank rate", libor) < 0:
         raise ValueError(f"interbank rate must be >= 0, got {libor!r}")
     return libor + FUNDS_RATE_SPREAD
 

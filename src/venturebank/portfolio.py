@@ -11,11 +11,12 @@ coverage sizing.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from math import fsum
 from pathlib import Path
 from typing import Any
+
+from .checks import finite_real
 
 
 #: Bounds of a synthesized fund multiple.
@@ -35,6 +36,13 @@ class InfeasibleShiftError(ValueError):
     """A mean shift could not be satisfied with non-negative multiples."""
 
 
+def _multiple(value: float) -> float:
+    """``value`` if it is a fund multiple: a finite real number >= 0."""
+    if finite_real("multiple", value) < 0:
+        raise ValueError(f"multiple must be >= 0, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ReturnPortfolio:
     """Non-empty ordered collection of fund return multiples."""
@@ -47,11 +55,9 @@ class ReturnPortfolio:
             raise ValueError("portfolio must contain at least one fund")
         for i, m in enumerate(self.funds):
             try:
-                ok = math.isfinite(m) and m >= 0
-            except TypeError:
-                ok = False
-            if not ok:
-                raise ValueError(f"fund {i}: multiple must be a finite number >= 0, got {m!r}")
+                _multiple(m)
+            except ValueError as exc:
+                raise ValueError(f"fund {i}: {exc}") from None
 
     def __len__(self) -> int:
         return len(self.funds)
@@ -81,13 +87,7 @@ class KauffmanConstraints:
 
     def __post_init__(self) -> None:
         for name in ("n", "mean", "stddev", "sigma_clamp_loss", "breakeven_clamp_loss"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if not isinstance(self.n, numbers.Integral):
-            raise ValueError(f"n must be an integer, got {self.n!r}")
+            finite_real(name, getattr(self, name), integer=name == "n")
         if self.n < 3:
             raise ValueError(f"need at least 3 funds, got n={self.n!r}")
         if self.stddev < 0:
@@ -297,8 +297,8 @@ def shift_to_mean(p: ReturnPortfolio, target: float) -> ReturnPortfolio:
     until the mean is within 1e-9 of the target. With no flooring the
     spread is untouched.
     """
-    if not (math.isfinite(target) and target >= 0):
-        raise ValueError(f"target mean must be finite and >= 0, got {target!r}")
+    if finite_real("target mean", target) < 0:
+        raise ValueError(f"target mean must be >= 0, got {target!r}")
     n = len(p.funds)
     shift = target - fsum(p.funds) / n
     vals = [m + shift for m in p.funds]
@@ -350,9 +350,10 @@ def load_portfolio(path: str | Path) -> ReturnPortfolio:
             m = float(text)
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: non-numeric multiple {text!r}") from None
-        if not (math.isfinite(m) and m >= 0):
-            raise ValueError(f"{path}: line {lineno}: multiple must be a finite number >= 0, got {m!r}")
-        funds.append(m)
+        try:
+            funds.append(_multiple(m))
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: multiple must be a finite number >= 0, got {m!r}") from None
     try:
         return ReturnPortfolio(tuple(funds), path.stem)
     except ValueError as exc:

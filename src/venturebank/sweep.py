@@ -9,6 +9,7 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .bank_engine import ScenarioConfig, multiple_curve, scenario_flows, underwriter_returns
+from .checks import finite_real
 from .market_data import funds_rate
 
 
@@ -73,11 +74,9 @@ def parse_rate_grid(spec: str) -> list[float]:
     """
     try:
         lo_s, hi_s, step_s = spec.split(":")
-        lo, hi, step = float(lo_s), float(hi_s), float(step_s)
+        lo, hi, step = map(finite_real, ("lo", "hi", "step"), map(float, (lo_s, hi_s, step_s)))
     except ValueError as exc:
-        raise SweepError(f"bad grid {spec!r}; expected lo:hi:step") from exc
-    if not all(map(math.isfinite, (lo, hi, step))):
-        raise SweepError(f"bad grid {spec!r}; lo, hi and step must be finite")
+        raise SweepError(f"bad grid {spec!r}; expected lo:hi:step, each a finite number ({exc})") from exc
     if step <= 0 or not lo < hi:
         raise SweepError(f"bad grid {spec!r}; need lo < hi and step > 0")
     points = (hi - lo) / step + 1
@@ -99,12 +98,13 @@ def parse_rate_grid(spec: str) -> list[float]:
 def _validate_grid(grid: Sequence[float]) -> None:
     if not grid:
         raise SweepError("rate grid is empty")
-    for i, g in enumerate(grid):
-        if not math.isfinite(g):
-            raise SweepError(f"rate grid entry {i} must be finite, got {g!r}")
-    for a, b in zip(grid, list(grid)[1:]):
-        if b <= a:
-            raise SweepError("rate grid must be strictly ascending")
+    try:
+        for i, g in enumerate(grid):
+            finite_real(f"rate grid entry {i}", g)
+    except ValueError as exc:
+        raise SweepError(str(exc)) from None
+    if any(b <= a for a, b in zip(grid, list(grid)[1:])):
+        raise SweepError("rate grid must be strictly ascending")
     if grid[0] < 0 or grid[-1] > 50:
         raise SweepError("rate grid must lie within [0, 50] percent")
 

@@ -91,7 +91,8 @@ def test_criterion_02_portfolio_synthesis():
 
 
 def test_criterion_03_coverage_ratio():
-    ratio = DinTerms().coverage_ratio()
+    terms = DinTerms()
+    ratio = terms.coverage_fraction / terms.coverage_floor
     _criterion(3, "terms coverage ratio", abs(ratio - 1.347) <= 0.001, f"ratio {ratio:.4f}")
 
 

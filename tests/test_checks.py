@@ -1,0 +1,73 @@
+"""The finite-real rule, and every library boundary that applies it."""
+
+import datetime as dt
+import math
+import re
+from decimal import Decimal
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from venturebank.bank_engine import ScenarioConfig, break_even_rate
+from venturebank.checks import finite_real
+from venturebank.din import DinTerms, coverage_sigma_method
+from venturebank.market_data import LiborSeries, funds_rate
+from venturebank.portfolio import KauffmanConstraints, ReturnPortfolio, shift_to_mean
+from venturebank.sweep import SweepError, run_sweep
+
+PORTFOLIO = ReturnPortfolio((0.5, 1.5, 2.0), "p")
+CONFIG = ScenarioConfig(PORTFOLIO, DinTerms(), 0.02, 30)
+
+
+class TestFiniteReal:
+    @pytest.mark.parametrize("value", [0.0, -2.5, 3, True, Fraction(1, 3), np.float64(1.5), np.int64(2)])
+    def test_a_finite_real_is_returned_as_given(self, value):
+        assert finite_real("x", value) is value
+
+    @pytest.mark.parametrize("value", ["1", Decimal("1"), None, 1j, (1.0,)])
+    def test_a_non_real_is_named(self, value):
+        with pytest.raises(ValueError, match=f"^x must be a real number, got {re.escape(repr(value))}$"):
+            finite_real("x", value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    def test_a_non_finite_real_is_named(self, value):
+        with pytest.raises(ValueError, match=f"^x must be finite, got {re.escape(repr(value))}$"):
+            finite_real("x", value)
+
+    @pytest.mark.parametrize("value", [2.0, 2.5, Fraction(4, 2), np.float64(3.0)])
+    def test_integer_wants_an_integral_type(self, value):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {re.escape(repr(value))}$"):
+            finite_real("n", value, integer=True)
+
+    @pytest.mark.parametrize("value", [5, True, np.int64(7)])
+    def test_integer_accepts_integral_types(self, value):
+        assert finite_real("n", value, integer=True) is value
+
+
+# Each library boundary: how it is called with one bad value, and the field its error names.
+BOUNDARIES = {
+    "ReturnPortfolio fund": (lambda v: ReturnPortfolio((1.0, v)), "fund 1: multiple"),
+    "KauffmanConstraints": (lambda v: KauffmanConstraints(mean=v), "mean"),
+    "DinTerms": (lambda v: DinTerms(premium_rate=v), "premium_rate"),
+    "ScenarioConfig": (lambda v: ScenarioConfig(PORTFOLIO, DinTerms(), 0.02, v), "moc"),
+    "LiborSeries rate": (lambda v: LiborSeries((dt.date(2010, 1, 4), dt.date(2010, 1, 5)), (1.0, v)),
+                         "2010-01-05: rate"),
+    "shift_to_mean target": (lambda v: shift_to_mean(PORTFOLIO, v), "target mean"),
+    "coverage floor": (lambda v: coverage_sigma_method(PORTFOLIO, v), "floor"),
+    "funds_rate": (funds_rate, "interbank rate"),
+    "break_even_rate lo": (lambda v: break_even_rate(CONFIG, v, 0.075), "lo"),
+    "break_even_rate hi": (lambda v: break_even_rate(CONFIG, 0.005, v), "hi"),
+    "run_sweep grid": (lambda v: run_sweep([CONFIG], [1.0, v, 2.0]), "rate grid entry 1"),
+}
+
+
+@pytest.mark.parametrize("value, problem", [
+    ("1", "a real number"), (Decimal("1"), "a real number"), (math.nan, "finite"), (math.inf, "finite"),
+], ids=["str", "Decimal", "nan", "inf"])
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_every_boundary_rejects_a_bad_number_naming_the_field(boundary, value, problem):
+    call, field = BOUNDARIES[boundary]
+    error = SweepError if boundary == "run_sweep grid" else ValueError
+    with pytest.raises(error, match=f"^{re.escape(f'{field} must be {problem}, got {value!r}')}$"):
+        call(value)

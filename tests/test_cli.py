@@ -150,7 +150,6 @@ class TestSimulateAndBreakeven:
 
     @pytest.mark.parametrize("argv, message", [
         (["synth", "--n", "2"], "need at least 3 funds, got n=2"),
-        (["simulate", "--moc", "0"], "moc must be positive, got 0.0"),
     ])
     def test_out_of_domain_value_is_named(self, in_tmp, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -167,6 +166,18 @@ class TestSimulateAndBreakeven:
          "--coverage must be >= --coverage-floor, got --coverage 1 --coverage-floor 2 (percent)"),
     ])
     def test_percent_flag_out_of_domain_is_a_usage_error(self, in_tmp, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert not any(in_tmp.iterdir())
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--moc", "0"], "argument --moc: must be > 0, got '0'"),
+        (["simulate", "--capital", "-1"], "argument --capital: must be > 0, got '-1'"),
+        (["sweep", "--mocs", "30,0"], "argument --mocs: must be > 0, got '0'"),
+    ])
+    def test_leverage_or_capital_out_of_domain_is_a_usage_error(self, in_tmp, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
@@ -334,6 +345,18 @@ class TestConfigFile:
         assert code == 0
         assert "moc=43\n" in out
 
+    def test_capital_key_scales_the_simulate_ledger_only(self, in_tmp, capsys):
+        (in_tmp / "c.cfg").write_text("capital=2\n", encoding="utf-8")
+        assert run(capsys, "simulate", "--ledger-out", "one.csv")[0] == 0
+        assert run(capsys, "--config", "c.cfg", "simulate", "--ledger-out", "two.csv")[0] == 0
+        assert run(capsys, "simulate", "--capital", "2", "--ledger-out", "flag.csv")[0] == 0
+        assert (in_tmp / "two.csv").read_bytes() == (in_tmp / "flag.csv").read_bytes()
+        assert (in_tmp / "two.csv").read_bytes() != (in_tmp / "one.csv").read_bytes()
+        _, plain, _ = run(capsys, "breakeven")
+        code, configured, _ = run(capsys, "--config", "c.cfg", "breakeven")
+        assert code == 0
+        assert configured == plain
+
     def test_store_true_flag_from_file(self, in_tmp, capsys):
         (in_tmp / "c.cfg").write_text("no_compress=true\n", encoding="utf-8")
         _, compressed, _ = run(capsys, "simulate")
@@ -358,6 +381,12 @@ class TestExitCodes:
         code, _, err = run(capsys, command, "--surplus-rate", "1")
         assert code == 2
         assert "--surplus-rate" in err
+
+    @pytest.mark.parametrize("command", ["breakeven", "sweep"])
+    def test_capital_flag_only_on_simulate(self, capsys, command):
+        code, _, err = run(capsys, command, "--capital", "2")
+        assert code == 2
+        assert "--capital" in err
 
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] != 0

@@ -1,6 +1,7 @@
 """Rate CSV ingestion and window statistics."""
 
 import datetime as dt
+import math
 import statistics
 
 import pytest
@@ -163,7 +164,8 @@ class TestSeries:
 
     @pytest.mark.parametrize("bad", [-0.1, 50.5, float("nan")])
     def test_rate_outside_range_names_its_date(self, bad):
-        with pytest.raises(ValueError, match="on 2010-01-05 outside"):
+        message = "^2010-01-05: rate must be finite, got nan$" if math.isnan(bad) else "on 2010-01-05 outside"
+        with pytest.raises(ValueError, match=message):
             LiborSeries(self.DAYS, (1.0, bad))
 
 

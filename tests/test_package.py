@@ -15,7 +15,7 @@ import venturebank
 
 SRC = Path(venturebank.__file__).resolve().parents[1]
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
-MODULES = ("bank_engine", "calibrate", "cli", "din", "market_data", "portfolio", "report", "sweep")
+MODULES = ("bank_engine", "calibrate", "checks", "cli", "din", "market_data", "portfolio", "report", "sweep")
 
 
 def test_every_exported_name_resolves():
@@ -109,6 +109,16 @@ def test_no_module_imports_a_private_name_of_another():
                for alias in node.names
                if alias.name.startswith("_") and not alias.name.endswith("__")]
     assert not private
+
+
+def test_only_checks_imports_numbers():
+    """Whether a value is a real number is decided in one place, ``checks.finite_real``."""
+    package = SRC / "venturebank"
+    importers = sorted(path.name for path in package.glob("*.py")
+                       for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                       if (isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names))
+                       or (isinstance(node, ast.ImportFrom) and node.module == "numbers"))
+    assert importers == ["checks.py"]
 
 
 def test_version_matches_pyproject():

@@ -49,7 +49,7 @@ class TestStats:
 
     @pytest.mark.parametrize("bad", ["1.0", None, (1.0,)])
     def test_non_number_fund_names_its_index(self, bad):
-        with pytest.raises(ValueError, match=r"^fund 1: multiple must be a finite number >= 0"):
+        with pytest.raises(ValueError, match=f"^fund 1: multiple must be a real number, got {re.escape(repr(bad))}$"):
             ReturnPortfolio((1.0, bad))
 
 
