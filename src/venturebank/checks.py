@@ -4,6 +4,14 @@ import math
 import numbers
 
 
+class ElementError(ValueError):
+    """A record's element ``index`` is bad; a reader maps the index back to the line it read."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
 def finite_real(name: str, value, *, integer: bool = False):
     """``value`` if a finite real (integral with ``integer``; not ``str`` or ``Decimal``), else ``ValueError``."""
     # A float skips the ABC check, which costs about 20x the type test; this runs once per fund and grid rate.

@@ -69,8 +69,12 @@ def _positive(text: str) -> float:
 
 
 def _list_of(kind):
-    """argparse type of a comma-separated list, each entry typed by ``kind``."""
-    return lambda text: [kind(t) for t in text.split(",") if t]
+    """argparse type of a non-empty comma-separated list, each entry typed by ``kind``."""
+    def parse(text: str) -> list:
+        if not (values := [kind(t) for t in text.split(",") if t]):
+            raise argparse.ArgumentTypeError(f"expected at least one value, got {text!r}")
+        return values
+    return parse
 
 
 def _config_value(action: argparse.Action, text: str) -> object:
@@ -138,13 +142,13 @@ def _add_terms_flags(p: argparse.ArgumentParser) -> None:
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--portfolio", help="portfolio CSV; omitted = built-in synthesis pipeline")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--target-mean", type=_finite, default=None,
+    p.add_argument("--target-mean", type=_non_negative, default=None,
                    help="shift the portfolio to this mean before simulating")
     p.add_argument("--no-compress", action="store_true",
                    help="skip pair compression in the synthesis pipeline")
     p.add_argument("--moc", type=_positive, default=30.0, help="leverage multiple (default 30)")
     rate = p.add_mutually_exclusive_group()
-    rate.add_argument("--libor", type=_finite, default=None,
+    rate.add_argument("--libor", type=_non_negative, default=None,
                       help=f"interbank rate percent; bank pays +0.25 (default {DEFAULT_LIBOR_PCT})")
     rate.add_argument("--bank-rate", type=_non_negative, default=None,
                       help="bank funding rate percent, bypassing the spread")
@@ -270,18 +274,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from .sweep import config_digest, parse_rate_grid, run_sweep, write_sweep_csv, write_sweep_meta
 
     grid = parse_rate_grid(args.grid)
-    mocs, targets = args.mocs, args.targets
-    if not mocs or not targets:
-        raise ValueError("need at least one moc and one target mean")
-
     base = synthesize_kauffman(KauffmanConstraints(), args.seed)
     compressed = compress_pairs(base)
     terms = _terms_from(args)
     configs = []
-    for target in targets:
+    for target in args.targets:
         shifted = shift_to_mean(compressed, target)
         shifted = dataclasses.replace(shifted, label=f"{target:.2f}x")
-        for moc in mocs:
+        for moc in args.mocs:
             configs.append(ScenarioConfig(portfolio=shifted, din_terms=terms, bank_rate=0.0, moc=moc))
 
     table = run_sweep(configs, grid, provenance={
@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coverage", help="coverage sizing by both clamp methods")
     p.add_argument("--portfolio", required=True)
-    p.add_argument("--floor", type=_finite, default=2.88, help="coverage floor, percent")
+    p.add_argument("--floor", type=_non_negative, default=2.88, help="coverage floor, percent")
     p.set_defaults(handler=_cmd_coverage)
 
     p = sub.add_parser("simulate", help="run one bank scenario and write its ledger")
@@ -362,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="rate-grid sweep with CSV and SVG reports")
     p.add_argument("--grid", default="0.53:7.50:0.25", help="lo:hi:step in percent")
     p.add_argument("--mocs", type=_list_of(_positive), default="30,43")
-    p.add_argument("--targets", type=_list_of(_finite), default="1.10,1.31,1.50")
+    p.add_argument("--targets", type=_list_of(_non_negative), default="1.10,1.31,1.50")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out-dir", default=".")
     _add_terms_flags(p)

@@ -20,7 +20,7 @@ from importlib import resources
 from math import fsum
 from pathlib import Path
 
-from .checks import finite_real
+from .checks import ElementError, finite_real
 
 #: Spread (percentage points) the bank pays over the interbank rate.
 FUNDS_RATE_SPREAD = 0.25
@@ -50,7 +50,8 @@ class EmptyWindowError(ValueError):
 class LiborSeries:
     """Non-empty rate series: ``rates[i]`` was observed on ``dates[i]``.
 
-    Dates strictly increase; rates are on the 0-100 scale.
+    Dates strictly increase; rates are finite, on the 0-100 scale. A bad
+    observation raises ``checks.ElementError`` carrying its index.
     """
 
     dates: tuple[dt.date, ...]
@@ -61,16 +62,15 @@ class LiborSeries:
             raise ValueError("series must contain at least one observation")
         if len(self.rates) != len(self.dates):
             raise ValueError(f"series has {len(self.dates)} dates but {len(self.rates)} rates")
-        for prev, cur in zip(self.dates, self.dates[1:]):
-            if cur <= prev:
-                raise ValueError(f"dates must be strictly increasing; {cur} follows {prev}")
-        for day, rate in zip(self.dates, self.rates):
+        for i, (day, rate) in enumerate(zip(self.dates, self.rates)):
+            if i and day <= self.dates[i - 1]:
+                raise ElementError(i, f"dates must be strictly increasing; {day} follows {self.dates[i - 1]}")
             try:
                 finite_real("rate", rate)
             except ValueError as exc:
-                raise ValueError(f"{day}: {exc}") from None
-            if not (RATE_MIN <= rate <= RATE_MAX):
-                raise ValueError(_out_of_range(day, rate))
+                raise ElementError(i, f"{day}: {exc}") from None
+            if not RATE_MIN <= rate <= RATE_MAX:
+                raise ElementError(i, f"rate {rate!r} on {day} outside [{RATE_MIN}, {RATE_MAX}]")
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -90,10 +90,6 @@ class LiborSeries:
         return self.rates[lo:hi]
 
 
-def _out_of_range(day: dt.date, rate: float) -> str:
-    return f"rate {rate!r} on {day} outside [{RATE_MIN}, {RATE_MAX}]"
-
-
 @dataclass(frozen=True)
 class WindowStats:
     median: float
@@ -106,9 +102,10 @@ def load_libor_csv(path: str | Path) -> LiborSeries:
 
     The first line must be a header naming the date column and one value
     column. Rows whose value field is ``.`` are skipped (no observation
-    published for that date). Any other non-numeric value, an
-    unparseable date, or an out-of-order date raises
-    :class:`LiborLoadError` naming the offending line.
+    published for that date). Any other non-numeric value or an
+    unparseable date raises :class:`LiborLoadError` naming the offending
+    line, as does an observation :class:`LiborSeries` rejects (a date out
+    of order, a rate non-finite or outside [0, 50]).
     """
     path = Path(path)
     if not path.exists():
@@ -126,6 +123,7 @@ def load_libor_csv(path: str | Path) -> LiborSeries:
 
     dates: list[dt.date] = []
     rates: list[float] = []
+    linenos: list[int] = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -143,16 +141,16 @@ def load_libor_csv(path: str | Path) -> LiborSeries:
             rate = float(value_text)
         except ValueError as exc:
             raise LiborLoadError(f"{path}: line {lineno}: bad value {value_text!r}") from exc
-        if not (RATE_MIN <= rate <= RATE_MAX):
-            raise LiborLoadError(f"{path}: line {lineno}: {_out_of_range(day, rate)}")
-        if dates and day <= dates[-1]:
-            raise LiborLoadError(f"{path}: line {lineno}: date {day} not after previous {dates[-1]}")
         dates.append(day)
         rates.append(rate)
+        linenos.append(lineno)
 
     if not dates:
         raise LiborLoadError(f"{path}: no usable rows")
-    return LiborSeries(tuple(dates), tuple(rates))
+    try:
+        return LiborSeries(tuple(dates), tuple(rates))
+    except ElementError as exc:
+        raise LiborLoadError(f"{path}: line {linenos[exc.index]}: {exc}") from None
 
 
 def _median(rates: tuple[float, ...]) -> float:

@@ -16,7 +16,7 @@ from math import fsum
 from pathlib import Path
 from typing import Any
 
-from .checks import finite_real
+from .checks import ElementError, finite_real
 
 
 #: Bounds of a synthesized fund multiple.
@@ -36,16 +36,9 @@ class InfeasibleShiftError(ValueError):
     """A mean shift could not be satisfied with non-negative multiples."""
 
 
-def _multiple(value: float) -> float:
-    """``value`` if it is a fund multiple: a finite real number >= 0."""
-    if finite_real("multiple", value) < 0:
-        raise ValueError(f"multiple must be >= 0, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class ReturnPortfolio:
-    """Non-empty ordered collection of fund return multiples."""
+    """Non-empty ordered fund multiples, each finite and >= 0; a bad one raises ``checks.ElementError``."""
 
     funds: tuple[float, ...]
     label: str = ""
@@ -55,9 +48,10 @@ class ReturnPortfolio:
             raise ValueError("portfolio must contain at least one fund")
         for i, m in enumerate(self.funds):
             try:
-                _multiple(m)
+                if finite_real("multiple", m) < 0:
+                    raise ValueError(f"multiple must be >= 0, got {m!r}")
             except ValueError as exc:
-                raise ValueError(f"fund {i}: {exc}") from None
+                raise ElementError(i, f"fund {i}: {exc}") from None
 
     def __len__(self) -> int:
         return len(self.funds)
@@ -159,8 +153,10 @@ def synthesize_kauffman(constraints: KauffmanConstraints, seed: int, *,
     then sized to land the standard deviation.
 
     Raises :class:`CalibrationError` with the residuals when no feasible
-    construction exists.
+    construction exists, and ``ValueError`` unless ``seed`` is an integer >= 0.
     """
+    if finite_real("seed", seed, integer=True) < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
     import numpy as np
 
     c = constraints
@@ -347,14 +343,12 @@ def load_portfolio(path: str | Path) -> ReturnPortfolio:
     funds = []
     for lineno, text in rows[1:]:
         try:
-            m = float(text)
+            funds.append(float(text))
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: non-numeric multiple {text!r}") from None
-        try:
-            funds.append(_multiple(m))
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: multiple must be a finite number >= 0, got {m!r}") from None
     try:
         return ReturnPortfolio(tuple(funds), path.stem)
+    except ElementError as exc:
+        raise ValueError(f"{path}: line {rows[exc.index + 1][0]}: {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -95,18 +95,21 @@ def parse_rate_grid(spec: str) -> list[float]:
     return grid
 
 
-def _validate_grid(grid: Sequence[float]) -> None:
-    if not grid:
+def _funds_rates(grid: Sequence[float]) -> tuple[float, ...]:
+    """Each grid rate's funding rate as a ``float``, each entry checked once, by :func:`funds_rate`."""
+    if len(grid) == 0:
         raise SweepError("rate grid is empty")
-    try:
-        for i, g in enumerate(grid):
-            finite_real(f"rate grid entry {i}", g)
-    except ValueError as exc:
-        raise SweepError(str(exc)) from None
+    rates_pct = []
+    for i, g in enumerate(grid):
+        try:
+            rates_pct.append(float(funds_rate(g)))
+        except ValueError as exc:
+            raise SweepError(f"rate grid entry {i}: {exc}") from None
     if any(b <= a for a, b in zip(grid, list(grid)[1:])):
         raise SweepError("rate grid must be strictly ascending")
-    if grid[0] < 0 or grid[-1] > 50:
+    if grid[-1] > 50:
         raise SweepError("rate grid must lie within [0, 50] percent")
+    return tuple(rates_pct)
 
 
 def run_sweep(bases: Sequence[ScenarioConfig], rate_grid_pct: Sequence[float],
@@ -119,8 +122,7 @@ def run_sweep(bases: Sequence[ScenarioConfig], rate_grid_pct: Sequence[float],
     see the same funding cost. Each config's flows are built once and
     its whole grid is one call of each rate kernel.
     """
-    _validate_grid(rate_grid_pct)
-    rates_pct = tuple(funds_rate(g) for g in rate_grid_pct)
+    rates_pct = _funds_rates(rate_grid_pct)
     rates = [pct / 100.0 for pct in rates_pct]
     curves = []
     for cfg in bases:

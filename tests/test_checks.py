@@ -1,4 +1,4 @@
-"""The finite-real rule, and every library boundary that applies it."""
+"""The finite-real rule, and every library boundary that applies it once per value."""
 
 import datetime as dt
 import math
@@ -9,11 +9,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from venturebank import market_data, portfolio, sweep
 from venturebank.bank_engine import ScenarioConfig, break_even_rate
 from venturebank.checks import finite_real
 from venturebank.din import DinTerms, coverage_sigma_method
-from venturebank.market_data import LiborSeries, funds_rate
-from venturebank.portfolio import KauffmanConstraints, ReturnPortfolio, shift_to_mean
+from venturebank.market_data import LiborSeries, funds_rate, load_libor_csv
+from venturebank.portfolio import (
+    KauffmanConstraints,
+    ReturnPortfolio,
+    load_portfolio,
+    shift_to_mean,
+    synthesize_kauffman,
+)
 from venturebank.sweep import SweepError, run_sweep
 
 PORTFOLIO = ReturnPortfolio((0.5, 1.5, 2.0), "p")
@@ -58,7 +65,8 @@ BOUNDARIES = {
     "funds_rate": (funds_rate, "interbank rate"),
     "break_even_rate lo": (lambda v: break_even_rate(CONFIG, v, 0.075), "lo"),
     "break_even_rate hi": (lambda v: break_even_rate(CONFIG, 0.005, v), "hi"),
-    "run_sweep grid": (lambda v: run_sweep([CONFIG], [1.0, v, 2.0]), "rate grid entry 1"),
+    "run_sweep grid": (lambda v: run_sweep([CONFIG], [1.0, v, 2.0]), "rate grid entry 1: interbank rate"),
+    "synthesize_kauffman seed": (lambda v: synthesize_kauffman(KauffmanConstraints(), v), "seed"),
 }
 
 
@@ -71,3 +79,27 @@ def test_every_boundary_rejects_a_bad_number_naming_the_field(boundary, value, p
     error = SweepError if boundary == "run_sweep grid" else ValueError
     with pytest.raises(error, match=f"^{re.escape(f'{field} must be {problem}, got {value!r}')}$"):
         call(value)
+
+
+def test_each_grid_rate_row_and_fund_is_checked_once(monkeypatch, tmp_path):
+    calls = []
+
+    def counted(name, value, **kwargs):
+        calls.append(name)
+        return finite_real(name, value, **kwargs)
+
+    for module in (sweep, market_data, portfolio):
+        monkeypatch.setattr(module, "finite_real", counted)
+    grid = [0.5 + 0.25 * k for k in range(29)]
+    run_sweep([CONFIG], grid)
+    assert len(calls) == len(grid)
+
+    calls.clear()
+    (tmp_path / "p.csv").write_text("multiple\n" + "\n".join(map(repr, PORTFOLIO.funds)) + "\n", encoding="utf-8")
+    load_portfolio(tmp_path / "p.csv")
+    assert len(calls) == len(PORTFOLIO)
+
+    calls.clear()
+    (tmp_path / "r.csv").write_text("DATE,X\n2010-01-04,1.0\n2010-01-05,.\n2010-01-06,1.5\n", encoding="utf-8")
+    load_libor_csv(tmp_path / "r.csv")
+    assert len(calls) == 2

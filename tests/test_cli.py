@@ -137,9 +137,9 @@ class TestSimulateAndBreakeven:
     def test_negative_coverage_sizing_floor_rejected(self, in_tmp, capsys):
         assert run(capsys, "synth", "--out", "p.csv")[0] == 0
         code, out, err = run(capsys, "coverage", "--portfolio", "p.csv", "--floor", "-5")
-        assert code == 1
+        assert code == 2
         assert out == ""
-        assert err == "error: floor must be >= 0, got -5.0\n"
+        assert "argument --floor: must be >= 0, got '-5'" in err
 
     def test_non_finite_fund_rejected(self, in_tmp, capsys):
         (in_tmp / "inf.csv").write_text("multiple\n1.0\ninf\n", encoding="utf-8")
@@ -150,6 +150,7 @@ class TestSimulateAndBreakeven:
 
     @pytest.mark.parametrize("argv, message", [
         (["synth", "--n", "2"], "need at least 3 funds, got n=2"),
+        (["synth", "--seed", "-1"], "seed must be >= 0, got -1"),
     ])
     def test_out_of_domain_value_is_named(self, in_tmp, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -164,6 +165,7 @@ class TestSimulateAndBreakeven:
         (["sweep", "--coverage", "-0.5"], "argument --coverage: must be >= 0, got '-0.5'"),
         (["simulate", "--coverage", "1", "--coverage-floor", "2"],
          "--coverage must be >= --coverage-floor, got --coverage 1 --coverage-floor 2 (percent)"),
+        (["simulate", "--libor", "-1"], "argument --libor: must be >= 0, got '-1'"),
     ])
     def test_percent_flag_out_of_domain_is_a_usage_error(self, in_tmp, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -178,6 +180,20 @@ class TestSimulateAndBreakeven:
         (["sweep", "--mocs", "30,0"], "argument --mocs: must be > 0, got '0'"),
     ])
     def test_leverage_or_capital_out_of_domain_is_a_usage_error(self, in_tmp, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert not any(in_tmp.iterdir())
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--target-mean", "-1"], "argument --target-mean: must be >= 0, got '-1'"),
+        (["breakeven", "--target-mean", "-0.5"], "argument --target-mean: must be >= 0, got '-0.5'"),
+        (["sweep", "--targets", "1.31,-1"], "argument --targets: must be >= 0, got '-1'"),
+        (["sweep", "--mocs", ","], "argument --mocs: expected at least one value, got ','"),
+        (["sweep", "--targets", ""], "argument --targets: expected at least one value, got ''"),
+    ])
+    def test_target_mean_or_empty_list_is_a_usage_error(self, in_tmp, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
@@ -366,7 +382,8 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("line", ["moc=lots", "no_compress=maybe", "premium_base=weekly",
                                       "moc=inf", "bank_rate=nan", "mocs=30,nan",
-                                      "start=19960", "end=2016-02-30", "premium_rate=-1"])
+                                      "start=19960", "end=2016-02-30", "premium_rate=-1",
+                                      "libor=-1", "target_mean=-1", "targets=1.1,-1", "floor=-1", "mocs=,"])
     def test_bad_value_names_file_line_and_key(self, in_tmp, capsys, line):
         (in_tmp / "c.cfg").write_text("# comment\nseed=7\n" + line + "\n", encoding="utf-8")
         code, _, err = run(capsys, "--config", "c.cfg", "simulate")

@@ -53,6 +53,19 @@ class TestLoad:
         with pytest.raises(LiborLoadError, match="line 3"):
             load_libor_csv(path)
 
+    @pytest.mark.parametrize("row, problem", [
+        ("2016-01-05,nan", "2016-01-05: rate must be finite, got nan"),
+        ("2016-01-05,inf", "2016-01-05: rate must be finite, got inf"),
+        ("2016-01-05,-1", "rate -1.0 on 2016-01-05 outside [0.0, 50.0]"),
+        ("2016-01-05,55", "rate 55.0 on 2016-01-05 outside [0.0, 50.0]"),
+        ("2016-01-04,1.2", "dates must be strictly increasing; 2016-01-04 follows 2016-01-04"),
+    ], ids=["nan", "inf", "negative", "above-50", "repeated-date"])
+    def test_bad_observation_names_its_line(self, tmp_path, row, problem):
+        path = write_csv(tmp_path, f"DATE,X\n2016-01-04,1.0\n\n2016-01-04,.\n{row}\n2016-01-06,1.1\n")
+        with pytest.raises(LiborLoadError) as err:
+            load_libor_csv(path)
+        assert str(err.value) == f"{path}: line 5: {problem}"  # blank line 3 and missing-value line 4 count
+
     def test_header_required(self, tmp_path):
         path = write_csv(tmp_path, "2016-01-04,1.0\n")
         with pytest.raises(LiborLoadError, match="line 1"):

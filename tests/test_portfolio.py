@@ -54,6 +54,13 @@ class TestStats:
 
 
 class TestSynthesis:
+    @pytest.mark.parametrize("seed, problem", [
+        ("7", "a real number, got '7'"), (1.5, "an integer, got 1.5"), (-1, ">= 0, got -1"),
+    ])
+    def test_bad_seed_is_named(self, seed, problem):
+        with pytest.raises(ValueError, match=f"^seed must be {re.escape(problem)}$"):
+            synthesize_kauffman(KauffmanConstraints(stddev=0.0), seed)
+
     def test_headline_stats(self, kauffman99):
         stats = portfolio_stats(kauffman99)
         assert len(kauffman99) == 99
@@ -239,8 +246,9 @@ class TestSerialization:
 
     @pytest.mark.parametrize("row, problem", [
         ("abc", "non-numeric multiple 'abc'"),
-        ("nan", "multiple must be a finite number >= 0, got nan"),
-        ("-0.5", "multiple must be a finite number >= 0, got -0.5"),
+        ("nan", "fund 1: multiple must be finite, got nan"),
+        ("inf", "fund 1: multiple must be finite, got inf"),
+        ("-0.5", "fund 1: multiple must be >= 0, got -0.5"),
     ])
     def test_bad_row_names_its_line(self, tmp_path, row, problem):
         path = tmp_path / "bad.csv"

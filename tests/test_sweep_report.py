@@ -7,6 +7,7 @@ import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -133,8 +134,27 @@ class TestRunSweep:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_grid_rate_names_grid_and_index(self, anchor131, bad):
         cfg = ScenarioConfig(anchor131, DinTerms(), 0.0, 30)
-        with pytest.raises(SweepError, match=r"^rate grid entry 1 must be finite"):
+        with pytest.raises(SweepError, match=r"^rate grid entry 1: interbank rate must be finite"):
             run_sweep([cfg], [1.0, bad, 2.0])
+
+    @pytest.mark.parametrize("grid, message", [
+        ([1.0, 1.0, 2.0], "^rate grid must be strictly ascending$"),
+        ([1.0, 2.0, 1.5], "^rate grid must be strictly ascending$"),
+        ([1.0, 50.5], r"^rate grid must lie within \[0, 50\] percent$"),
+        ([-0.5, 1.0], "^rate grid entry 0: interbank rate must be >= 0, got -0.5$"),
+        (np.array([]), "^rate grid is empty$"),
+    ], ids=["duplicate", "descending", "above-50", "negative", "empty-ndarray"])
+    def test_bad_grid_rejected(self, anchor131, grid, message):
+        with pytest.raises(SweepError, match=message):
+            run_sweep([ScenarioConfig(anchor131, DinTerms(), 0.0, 30)], grid)
+
+    @pytest.mark.parametrize("grid", [(1.0, 2.0), range(1, 3), np.array([1.0, 2.0])],
+                             ids=["tuple", "range", "ndarray"])
+    def test_any_sequence_grid_writes_the_list_grid_bytes(self, anchor131, tmp_path, grid):
+        cfg = ScenarioConfig(anchor131, DinTerms(), 0.0, 30)
+        write_sweep_csv(tmp_path / "want.csv", run_sweep([cfg], [1.0, 2.0]))
+        write_sweep_csv(tmp_path / "got.csv", run_sweep([cfg], grid))
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_digest_covers_fund_values_under_one_label(self, anchor131):
         cfg = ScenarioConfig(anchor131, DinTerms(), 0.0, 30)
