@@ -68,6 +68,13 @@ def _positive(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type of every ``--seed``: an integer, not below 0."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _list_of(kind):
     """argparse type of a non-empty comma-separated list, each entry typed by ``kind``."""
     def parse(text: str) -> list:
@@ -141,17 +148,12 @@ def _add_terms_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--portfolio", help="portfolio CSV; omitted = built-in synthesis pipeline")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--target-mean", type=_non_negative, default=None,
                    help="shift the portfolio to this mean before simulating")
     p.add_argument("--no-compress", action="store_true",
                    help="skip pair compression in the synthesis pipeline")
     p.add_argument("--moc", type=_positive, default=30.0, help="leverage multiple (default 30)")
-    rate = p.add_mutually_exclusive_group()
-    rate.add_argument("--libor", type=_non_negative, default=None,
-                      help=f"interbank rate percent; bank pays +0.25 (default {DEFAULT_LIBOR_PCT})")
-    rate.add_argument("--bank-rate", type=_non_negative, default=None,
-                      help="bank funding rate percent, bypassing the spread")
     _add_terms_flags(p)
 
 
@@ -166,33 +168,25 @@ def _terms_from(args: argparse.Namespace) -> DinTerms:
     )
 
 
+def _reference_portfolio(seed: int, compress: bool = True):
+    """The synthesized reference portfolio, pair-compressed unless ``compress`` is false."""
+    p = synthesize_kauffman(KauffmanConstraints(), seed)
+    return compress_pairs(p) if compress else p
+
+
 def _portfolio_from(args: argparse.Namespace):
     if args.portfolio:
         p = load_portfolio(args.portfolio)
     else:
-        p = synthesize_kauffman(KauffmanConstraints(), args.seed)
-        if not args.no_compress:
-            p = compress_pairs(p)
+        p = _reference_portfolio(args.seed, not args.no_compress)
     if args.target_mean is not None:
         p = shift_to_mean(p, args.target_mean)
     return p
 
 
-def _bank_rate_fraction(args: argparse.Namespace) -> float:
-    if args.bank_rate is not None:
-        return args.bank_rate / 100.0
-    libor = args.libor if args.libor is not None else DEFAULT_LIBOR_PCT
-    return funds_rate(libor) / 100.0
-
-
-def _scenario_from(args: argparse.Namespace, capital: float) -> ScenarioConfig:
-    return ScenarioConfig(
-        portfolio=_portfolio_from(args),
-        din_terms=_terms_from(args),
-        bank_rate=_bank_rate_fraction(args),
-        moc=args.moc,
-        original_capital=capital,
-    )
+def _scenario_from(args: argparse.Namespace, bank_rate: float, capital: float) -> ScenarioConfig:
+    return ScenarioConfig(portfolio=_portfolio_from(args), din_terms=_terms_from(args),
+                          bank_rate=bank_rate, moc=args.moc, original_capital=capital)
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
@@ -247,7 +241,8 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _scenario_from(args, args.capital)
+    rate_pct = args.bank_rate if args.bank_rate is not None else funds_rate(args.libor)
+    cfg = _scenario_from(args, rate_pct / 100.0, args.capital)
     result = simulate_bank(cfg)
     write_bank_csv(args.ledger_out, result)
     print(f"portfolio={cfg.portfolio.label}")
@@ -260,7 +255,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_breakeven(args: argparse.Namespace) -> int:
-    cfg = _scenario_from(args, 1.0)  # every flow scales with capital, which moves the rate only by rounding
+    cfg = _scenario_from(args, 0.0, 1.0)  # the solver picks the rate; capital moves it only by rounding
     rate = break_even_rate(cfg, args.lo / 100.0, args.hi / 100.0)
     if rate is None:
         print("breakeven_bank_rate_pct=none")
@@ -274,8 +269,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from .sweep import config_digest, parse_rate_grid, run_sweep, write_sweep_csv, write_sweep_meta
 
     grid = parse_rate_grid(args.grid)
-    base = synthesize_kauffman(KauffmanConstraints(), args.seed)
-    compressed = compress_pairs(base)
+    compressed = _reference_portfolio(args.seed)
     terms = _terms_from(args)
     configs = []
     for target in args.targets:
@@ -284,16 +278,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for moc in args.mocs:
             configs.append(ScenarioConfig(portfolio=shifted, din_terms=terms, bank_rate=0.0, moc=moc))
 
-    table = run_sweep(configs, grid, provenance={
-        "config_digest": config_digest(configs, grid),
-        "seed": str(args.seed),
-        "generated_at": dt.datetime.now(dt.timezone.utc).isoformat(timespec="seconds"),
-    })
+    table = run_sweep(configs, grid)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_sweep_csv(out_dir / "sweep.csv", table)
-    write_sweep_meta(out_dir / "sweep.meta", table)
+    write_sweep_meta(out_dir / "sweep.meta", {
+        "config_digest": config_digest(configs, grid),
+        "seed": str(args.seed),
+        "generated_at": dt.datetime.now(dt.timezone.utc).isoformat(timespec="seconds"),
+    })
     emit_report(table, ReportKind.BANK_MULTIPLE, out_dir / "fig3.svg")
     emit_report(table, ReportKind.UNDERWRITER_RETURN, out_dir / "fig4.svg")
     for name in ("sweep.csv", "sweep.meta", "fig3.svg", "fig4.svg"):
@@ -304,8 +298,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     from .calibrate import run_calibration, write_calibration_report
 
-    base = synthesize_kauffman(KauffmanConstraints(), args.seed)
-    anchor = shift_to_mean(compress_pairs(base), 1.31)
+    anchor = shift_to_mean(_reference_portfolio(args.seed), 1.31)
     report = run_calibration(anchor)
     write_calibration_report(args.out, report)
     best = report.selected
@@ -332,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_ingest)
 
     p = sub.add_parser("synth", help="synthesize the reference portfolio")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--n", type=int, default=99)
     p.add_argument("--mean", type=_finite, default=1.31)
     p.add_argument("--stddev", type=_finite, default=1.116)
@@ -349,6 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run one bank scenario and write its ledger")
     _add_scenario_flags(p)
+    rate = p.add_mutually_exclusive_group()
+    rate.add_argument("--libor", type=_non_negative, default=DEFAULT_LIBOR_PCT,
+                      help=f"interbank rate percent; bank pays +0.25 (default {DEFAULT_LIBOR_PCT})")
+    rate.add_argument("--bank-rate", type=_non_negative, default=None,
+                      help="bank funding rate percent, bypassing the spread")
     p.add_argument("--capital", type=_positive, default=1.0, help="original capital (default 1)")
     p.add_argument("--ledger-out", default="bank_ledger.csv")
     p.set_defaults(handler=_cmd_simulate)
@@ -363,13 +361,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="0.53:7.50:0.25", help="lo:hi:step in percent")
     p.add_argument("--mocs", type=_list_of(_positive), default="30,43")
     p.add_argument("--targets", type=_list_of(_non_negative), default="1.10,1.31,1.50")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--out-dir", default=".")
     _add_terms_flags(p)
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("calibrate", help="score premium-base/rate-reading modes against anchors")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--out", default="calibration.txt")
     p.set_defaults(handler=_cmd_calibrate)
     return parser

@@ -41,7 +41,6 @@ class SweepTable:
 
     rates_pct: tuple[float, ...]
     curves: tuple[SweepCurve, ...]
-    provenance: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
         rates = self.rates_pct
@@ -112,8 +111,7 @@ def _funds_rates(grid: Sequence[float]) -> tuple[float, ...]:
     return tuple(rates_pct)
 
 
-def run_sweep(bases: Sequence[ScenarioConfig], rate_grid_pct: Sequence[float],
-              provenance: dict[str, str] | None = None) -> SweepTable:
+def run_sweep(bases: Sequence[ScenarioConfig], rate_grid_pct: Sequence[float]) -> SweepTable:
     """One curve per config over the whole grid.
 
     Grid rates are interbank percentages; each is converted to the bank
@@ -137,18 +135,17 @@ def run_sweep(bases: Sequence[ScenarioConfig], rate_grid_pct: Sequence[float],
             ) from exc
         curves.append(SweepCurve(cfg.portfolio.label, cfg.moc, tuple(multiples), tuple(returns)))
     curves.sort(key=lambda c: (c.label, c.moc))
-    prov = tuple(sorted((provenance or {}).items()))
-    return SweepTable(rates_pct, tuple(curves), prov)
+    return SweepTable(rates_pct, tuple(curves))
 
 
 def config_digest(bases: Sequence[ScenarioConfig], rate_grid_pct: Sequence[float]) -> str:
-    """Short sha256 of the package version and every input the sweep's rows depend on."""
+    """Short sha256 of the package version and every input the rows depend on, each grid rate as a float."""
     from . import __version__
 
     text = __version__ + "#" + ";".join(
         f"{cfg.portfolio.label}|{cfg.portfolio.funds!r}|{cfg.moc!r}|{cfg.original_capital!r}|"
         f"{cfg.din_terms}" for cfg in bases
-    ) + "#" + ",".join(repr(g) for g in rate_grid_pct)
+    ) + "#" + ",".join(repr(float(g)) for g in rate_grid_pct)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
@@ -177,6 +174,7 @@ def write_sweep_csv(path: str | Path, table: SweepTable) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_sweep_meta(path: str | Path, table: SweepTable) -> None:
-    lines = [f"{k}={v}" for k, v in table.provenance]
+def write_sweep_meta(path: str | Path, provenance: dict[str, str]) -> None:
+    """The sidecar of ``sweep.csv``: one ``key=value`` line per provenance entry, sorted by key."""
+    lines = [f"{k}={v}" for k, v in sorted(provenance.items())]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -1,5 +1,6 @@
 """Command-line behaviour: determinism, outputs, exit codes."""
 
+import argparse
 import hashlib
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import venturebank
-from venturebank.cli import run_cli
+from venturebank.cli import build_parser, run_cli
 
 
 @pytest.fixture(autouse=True)
@@ -150,13 +151,21 @@ class TestSimulateAndBreakeven:
 
     @pytest.mark.parametrize("argv, message", [
         (["synth", "--n", "2"], "need at least 3 funds, got n=2"),
-        (["synth", "--seed", "-1"], "seed must be >= 0, got -1"),
     ])
     def test_out_of_domain_value_is_named(self, in_tmp, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
         assert err == f"error: {message}\n"
+        assert not any(in_tmp.iterdir())
+
+    @pytest.mark.parametrize("command", ["synth", "simulate", "breakeven", "sweep", "calibrate"])
+    @pytest.mark.parametrize("text", ["-1", "1.5"])
+    def test_seed_out_of_domain_is_a_usage_error(self, in_tmp, capsys, command, text):
+        code, out, err = run(capsys, command, "--seed", text)
+        assert code == 2
+        assert out == ""
+        assert f"argument --seed: must be an integer >= 0, got {text!r}" in err
         assert not any(in_tmp.iterdir())
 
     @pytest.mark.parametrize("argv, message", [
@@ -264,6 +273,12 @@ class TestSweep:
         for name, digest in golden.items():
             assert hashlib.sha256((in_tmp / "out" / name).read_bytes()).hexdigest() == digest, name
 
+    def test_default_meta_digest_is_pinned(self, in_tmp, capsys):
+        assert run(capsys, "sweep", "--out-dir", "out")[0] == 0
+        meta = (in_tmp / "out" / "sweep.meta").read_text().splitlines()
+        assert [ln for ln in meta if not ln.startswith("generated_at=")] == [
+            "config_digest=663fe464ad4d9fb6", "seed=42"]
+
     def test_timestamp_lives_only_in_meta(self, in_tmp, capsys):
         run(capsys, "sweep", "--out-dir", "out")
         assert "generated_at=" in (in_tmp / "out" / "sweep.meta").read_text()
@@ -283,6 +298,87 @@ class TestSweep:
         assert code == 1
         assert "duplicate curve '1.10x' at moc 30" in err
         assert not (in_tmp / "out" / "sweep.csv").exists()
+
+
+def flags_of(command: str) -> list[str]:
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [a.option_strings[0] for a in sub.choices[command]._actions
+            if a.option_strings and a.dest != "help"]
+
+
+# One value other than the default for every flag of simulate, breakeven and sweep; None for a switch.
+NON_DEFAULT = {
+    "--portfolio": "../p.csv", "--seed": "7", "--target-mean": "1.5", "--no-compress": None,
+    "--moc": "43", "--libor": "3", "--bank-rate": "4", "--capital": "2", "--ledger-out": "other.csv",
+    "--coverage": "5.6", "--coverage-floor": "2", "--premium-rate": "4",
+    "--premium-base": "principal_upfront", "--payoff-year": "4", "--term-years": "9",
+    "--lo": "3", "--hi": "2", "--grid": "1:3:0.5", "--mocs": "30", "--targets": "1.31",
+    "--out-dir": "out",
+}
+FLOOR = "a bound, read only by the --coverage >= --coverage-floor check"
+SYNTHESIS = "only synthesis reads it, and --portfolio skips synthesis"
+# (command, flag, context, why the flag may leave every output as it is when run with context)
+UNREAD = [
+    ("simulate", "--coverage-floor", (), FLOOR),
+    ("breakeven", "--coverage-floor", (), FLOOR),
+    ("sweep", "--coverage-floor", (), FLOOR),
+    ("breakeven", "--moc", (), "the rate does not move with MOC; perfbench's reference commands pass it"),
+    ("simulate", "--seed", ("--portfolio", "../p.csv"), SYNTHESIS),
+    ("simulate", "--no-compress", ("--portfolio", "../p.csv"), SYNTHESIS),
+]
+READ = [(command, flag) for command in ("simulate", "breakeven", "sweep") for flag in flags_of(command)
+        if (command, flag, ()) not in {u[:3] for u in UNREAD}]
+
+
+class TestEveryFlagIsRead:
+    """Every flag of simulate, breakeven and sweep changes stdout or a written file."""
+
+    @staticmethod
+    def outputs(capsys, monkeypatch, where, argv):
+        """stdout and every file written by one run in the empty directory ``where``.
+
+        ``sweep.meta`` is left out: it records every flag's value, read or not.
+        """
+        where.mkdir()
+        monkeypatch.chdir(where)
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        return out, {f.relative_to(where): f.read_bytes() for f in sorted(where.rglob("*"))
+                     if f.is_file() and f.name != "sweep.meta"}
+
+    def with_and_without(self, in_tmp, capsys, monkeypatch, command, flag, context=()):
+        assert run(capsys, "synth", "--seed", "7", "--out", "p.csv")[0] == 0
+        value = NON_DEFAULT[flag]
+        given = [flag] if value is None else [flag, value]
+        return (self.outputs(capsys, monkeypatch, in_tmp / "with", [command, *context, *given]),
+                self.outputs(capsys, monkeypatch, in_tmp / "without", [command, *context]))
+
+    @pytest.mark.parametrize("command, flag", READ)
+    def test_flag_changes_an_output(self, in_tmp, capsys, monkeypatch, command, flag):
+        given, default = self.with_and_without(in_tmp, capsys, monkeypatch, command, flag)
+        assert given != default
+
+    @pytest.mark.parametrize("command, flag, context, reason", UNREAD,
+                             ids=[f"{u[0]}{' '.join(('', *u[2]))} {u[1]}" for u in UNREAD])
+    def test_allowlisted_flag_changes_nothing(self, in_tmp, capsys, monkeypatch,
+                                              command, flag, context, reason):
+        given, default = self.with_and_without(in_tmp, capsys, monkeypatch, command, flag, context)
+        assert given == default, reason
+
+    @pytest.mark.parametrize("flag", ["--libor", "--bank-rate"])
+    def test_rate_flags_are_not_breakeven_flags(self, capsys, flag):
+        code, out, err = run(capsys, "breakeven", flag, "3")
+        assert code == 2
+        assert out == ""
+        assert f"unrecognized arguments: {flag} 3" in err
+
+    def test_libor_config_key_still_moves_the_simulate_ledger(self, in_tmp, capsys):
+        (in_tmp / "c.cfg").write_text("libor=3\n", encoding="utf-8")
+        assert run(capsys, "simulate", "--ledger-out", "default.csv")[0] == 0
+        assert run(capsys, "--config", "c.cfg", "simulate", "--ledger-out", "file.csv")[0] == 0
+        assert run(capsys, "simulate", "--libor", "3", "--ledger-out", "flag.csv")[0] == 0
+        assert (in_tmp / "file.csv").read_bytes() == (in_tmp / "flag.csv").read_bytes()
+        assert (in_tmp / "file.csv").read_bytes() != (in_tmp / "default.csv").read_bytes()
 
 
 class TestStartup:
@@ -383,7 +479,8 @@ class TestConfigFile:
     @pytest.mark.parametrize("line", ["moc=lots", "no_compress=maybe", "premium_base=weekly",
                                       "moc=inf", "bank_rate=nan", "mocs=30,nan",
                                       "start=19960", "end=2016-02-30", "premium_rate=-1",
-                                      "libor=-1", "target_mean=-1", "targets=1.1,-1", "floor=-1", "mocs=,"])
+                                      "libor=-1", "target_mean=-1", "targets=1.1,-1", "floor=-1", "mocs=,",
+                                      "seed=-1"])
     def test_bad_value_names_file_line_and_key(self, in_tmp, capsys, line):
         (in_tmp / "c.cfg").write_text("# comment\nseed=7\n" + line + "\n", encoding="utf-8")
         code, _, err = run(capsys, "--config", "c.cfg", "simulate")

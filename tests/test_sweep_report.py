@@ -26,6 +26,7 @@ from venturebank.sweep import (
     parse_rate_grid,
     run_sweep,
     write_sweep_csv,
+    write_sweep_meta,
 )
 
 
@@ -163,6 +164,11 @@ class TestRunSweep:
                                            anchor131.label))
         assert config_digest([cfg], [1.82]) != config_digest([bumped], [1.82])
 
+    def test_digest_is_one_per_grid_whatever_its_sequence_type(self):
+        cfg = ScenarioConfig(ReturnPortfolio((1.0, 2.0), "a"), DinTerms(), 0.0, 30)
+        grids = ([1.0, 2.0], range(1, 3), np.array([1.0, 2.0]))
+        assert len({config_digest([cfg], g) for g in grids}) == 1
+
     def test_failing_scenario_names_the_culprit(self):
         bad_terms = DinTerms(coverage_fraction=0.0, coverage_floor=0.0)
         cfg = ScenarioConfig(ReturnPortfolio((1.2,), "badcase"), bad_terms, 0.0, 30)
@@ -171,6 +177,10 @@ class TestRunSweep:
 
 
 class TestSweepCsv:
+    def test_meta_writes_one_line_per_key_sorted(self, tmp_path):
+        write_sweep_meta(tmp_path / "sweep.meta", {"seed": "7", "config_digest": "x", "generated_at": "t"})
+        assert (tmp_path / "sweep.meta").read_bytes() == b"config_digest=x\ngenerated_at=t\nseed=7\n"
+
     def test_round_trip_is_value_identical(self, tmp_path, six_curve_table):
         path = tmp_path / "sweep.csv"
         write_sweep_csv(path, six_curve_table)
