@@ -84,12 +84,14 @@ def _list_of(kind):
     return parse
 
 
-def _config_value(action: argparse.Action, text: str) -> object:
+def _config_value(parser: argparse.ArgumentParser, action: argparse.Action, text: str) -> object:
+    """``text`` read as argparse reads the flag; ``ArgumentError`` carries argparse's reason."""
     if action.nargs == 0:  # store_true
+        if text.lower() not in _FLAG_WORDS:
+            raise argparse.ArgumentError(action, f"expected one of {', '.join(_FLAG_WORDS)}")
         return _FLAG_WORDS[text.lower()]
-    value = (action.type or str)(text)
-    if action.choices is not None and value not in action.choices:
-        raise ValueError(text)
+    value = parser._get_value(action, text)
+    parser._check_value(action, value)
     return value
 
 
@@ -115,9 +117,10 @@ def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
         if key not in actions:
             raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
         try:
-            values[key] = _config_value(actions[key], text)
-        except (KeyError, ValueError, argparse.ArgumentTypeError):
-            raise ValueError(f"{path}: line {lineno}: bad value {text!r} for key {key!r}") from None
+            values[key] = _config_value(parser, actions[key], text)
+        except argparse.ArgumentError as exc:
+            raise ValueError(f"{path}: line {lineno}: bad value {text!r} for key {key!r}: "
+                             f"{exc.message}") from None
     for sp in subparsers:
         known = {a.dest for a in sp._actions}
         sp.set_defaults(**{k: v for k, v in values.items() if k in known})

@@ -115,15 +115,18 @@ def _svg_chart(xs: tuple[float, ...], series: dict[str, tuple[float, ...]], titl
     parts.append(f'<text x="{MARGIN_L + plot_w - 4}" y="{ry - 6:.1f}" '
                  f'text-anchor="end" fill="#333">{_escape(ref_label)}</text>')
 
-    # Each x pixel is formatted once and shared by every curve; py is inlined.
-    x_fields = [f"{px(x):.2f}," for x in xs]
+    # px and py run once per series as array expressions, in the float64 operations of one
+    # value; each curve fills a template of the formatted x pixels in one % call.
+    import numpy as np
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        points = " ".join([f"{x:.2f},%.2f" for x in px(np.asarray(xs, dtype=float)).tolist()])
+        ys_px = [py(np.asarray(ys, dtype=float)).tolist() for ys in series.values()]
     legend_y = MARGIN_T + 10
-    for i, (name, ys) in enumerate(series.items()):
+    for i, (name, y_fields) in enumerate(zip(series, ys_px)):
         color = PALETTE[i % len(PALETTE)]
-        coords = " ".join([f"{x}{MARGIN_T + (y_hi - y) / y_span * plot_h:.2f}"
-                           for x, y in zip(x_fields, ys)])
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="2" '
-                     f'points="{coords}"/>')
+                     f'points="{points % tuple(y_fields)}"/>')
         lx = MARGIN_L + plot_w + 14
         parts.append(f'<line x1="{lx}" y1="{legend_y}" x2="{lx + 22}" y2="{legend_y}" '
                      f'stroke="{color}" stroke-width="3"/>')

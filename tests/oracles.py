@@ -13,18 +13,36 @@ ledger at one bank rate. ``din_payout`` is the earlier scalar payout on
 one fund. Tests compare ``bank_engine.simulate_bank``,
 ``bank_engine.multiple_curve`` and ``bank_engine.underwriter_returns``
 with them by ``repr``, and ``bank_engine.scenario_flows`` with the loops
-and the payout here.
+and the payout here. ``chart_svg`` is the earlier chart writer, which
+computes and formats each polyline point on its own; tests compare
+``report.emit_report``'s bytes with it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from math import fsum
 
 from venturebank.bank_engine import ScenarioConfig, UnderwriterError
 from venturebank.din import DinTerms, PremiumBase
 from venturebank.portfolio import ReturnPortfolio
+from venturebank.report import (
+    _CHARTS,
+    HEIGHT,
+    MARGIN_B,
+    MARGIN_L,
+    MARGIN_R,
+    MARGIN_T,
+    PALETTE,
+    WIDTH,
+    ReportKind,
+    _escape,
+    _series_for,
+    _ticks,
+)
+from venturebank.sweep import SweepTable
 
 
 def din_payout(principal: float, multiple: float, terms: DinTerms) -> float:
@@ -230,3 +248,76 @@ def underwriter_ledger(p: ReturnPortfolio, terms: DinTerms, bank_rate: float,
     )
     gross = (fsum(premiums) - fsum(payouts) - fsum(carry)) / face_total
     return UnderwriterResult(yearly, gross)
+
+
+def chart_svg(table: SweepTable, kind: ReportKind) -> str:
+    """The SVG ``emit_report(table, kind, ...)`` writes, one point at a time."""
+    title, y_label, ref_y, ref_label = _CHARTS[kind]
+    x_label = "bank funding rate (%)"
+    xs, series = table.rates_pct, _series_for(table, kind)
+    x_lo, x_hi = xs[0], xs[-1]
+    y_lo = min(chain(*series.values(), (ref_y,)))
+    y_hi = max(chain(*series.values(), (ref_y,)))
+    pad = 0.05 * (y_hi - y_lo or 1.0)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+
+    plot_w = WIDTH - MARGIN_L - MARGIN_R
+    plot_h = HEIGHT - MARGIN_T - MARGIN_B
+
+    def px(x: float) -> float:
+        return MARGIN_L + (x - x_lo) / (x_hi - x_lo or 1.0) * plot_w
+
+    y_span = y_hi - y_lo or 1.0
+
+    def py(y: float) -> float:
+        return MARGIN_T + (y_hi - y) / y_span * plot_h
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {WIDTH} {HEIGHT}" '
+        f'font-family="Helvetica, Arial, sans-serif" font-size="13">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<text x="{MARGIN_L}" y="24" font-size="17" font-weight="bold">{_escape(title)}</text>',
+        f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" height="{plot_h}" '
+        f'fill="none" stroke="#444"/>',
+    ]
+
+    for t in _ticks(x_lo, x_hi):
+        x = px(t)
+        parts.append(f'<line x1="{x:.1f}" y1="{MARGIN_T + plot_h}" x2="{x:.1f}" '
+                     f'y2="{MARGIN_T + plot_h + 5}" stroke="#444"/>')
+        parts.append(f'<text x="{x:.1f}" y="{MARGIN_T + plot_h + 20}" '
+                     f'text-anchor="middle">{t:.2f}</text>')
+    for t in _ticks(y_lo, y_hi):
+        y = py(t)
+        parts.append(f'<line x1="{MARGIN_L - 5}" y1="{y:.1f}" x2="{MARGIN_L}" '
+                     f'y2="{y:.1f}" stroke="#444"/>')
+        parts.append(f'<text x="{MARGIN_L - 9}" y="{y + 4:.1f}" '
+                     f'text-anchor="end">{t:.2f}</text>')
+
+    parts.append(f'<text x="{MARGIN_L + plot_w / 2:.1f}" y="{HEIGHT - 12}" '
+                 f'text-anchor="middle">{_escape(x_label)}</text>')
+    parts.append(f'<text x="18" y="{MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '
+                 f'transform="rotate(-90 18 {MARGIN_T + plot_h / 2:.1f})">{_escape(y_label)}</text>')
+
+    ry = py(ref_y)
+    parts.append(f'<line class="refline" x1="{MARGIN_L}" y1="{ry:.1f}" '
+                 f'x2="{MARGIN_L + plot_w}" y2="{ry:.1f}" stroke="#333" '
+                 f'stroke-dasharray="7 5" stroke-width="1.5"/>')
+    parts.append(f'<text x="{MARGIN_L + plot_w - 4}" y="{ry - 6:.1f}" '
+                 f'text-anchor="end" fill="#333">{_escape(ref_label)}</text>')
+
+    legend_y = MARGIN_T + 10
+    for i, (name, ys) in enumerate(series.items()):
+        color = PALETTE[i % len(PALETTE)]
+        coords = " ".join(f"{px(x):.2f},{MARGIN_T + (y_hi - y) / y_span * plot_h:.2f}"
+                          for x, y in zip(xs, ys))
+        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="2" '
+                     f'points="{coords}"/>')
+        lx = MARGIN_L + plot_w + 14
+        parts.append(f'<line x1="{lx}" y1="{legend_y}" x2="{lx + 22}" y2="{legend_y}" '
+                     f'stroke="{color}" stroke-width="3"/>')
+        parts.append(f'<text x="{lx + 28}" y="{legend_y + 4}">{_escape(name)}</text>')
+        legend_y += 20
+
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

@@ -11,6 +11,7 @@ import pytest
 
 import venturebank
 from venturebank.cli import build_parser, run_cli
+from venturebank.din import PremiumBase
 
 
 @pytest.fixture(autouse=True)
@@ -412,6 +413,29 @@ class TestStartup:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
 
+    def test_report_loads_numpy_only_when_it_draws(self, in_tmp):
+        """Importing ``report``, or refusing an empty table, loads no numpy and writes no file."""
+        script = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "from venturebank.report import ReportKind, emit_report\n"
+            "from venturebank.sweep import SweepTable\n"
+            "assert 'numpy' not in sys.modules, 'import'\n"
+            "try:\n"
+            "    emit_report(SweepTable((), ()), ReportKind.BANK_MULTIPLE, 'out/fig3.svg')\n"
+            "except ValueError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise AssertionError('empty table drawn')\n"
+            "assert not Path('out').exists(), 'file created'\n"
+            "assert 'numpy' not in sys.modules, 'empty table'\n"
+        )
+        src = str(Path(venturebank.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], cwd=in_tmp,
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestCalibrate:
     def test_report_lists_every_mode(self, in_tmp, capsys):
@@ -487,6 +511,12 @@ class TestConfigFile:
         assert code == 2
         key = line.split("=")[0]
         assert "c.cfg" in err and "line 3" in err and repr(key) in err
+        # The reason the flag itself would give, or the allowed values of a choice flag.
+        reasons = {"seed=-1": ["must be an integer >= 0, got '-1'"],
+                   "moc=lots": ["expected a finite number, got 'lots'"],
+                   "premium_base=weekly": [b.value for b in PremiumBase]}
+        for reason in reasons.get(line, []):
+            assert f"for key {key!r}: " in err and reason in err
 
 
 class TestExitCodes:

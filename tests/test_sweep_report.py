@@ -4,10 +4,12 @@ import csv
 import dataclasses
 import math
 import tempfile
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,16 @@ from venturebank.bank_engine import ScenarioConfig
 from venturebank.din import DinTerms
 from venturebank.market_data import funds_rate
 from venturebank.portfolio import ReturnPortfolio, shift_to_mean
-from venturebank.report import ReportKind, emit_report
+from venturebank.report import (
+    HEIGHT,
+    MARGIN_B,
+    MARGIN_L,
+    MARGIN_R,
+    MARGIN_T,
+    WIDTH,
+    ReportKind,
+    emit_report,
+)
 from venturebank.sweep import (
     CSV_HEADER,
     SweepCurve,
@@ -28,6 +39,14 @@ from venturebank.sweep import (
     write_sweep_csv,
     write_sweep_meta,
 )
+
+
+# With rates spanning [0, 22] and values [0, 20] (padded to [-1, 21]),
+# these put a pixel on an odd multiple of 1/8, a tie of "%.2f": one
+# rounding more or less in px or py there flips a printed digit.
+PLOT_W, PLOT_H = WIDTH - MARGIN_L - MARGIN_R, HEIGHT - MARGIN_T - MARGIN_B
+X_TIES = [k / 8 / PLOT_W * 22.0 for k in range(1, 8 * PLOT_W, 2)]
+Y_TIES = [y for k in range(1, 8 * PLOT_H, 2) if 0.0 < (y := 21.0 - k / 8 / PLOT_H * 22.0) < 20.0]
 
 
 @pytest.fixture(scope="module")
@@ -286,6 +305,39 @@ class TestReports:
             out = emit_report(table, kind, tmp_path / f"{kind.value}.svg")
             texts = [t.text for t in ET.parse(out).iter("{http://www.w3.org/2000/svg}text")]
             assert any("a<b&c" in t for t in texts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_chart_bytes_match_per_point_oracle(self, data):
+        """Both charts match the per-point writer byte for byte, with no numpy warning."""
+        ties = data.draw(st.booleans())
+        if ties:
+            rates = sorted({0.0, 22.0, *data.draw(st.lists(st.sampled_from(X_TIES), max_size=28))})
+            values = st.sampled_from(Y_TIES)
+        else:
+            extreme = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 1e300, -1e300])
+            finite = st.floats(allow_nan=False, allow_infinity=False)
+            values = st.one_of(extreme, st.floats(-10.0, 10.0), finite)
+            rates = sorted(data.draw(st.lists(values, min_size=1, max_size=30, unique=True)))
+        labels = st.text(st.sampled_from('ab1 <&>"'), min_size=1, max_size=5)
+        keys = data.draw(st.sets(st.tuples(labels, st.sampled_from([30.0, 43.0])),
+                                 min_size=1, max_size=4))
+
+        def column():
+            if ties:
+                return (0.0, *data.draw(st.lists(values, min_size=len(rates) - 2,
+                                                 max_size=len(rates) - 2)), 20.0)
+            if data.draw(st.booleans()):  # a flat series
+                return (data.draw(values),) * len(rates)
+            return tuple(data.draw(st.lists(values, min_size=len(rates), max_size=len(rates))))
+
+        table = SweepTable(tuple(rates), tuple(SweepCurve(label, moc, column(), column())
+                                               for label, moc in sorted(keys)))
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kind in ReportKind:
+                out = emit_report(table, kind, Path(tmp) / f"{kind.value}.svg")
+                assert out.read_bytes() == oracles.chart_svg(table, kind).encode("utf-8")
 
     def test_empty_table_creates_no_file(self, tmp_path):
         empty = SweepTable((), ())
