@@ -185,13 +185,14 @@ def _final_multiple(cfg: ScenarioConfig, flows: Flows, rate):
 
 
 def _rate_array(rates: Sequence[float]):
-    """``rates`` as a numpy float array, each checked to be >= 0."""
+    """``rates`` as a numpy float array, each checked to be finite and >= 0; the first bad one is named."""
     import numpy as np
 
     rates = np.asarray(rates, dtype=float)
-    ok = rates >= 0
+    ok = (rates >= 0) & (rates < math.inf)
     if not ok.all():
-        raise ValueError(f"bank_rate must be >= 0, got {rates[ok.argmin()].item()!r}")
+        bad = finite_real("bank_rate", rates[ok.argmin()].item())
+        raise ValueError(f"bank_rate must be >= 0, got {bad!r}")
     return rates
 
 
@@ -212,6 +213,38 @@ def multiple_curve(cfg: ScenarioConfig, flows: Flows, rates: Sequence[float]) ->
     return multiples.tolist()
 
 
+def _two_sum(a, b):
+    """``(a + b, e)`` with ``a + b + e`` exactly the sum of ``a`` and ``b`` (Knuth's TwoSum)."""
+    s = a + b
+    b_part = s - a
+    return s, (a - (s - b_part)) + (b - b_part)
+
+
+def _row_sums(matrix):
+    """``math.fsum`` of each row of the 2-D array ``matrix`` (all values >= 0), bitwise, as a numpy array.
+
+    A TwoSum cascade over the columns (Ogita, Rump & Oishi, "Accurate sum and dot product",
+    2005) gives each row's rounded sum ``s`` and the total ``t`` of its rounding errors; a
+    second TwoSum adds ``t`` up and keeps ``slack``, the sum of its own errors' sizes. Where
+    ``slack`` is 0, ``t`` is exact and ``s + t`` is the exact row sum rounded once, as
+    ``fsum`` rounds it, half-ulp ties included. Elsewhere the exact sum is within ``slack``
+    of ``s + t``, so the rounding can differ only within ``2 * slack`` of a half-ulp tie, or
+    at a power of two, where the ulp changes; ``fsum`` sums those rows.
+    """
+    import numpy as np
+
+    s, t, slack = np.zeros(len(matrix)), np.zeros(len(matrix)), np.zeros(len(matrix))
+    for column in matrix.T:
+        s, e = _two_sum(s, column)
+        t, f = _two_sum(t, e)
+        slack = slack + abs(f)
+    sums, d = _two_sum(s, t)  # the exact s + t is sums + d
+    doubtful = (slack > 0) & ((np.spacing(sums) / 2 - abs(d) < 2 * slack) | (np.frexp(sums)[0] == 0.5))
+    for i in np.flatnonzero(doubtful).tolist():
+        sums[i] = fsum(matrix[i].tolist())
+    return sums
+
+
 def underwriter_returns(terms: DinTerms, flows: Flows, bank_rates: Sequence[float]) -> list[float]:
     """Underwriter gross return at each of a sequence of bank rates; break-even at 0.
 
@@ -219,8 +252,10 @@ def underwriter_returns(terms: DinTerms, flows: Flows, bank_rates: Sequence[floa
     :func:`scenario_flows`). Payouts land at the payoff year and then
     accrue compound carry cost at the bank rate (a per-year fraction)
     through the end of the term. The gross return nets premiums against
-    payouts and carry, per unit of total insured face; each rate's carry
-    is summed exactly with ``math.fsum``.
+    payouts and carry, per unit of total insured face. Each rate's carry
+    is summed exactly by :func:`_row_sums`, all rates in one numpy pass,
+    bitwise as ``math.fsum`` sums it. A return that is not finite raises
+    :class:`UnderwriterError` naming the first such rate.
     """
     import numpy as np
 
@@ -228,13 +263,18 @@ def underwriter_returns(terms: DinTerms, flows: Flows, bank_rates: Sequence[floa
     if flows.face_total <= 0:
         raise UnderwriterError("total insured face is zero; gross return undefined")
 
-    carry = np.zeros((len(rates), terms.term_years - terms.payoff_year))
+    carry = np.zeros((len(rates), terms.term_years - terms.payoff_year), order="F")
     outstanding = np.full(rates.shape, flows.receipts[terms.payoff_year])
-    for col in range(carry.shape[1]):
-        carry[:, col] = outstanding * rates
-        outstanding = outstanding + carry[:, col]
     net = fsum(flows.premiums) - fsum(flows.receipts)
-    return [(net - fsum(row)) / flows.face_total for row in carry.tolist()]
+    with np.errstate(over="ignore", invalid="ignore"):  # a return that is not finite is reported below
+        for col in range(carry.shape[1]):
+            carry[:, col] = outstanding * rates
+            outstanding = outstanding + carry[:, col]
+        returns = (net - _row_sums(carry)) / flows.face_total
+    finite = np.isfinite(returns)
+    if not finite.all():
+        raise UnderwriterError(f"gross return not finite at bank rate {rates[finite.argmin()].item()!r}")
+    return returns.tolist()
 
 
 def _scan_crossings(margins: list[float]) -> list[int]:

@@ -95,8 +95,8 @@ def _config_value(parser: argparse.ArgumentParser, action: argparse.Action, text
     return value
 
 
-def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
-    """Preload subcommand flag defaults from a flat key=value file.
+def _apply_config(parser: argparse.ArgumentParser, path: str) -> dict[str, str]:
+    """Preload subcommand flag defaults from a flat key=value file; return where each key was set.
 
     Keys are the subcommands' long flag names; each value is typed by the
     ``type`` and ``choices`` of the argparse action with that ``dest``.
@@ -106,6 +106,7 @@ def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
     actions = {a.dest: a for sp in subparsers for a in sp._actions
                if a.option_strings and a.dest != "help"}
     values: dict[str, object] = {}
+    lines: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -117,13 +118,14 @@ def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
         if key not in actions:
             raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
         try:
-            values[key] = _config_value(parser, actions[key], text)
+            values[key], lines[key] = _config_value(parser, actions[key], text), f"{path}: line {lineno}"
         except argparse.ArgumentError as exc:
             raise ValueError(f"{path}: line {lineno}: bad value {text!r} for key {key!r}: "
                              f"{exc.message}") from None
     for sp in subparsers:
         known = {a.dest for a in sp._actions}
         sp.set_defaults(**{k: v for k, v in values.items() if k in known})
+    return lines
 
 
 def _parse_date(text: str, end_of_year: bool) -> dt.date:
@@ -151,10 +153,10 @@ def _add_terms_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--portfolio", help="portfolio CSV; omitted = built-in synthesis pipeline")
-    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=None)  # None: DEFAULT_SEED, and not typed
     p.add_argument("--target-mean", type=_non_negative, default=None,
                    help="shift the portfolio to this mean before simulating")
-    p.add_argument("--no-compress", action="store_true",
+    p.add_argument("--no-compress", action="store_true", default=None,
                    help="skip pair compression in the synthesis pipeline")
     p.add_argument("--moc", type=_positive, default=30.0, help="leverage multiple (default 30)")
     _add_terms_flags(p)
@@ -181,7 +183,7 @@ def _portfolio_from(args: argparse.Namespace):
     if args.portfolio:
         p = load_portfolio(args.portfolio)
     else:
-        p = _reference_portfolio(args.seed, not args.no_compress)
+        p = _reference_portfolio(DEFAULT_SEED if args.seed is None else args.seed, not args.no_compress)
     if args.target_mean is not None:
         p = shift_to_mean(p, args.target_mean)
     return p
@@ -380,11 +382,17 @@ def run_cli(argv: list[str]) -> int:
     """Parse and dispatch; exit status 0 on success, nonzero with a diagnostic."""
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.config:
-            # File values become subcommand defaults, so explicit flags still win.
-            _apply_config(parser, args.config)
+        args = flags = parser.parse_args(argv)
+        keys = _apply_config(parser, args.config) if args.config else {}
+        if keys:  # file values become subcommand defaults, so explicit flags still win
             args = parser.parse_args(argv)
+        if args.command in ("simulate", "breakeven") and args.portfolio:  # only synthesis reads these
+            for key, flag in (("seed", "--seed"), ("no_compress", "--no-compress")):
+                if getattr(flags, key) is not None:
+                    raise ValueError(f"--portfolio and {flag} cannot be combined: only synthesis reads {flag}")
+                if key in keys:
+                    raise ValueError(f"{keys[key]}: key {key!r} cannot be combined with --portfolio: "
+                                     f"only synthesis reads it")
         if args.command == "breakeven" and not 0 <= args.lo < args.hi:  # flags or config file
             raise ValueError(f"--lo/--hi must satisfy 0 <= --lo < --hi, "
                              f"got --lo {args.lo:g} --hi {args.hi:g} (percent)")

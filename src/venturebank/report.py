@@ -7,6 +7,7 @@ outputs are diffable and render anywhere.
 from __future__ import annotations
 
 import enum
+import math
 from itertools import chain
 from pathlib import Path
 
@@ -63,12 +64,15 @@ def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
 
 def _svg_chart(xs: tuple[float, ...], series: dict[str, tuple[float, ...]], title: str,
                x_label: str, y_label: str, ref_y: float, ref_label: str) -> str:
-    """Every series has one y per x of the ascending ``xs``."""
+    """Every series has one y per x of the ascending ``xs``; an axis whose (padded) span overflows raises."""
     x_lo, x_hi = xs[0], xs[-1]
-    y_lo = min(chain(*series.values(), (ref_y,)))
-    y_hi = max(chain(*series.values(), (ref_y,)))
-    pad = 0.05 * (y_hi - y_lo or 1.0)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
+    y_min = min(chain(*series.values(), (ref_y,)))
+    y_max = max(chain(*series.values(), (ref_y,)))
+    pad = 0.05 * (y_max - y_min or 1.0)
+    y_lo, y_hi = y_min - pad, y_max + pad
+    for axis, lo, hi, span in (("x", x_lo, x_hi, x_hi - x_lo), ("y", y_min, y_max, y_hi - y_lo)):
+        if not math.isfinite(span):  # the pixels would be nan
+            raise ValueError(f"cannot chart the {axis} axis: values from {lo!r} to {hi!r} overflow its span")
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B

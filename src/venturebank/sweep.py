@@ -118,10 +118,13 @@ def run_sweep(bases: Sequence[ScenarioConfig], rate_grid_pct: Sequence[float]) -
     funding rate (rate plus spread, as a fraction) before both the bank
     simulation and the underwriter's return, so the two sides of every row
     see the same funding cost. Each config's flows are built once and
-    its whole grid is one call of each rate kernel.
+    its whole grid is one call of each rate kernel, both on one array of
+    rates, each ``pct / 100.0`` as one float division would give it.
     """
+    import numpy as np
+
     rates_pct = _funds_rates(rate_grid_pct)
-    rates = [pct / 100.0 for pct in rates_pct]
+    rates = np.array(rates_pct) / 100.0
     curves = []
     for cfg in bases:
         try:

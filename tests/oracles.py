@@ -9,10 +9,11 @@ payout is checked and computed on its own, and the exits are split at
 the debt: resolutions pay the debt down first, any excess is held as
 cash earning ``surplus_rate``, and premiums are paid from cash before
 more is borrowed. ``underwriter_ledger`` is the per-year underwriter
-ledger at one bank rate. ``din_payout`` is the earlier scalar payout on
-one fund. Tests compare ``bank_engine.simulate_bank``,
-``bank_engine.multiple_curve`` and ``bank_engine.underwriter_returns``
-with them by ``repr``, and ``bank_engine.scenario_flows`` with the loops
+ledger at one bank rate, and ``underwriter_returns`` the earlier rate
+kernel, which sums each rate's carry with its own ``math.fsum``.
+``din_payout`` is the earlier scalar payout on one fund. Tests compare
+``bank_engine.simulate_bank``, ``bank_engine.multiple_curve`` and
+``bank_engine.underwriter_returns`` with them by ``repr``, and ``bank_engine.scenario_flows`` with the loops
 and the payout here. ``chart_svg`` is the earlier chart writer, which
 computes and formats each polyline point on its own; tests compare
 ``report.emit_report``'s bytes with it.
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from itertools import chain
 from math import fsum
 
-from venturebank.bank_engine import ScenarioConfig, UnderwriterError
+from venturebank.bank_engine import Flows, ScenarioConfig, UnderwriterError
 from venturebank.din import DinTerms, PremiumBase
 from venturebank.portfolio import ReturnPortfolio
 from venturebank.report import (
@@ -248,6 +249,20 @@ def underwriter_ledger(p: ReturnPortfolio, terms: DinTerms, bank_rate: float,
     )
     gross = (fsum(premiums) - fsum(payouts) - fsum(carry)) / face_total
     return UnderwriterResult(yearly, gross)
+
+
+def underwriter_returns(terms: DinTerms, flows: Flows, bank_rates: list[float]) -> list[float]:
+    """Underwriter gross return at each of ``bank_rates`` (each finite and >= 0), one ``fsum`` per rate."""
+    import numpy as np
+
+    rates = np.asarray(bank_rates, dtype=float)
+    carry = np.zeros((len(rates), terms.term_years - terms.payoff_year))
+    outstanding = np.full(rates.shape, flows.receipts[terms.payoff_year])
+    for col in range(carry.shape[1]):
+        carry[:, col] = outstanding * rates
+        outstanding = outstanding + carry[:, col]
+    net = fsum(flows.premiums) - fsum(flows.receipts)
+    return [(net - fsum(row)) / flows.face_total for row in carry.tolist()]
 
 
 def chart_svg(table: SweepTable, kind: ReportKind) -> str:

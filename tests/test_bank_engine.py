@@ -5,6 +5,7 @@ import math
 import random
 import re
 
+import numpy as np
 import oracles
 import pytest
 from hypothesis import assume, example, given, settings
@@ -14,6 +15,7 @@ from venturebank import bank_engine
 from venturebank.bank_engine import (
     BreakEvenBracketError,
     ScenarioConfig,
+    UnderwriterError,
     _scan_crossings,
     bank_summary,
     break_even_rate,
@@ -32,7 +34,7 @@ from venturebank.portfolio import (
     shift_to_mean,
     synthesize_kauffman,
 )
-from venturebank.sweep import run_sweep
+from venturebank.sweep import parse_rate_grid, run_sweep
 
 
 def _random_scenario(rng: random.Random) -> ScenarioConfig:
@@ -213,12 +215,81 @@ class TestRateKernels:
 
     def test_negative_or_nan_rate_rejected(self, anchor131):
         cfg = ScenarioConfig(anchor131, DinTerms(), 0.02, 30)
-        for bad in (-0.01, math.nan):
-            first_bad = f"^bank_rate must be >= 0, got {bad!r}$"
+        for bad, rule in ((-0.01, ">= 0"), (math.nan, "finite"), (math.inf, "finite")):
+            first_bad = f"^bank_rate must be {rule}, got {bad!r}$"
             with pytest.raises(ValueError, match=first_bad):
                 multiple_curve(cfg, scenario_flows(cfg), [0.02, bad, -5.0])
             with pytest.raises(ValueError, match=first_bad):
                 underwriter_returns(DinTerms(), scenario_flows(cfg), [bad, -5.0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_rate_is_named_without_a_warning(self, anchor131):
+        cfg = ScenarioConfig(anchor131, DinTerms(), 0.02, 30)
+        with pytest.raises(UnderwriterError, match=r"^gross return not finite at bank rate 1e\+200$"):
+            underwriter_returns(DinTerms(), scenario_flows(cfg), [0.02, 1e200, 1e300])
+        with pytest.raises(ValueError, match="^final multiple not finite at moc 30 and capital 1.0$"):
+            multiple_curve(cfg, scenario_flows(cfg), [0.02, 1e200])
+
+    def test_dense_sweep_returns_match_the_oracle(self, compressed50):
+        configs = [ScenarioConfig(dataclasses.replace(shift_to_mean(compressed50, t), label=f"{t:.2f}x"),
+                                  DinTerms(), 0.0, moc)
+                   for t in (1.10, 1.31, 1.50) for moc in (30, 43)]
+        table = run_sweep(configs, parse_rate_grid("0.53:7.50:0.005"))
+        rates = [pct / 100.0 for pct in table.rates_pct]
+        assert len(rates) == 1395
+        for cfg, curve in zip(configs, table.curves):
+            want = oracles.underwriter_returns(cfg.din_terms, scenario_flows(cfg), rates)
+            assert list(map(repr, curve.returns)) == list(map(repr, want))
+
+
+def kernel_row(payout: float, rate: float, columns: int) -> list[float]:
+    """One rate's carry, as ``underwriter_returns`` compounds it."""
+    row, outstanding = [], payout
+    for _ in range(columns):
+        row.append(outstanding * rate)
+        outstanding += row[-1]
+    return row
+
+
+#: Row entries: zeros, subnormals, exponents across +-1000, integers at 2**52 and 2**53 with
+#: the 0.5, 1.0 and 1.5 that put a sum on a half-ulp tie, tails that the error total drops,
+#: and powers of two.
+ENTRIES = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 2.0**-1022, allow_subnormal=True),
+    st.builds(math.ldexp, st.floats(0.5, 1.0), st.integers(-1000, 1000)),
+    st.integers(2**52 - 4, 2**52 + 4).map(float),
+    st.integers(2**53 - 8, 2**53 + 8).map(float),
+    st.sampled_from([0.5, 1.0, 1.5, 2.0**-60, 3 * 2.0**-70]),
+    st.builds(math.ldexp, st.just(1.0), st.integers(-80, 80)),
+)
+
+
+@st.composite
+def carry_matrices(draw) -> list[list[float]]:
+    columns = draw(st.integers(0, 9))
+    rows = st.one_of(st.lists(ENTRIES, min_size=columns, max_size=columns),
+                     st.builds(kernel_row, st.floats(0.0, 1e3), st.floats(0.0, 0.6), st.just(columns)))
+    return draw(st.lists(rows, min_size=1, max_size=6))
+
+
+class TestRowSums:
+    """``_row_sums`` is ``math.fsum`` of each row, bitwise."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(rows=carry_matrices())
+    @example(rows=[[2.0**53 + 4, 1.0, 2.0**-60]])               # tie that the error total's tail breaks
+    @example(rows=[[2.0**52 + 1, 0.5, 2.0**-80], [2.0**53 - 3, 1.5, 3 * 2.0**-70]])
+    @example(rows=[[2.0**53 + 4, 1.0], [2.0**52 + 2, 0.5]])     # exact ties, rounded to even
+    @example(rows=[[0.75, 0.25, 0.0], [2.0**53 - 1, 0.25, 0.25 - 2.0**-55]])  # sums at a power of two
+    @example(rows=[[5e-324, 5e-324, 2.0**-1030], [1.0, 5e-324, 0.0]])  # subnormals
+    @example(rows=[[0.0] * 9])                                  # zeros
+    @example(rows=[[]])                                          # no carry years
+    @example(rows=[[2.0**1000, 2.0**-1000, 1.0, 2.0**-1074]])   # exponent spread
+    @example(rows=[kernel_row(0.26, 0.0225, 5), kernel_row(3.1, 0.6, 5)])
+    def test_matches_fsum(self, rows):
+        got = bank_engine._row_sums(np.array(rows, dtype=float).reshape(len(rows), len(rows[0])))
+        assert list(map(repr, got.tolist())) == [repr(math.fsum(row)) for row in rows]
 
 
 class TestOracles:

@@ -317,15 +317,12 @@ NON_DEFAULT = {
     "--out-dir": "out",
 }
 FLOOR = "a bound, read only by the --coverage >= --coverage-floor check"
-SYNTHESIS = "only synthesis reads it, and --portfolio skips synthesis"
 # (command, flag, context, why the flag may leave every output as it is when run with context)
 UNREAD = [
     ("simulate", "--coverage-floor", (), FLOOR),
     ("breakeven", "--coverage-floor", (), FLOOR),
     ("sweep", "--coverage-floor", (), FLOOR),
     ("breakeven", "--moc", (), "the rate does not move with MOC; perfbench's reference commands pass it"),
-    ("simulate", "--seed", ("--portfolio", "../p.csv"), SYNTHESIS),
-    ("simulate", "--no-compress", ("--portfolio", "../p.csv"), SYNTHESIS),
 ]
 READ = [(command, flag) for command in ("simulate", "breakeven", "sweep") for flag in flags_of(command)
         if (command, flag, ()) not in {u[:3] for u in UNREAD}]
@@ -365,6 +362,27 @@ class TestEveryFlagIsRead:
                                               command, flag, context, reason):
         given, default = self.with_and_without(in_tmp, capsys, monkeypatch, command, flag, context)
         assert given == default, reason
+
+    @pytest.mark.parametrize("command", ["simulate", "breakeven"])
+    @pytest.mark.parametrize("flag", ["--seed", "--no-compress"])
+    def test_synthesis_flag_with_portfolio_is_a_usage_error(self, in_tmp, capsys, command, flag):
+        """Only synthesis reads --seed and --no-compress, and --portfolio skips synthesis."""
+        assert run(capsys, "synth", "--out", "p.csv")[0] == 0
+        given = [flag] if NON_DEFAULT[flag] is None else [flag, NON_DEFAULT[flag]]
+        code, out, err = run(capsys, command, "--portfolio", "p.csv", *given)
+        assert (code, out) == (2, "")
+        assert f"--portfolio and {flag} cannot be combined" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "breakeven"])
+    @pytest.mark.parametrize("line", ["seed=42", "no_compress=false"])
+    def test_synthesis_key_with_portfolio_names_file_line_and_key(self, in_tmp, capsys, command, line):
+        assert run(capsys, "synth", "--out", "p.csv")[0] == 0
+        (in_tmp / "c.cfg").write_text(f"moc=43\n{line}\n", encoding="utf-8")
+        code, out, err = run(capsys, "--config", "c.cfg", command, "--portfolio", "p.csv")
+        assert (code, out) == (2, "")
+        key = line.split("=")[0]
+        assert f"c.cfg: line 2: key {key!r} cannot be combined with --portfolio" in err
+        assert run(capsys, "--config", "c.cfg", command)[0] == 0  # synthesis reads the key
 
     @pytest.mark.parametrize("flag", ["--libor", "--bank-rate"])
     def test_rate_flags_are_not_breakeven_flags(self, capsys, flag):

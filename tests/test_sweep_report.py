@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import math
+import re
 import tempfile
 import warnings
 import xml.etree.ElementTree as ET
@@ -309,7 +310,8 @@ class TestReports:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_chart_bytes_match_per_point_oracle(self, data):
-        """Both charts match the per-point writer byte for byte, with no numpy warning."""
+        """Both charts match the per-point writer byte for byte, with no numpy warning; where an
+        axis span overflows, which the per-point writer draws as nan pixels, no file is written."""
         ties = data.draw(st.booleans())
         if ties:
             rates = sorted({0.0, 22.0, *data.draw(st.lists(st.sampled_from(X_TIES), max_size=28))})
@@ -336,8 +338,25 @@ class TestReports:
         with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
             warnings.simplefilter("error")
             for kind in ReportKind:
-                out = emit_report(table, kind, Path(tmp) / f"{kind.value}.svg")
-                assert out.read_bytes() == oracles.chart_svg(table, kind).encode("utf-8")
+                want, out = oracles.chart_svg(table, kind), Path(tmp) / f"{kind.value}.svg"
+                if "nan" in want:  # no label or fixed text holds "nan"
+                    with pytest.raises(ValueError, match="^cannot chart the [xy] axis: .* overflow its span$"):
+                        emit_report(table, kind, out)
+                    assert not out.exists()
+                else:
+                    assert emit_report(table, kind, out).read_bytes() == want.encode("utf-8")
+
+    @pytest.mark.parametrize("rates, multiples, axis", [
+        ((2.0, 2.25), (1e308, -1e308), "y axis: values from -1e+308 to 1e+308"),
+        ((2.0, 2.25), (0.0, 1.7e308), "y axis: values from 0.0 to 1.7e+308"),  # only the padding overflows
+        ((-1e308, 1e308), (1.5, 0.9), "x axis: values from -1e+308 to 1e+308"),
+    ])
+    def test_overflowing_span_names_the_axis_and_creates_nothing(self, tmp_path, rates, multiples, axis):
+        table = one_curve(rates=rates, multiples=multiples)
+        target = tmp_path / "charts" / "fig3.svg"
+        with pytest.raises(ValueError, match=re.escape(f"cannot chart the {axis} overflow its span")):
+            emit_report(table, ReportKind.BANK_MULTIPLE, target)
+        assert not target.parent.exists()
 
     def test_empty_table_creates_no_file(self, tmp_path):
         empty = SweepTable((), ())
