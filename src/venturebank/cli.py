@@ -153,7 +153,7 @@ def _add_terms_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--portfolio", help="portfolio CSV; omitted = built-in synthesis pipeline")
-    p.add_argument("--seed", type=_seed, default=None)  # None: DEFAULT_SEED, and not typed
+    p.add_argument("--seed", type=_seed, default=None)  # None when not typed: DEFAULT_SEED
     p.add_argument("--target-mean", type=_non_negative, default=None,
                    help="shift the portfolio to this mean before simulating")
     p.add_argument("--no-compress", action="store_true", default=None,
