@@ -135,8 +135,7 @@ def _debts(flows: Flows, rate) -> list:
     return debts
 
 
-@dataclass(frozen=True)
-class BankYear:
+class BankYear(NamedTuple):
     year: int
     interest_accrued: float
     premiums_paid: float
@@ -146,8 +145,7 @@ class BankYear:
     equity_estimate: float
 
 
-@dataclass(frozen=True)
-class BankResult:
+class BankResult(NamedTuple):
     final_multiple: float
     survived: bool
     ledger: tuple[BankYear, ...]
@@ -305,13 +303,20 @@ def break_even_rate(cfg: ScenarioConfig, lo: float, hi: float) -> float | None:
     multiple being monotone in the rate between the two grid points.
     The flows are built once; the scan and each bisection step run the
     ledger on one float rate, bitwise as :func:`multiple_curve` would.
+    A margin that is nan there (``inf - inf`` in the ledger) raises ``ValueError``.
     """
     if not 0 <= finite_real("lo", lo) < finite_real("hi", hi):
         raise ValueError(f"bracket [{lo}, {hi}] must satisfy 0 <= lo < hi")
     flows = scenario_flows(cfg)
 
+    def margin(rate: float) -> float:
+        m = _final_multiple(cfg, flows, rate) - 1.0
+        if math.isnan(m):  # inf - inf in the ledger; an infinite margin keeps its sign
+            raise _overflow(cfg)
+        return m
+
     grid = [lo + (hi - lo) * i / (SCAN_POINTS - 1) for i in range(SCAN_POINTS)]
-    margins = [_final_multiple(cfg, flows, r) - 1.0 for r in grid]
+    margins = [margin(r) for r in grid]
     crossings = _scan_crossings(margins)
     if not crossings:
         return None
@@ -327,7 +332,7 @@ def break_even_rate(cfg: ScenarioConfig, lo: float, hi: float) -> float | None:
     f_lo = margins[a]
     while r_hi - r_lo > BREAK_EVEN_TOL:
         mid = (r_lo + r_hi) / 2
-        f_mid = _final_multiple(cfg, flows, mid) - 1.0
+        f_mid = margin(mid)
         if f_mid == 0.0:
             return mid
         if (f_lo > 0) == (f_mid > 0):

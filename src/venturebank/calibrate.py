@@ -11,8 +11,8 @@ default for reproduction runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .bank_engine import ScenarioConfig, simulate_bank
 from .din import DinTerms, PremiumBase
@@ -29,8 +29,7 @@ REDUCED_COVERAGE = 0.0388
 RATE_READINGS = ("libor", "bank")  # libor: anchor + spread; bank: anchor as-is
 
 
-@dataclass(frozen=True)
-class CalibrationCase:
+class CalibrationCase(NamedTuple):
     premium_base: PremiumBase
     rate_reading: str
     m30: float
@@ -43,8 +42,7 @@ class CalibrationCase:
         return f"{self.premium_base.value}+{self.rate_reading}"
 
 
-@dataclass(frozen=True)
-class CalibrationReport:
+class CalibrationReport(NamedTuple):
     cases: tuple[CalibrationCase, ...]  # best score first
 
     @property
@@ -53,12 +51,7 @@ class CalibrationReport:
 
 
 def _band_distance(value: float, band: tuple[float, float]) -> float:
-    lo, hi = band
-    if value < lo:
-        return lo - value
-    if value > hi:
-        return value - hi
-    return 0.0
+    return max(band[0] - value, value - band[1], 0.0)
 
 
 def anchor_bank_rate(rate_reading: str) -> float:

@@ -10,7 +10,6 @@ happens at the engine boundary.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import datetime as dt
 import sys
 from pathlib import Path
@@ -32,6 +31,7 @@ from .din import (
 from .market_data import default_snapshot_path, funds_rate, load_libor_csv, window_stats
 from .portfolio import (
     KauffmanConstraints,
+    ReturnPortfolio,
     compress_pairs,
     load_portfolio,
     portfolio_stats,
@@ -278,8 +278,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     terms = _terms_from(args)
     configs = []
     for target in args.targets:
-        shifted = shift_to_mean(compressed, target)
-        shifted = dataclasses.replace(shifted, label=f"{target:.2f}x")
+        shifted = ReturnPortfolio(shift_to_mean(compressed, target).funds, f"{target:.2f}x")
         for moc in args.mocs:
             configs.append(ScenarioConfig(portfolio=shifted, din_terms=terms, bank_rate=0.0, moc=moc))
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .checks import finite_real
 from .portfolio import ReturnPortfolio, clamp_loss, portfolio_stats
@@ -64,8 +65,7 @@ class DinTerms:
             raise ValueError(f"premium_rate must be >= 0, got {self.premium_rate!r}")
 
 
-@dataclass(frozen=True)
-class CoverageAssessment:
+class CoverageAssessment(NamedTuple):
     method: CoverageMethod
     clamp_loss: float       # percentage points of portfolio lost after clamping
     recommended_coverage: float  # floor + clamp loss, percentage points

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from importlib import resources
 from math import fsum
 from pathlib import Path
+from typing import NamedTuple
 
 from .checks import ElementError, finite_real
 
@@ -90,8 +91,7 @@ class LiborSeries:
         return self.rates[lo:hi]
 
 
-@dataclass(frozen=True)
-class WindowStats:
+class WindowStats(NamedTuple):
     median: float
     mean: float
     count: int
@@ -172,11 +172,7 @@ def window_stats(series: LiborSeries, start: dt.date | None = None, end: dt.date
     if not rates:
         bounds = " ".join(f"{word} {day}" for word, day in (("from", start), ("through", end)) if day)
         raise EmptyWindowError(f"no observations {bounds}; the series spans {series.start} to {series.end}")
-    return WindowStats(
-        median=_median(rates),
-        mean=fsum(rates) / len(rates),
-        count=len(rates),
-    )
+    return WindowStats(_median(rates), fsum(rates) / len(rates), len(rates))
 
 
 def funds_rate(libor: float) -> float:

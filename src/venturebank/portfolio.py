@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from math import fsum
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from .checks import ElementError, finite_real
 
@@ -57,8 +57,7 @@ class ReturnPortfolio:
         return len(self.funds)
 
 
-@dataclass(frozen=True)
-class PortfolioStats:
+class PortfolioStats(NamedTuple):
     mean: float
     stddev: float
 

@@ -10,7 +10,7 @@ from typing import NamedTuple, Sequence
 
 from .bank_engine import ScenarioConfig, multiple_curve, scenario_flows, underwriter_returns
 from .checks import finite_real
-from .market_data import funds_rate
+from .market_data import RATE_MAX, funds_rate
 
 
 #: Most points a ``lo:hi:step`` grid spec may expand to.
@@ -36,7 +36,7 @@ class SweepTable:
 
     ``rates_pct`` are the funding rates in percent (grid rate plus
     spread), strictly ascending; row ``j`` of every curve is at
-    ``rates_pct[j]``.
+    ``rates_pct[j]``, and every multiple and return is finite.
     """
 
     rates_pct: tuple[float, ...]
@@ -50,6 +50,12 @@ class SweepTable:
             if not len(c.multiples) == len(c.returns) == len(rates):
                 raise SweepError(f"curve {c.label!r} at moc {c.moc:g} has "
                                  f"{len(c.multiples)}/{len(c.returns)} values for {len(rates)} rates")
+            for name, values in (("multiple", c.multiples), ("return", c.returns)):
+                if not math.isfinite(sum(values)):  # a finite sum proves every value finite
+                    for pct, v in zip(rates, values):
+                        if not math.isfinite(v):
+                            raise SweepError(f"curve {c.label!r} at moc {c.moc:g} has {name} {v!r} "
+                                             f"at rate {pct!r}")
         for a, b in zip(self.curves, self.curves[1:]):
             if (a.label, a.moc) == (b.label, b.moc):
                 raise SweepError(f"duplicate curve {a.label!r} at moc {a.moc:g}")
@@ -104,10 +110,12 @@ def _funds_rates(grid: Sequence[float]) -> tuple[float, ...]:
             rates_pct.append(float(funds_rate(g)))
         except ValueError as exc:
             raise SweepError(f"rate grid entry {i}: {exc}") from None
-    if any(b <= a for a, b in zip(grid, list(grid)[1:])):
-        raise SweepError("rate grid must be strictly ascending")
-    if grid[-1] > 50:
-        raise SweepError("rate grid must lie within [0, 50] percent")
+    for i, (a, b) in enumerate(zip(rates_pct, rates_pct[1:])):  # two grid rates may round to one
+        if b <= a:
+            raise SweepError("rate grid must be strictly ascending" if grid[i + 1] <= grid[i]
+                             else f"rate grid entries {i} and {i + 1} both fund at {a!r} percent")
+    if grid[-1] > RATE_MAX:
+        raise SweepError(f"rate grid must lie within [0, {RATE_MAX:g}] percent")
     return tuple(rates_pct)
 
 

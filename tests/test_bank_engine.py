@@ -34,7 +34,7 @@ from venturebank.portfolio import (
     shift_to_mean,
     synthesize_kauffman,
 )
-from venturebank.sweep import parse_rate_grid, run_sweep
+from venturebank.sweep import SweepError, parse_rate_grid, run_sweep
 
 
 def _random_scenario(rng: random.Random) -> ScenarioConfig:
@@ -131,6 +131,12 @@ DUST_EXAMPLE = ScenarioConfig(
 
 ANY_SCENARIO = st.one_of(scenarios(), dust_scenarios())
 
+# Found by search: a subnormal insured face overflows the gross return to inf at every rate.
+SUBNORMAL_FACE_EXAMPLE = ScenarioConfig(
+    ReturnPortfolio((0.0,)),
+    DinTerms(coverage_fraction=5e-324, coverage_floor=0.0, premium_rate=0.0625,
+             premium_base=PremiumBase.PRINCIPAL_ANNUAL, payoff_year=1, term_years=1), 0.0, 0.5, 2.5)
+
 RATE_ARRAYS = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 0.6)), min_size=1, max_size=8)
 
 
@@ -161,27 +167,41 @@ class TestRateKernels:
 
     @settings(max_examples=150, deadline=None)
     @given(cfg=ANY_SCENARIO, rates=RATE_ARRAYS)
+    @example(cfg=SUBNORMAL_FACE_EXAMPLE, rates=[0.0, 0.02])
     def test_underwriter_kernel_matches_underwriter_ledger(self, cfg, rates):
         assume(scenario_flows(cfg).face_total > 0)  # zero face: no gross return
         principal = cfg.moc * cfg.original_capital / len(cfg.portfolio.funds)
-        got = underwriter_returns(cfg.din_terms, scenario_flows(cfg), rates)
         want = [oracles.underwriter_ledger(cfg.portfolio, cfg.din_terms, r, principal).gross_return
                 for r in rates]
+        overflowed = [r for r, u in zip(rates, want) if not math.isfinite(u)]
+        if overflowed:  # a face near zero: the kernel names the first rate whose return is not finite
+            with pytest.raises(UnderwriterError, match=f"^gross return not finite at bank rate "
+                                                       f"{re.escape(repr(overflowed[0]))}$"):
+                underwriter_returns(cfg.din_terms, scenario_flows(cfg), rates)
+            return
+        got = underwriter_returns(cfg.din_terms, scenario_flows(cfg), rates)
         assert list(map(repr, got)) == list(map(repr, want))
 
     @settings(max_examples=60, deadline=None)
     @given(cfg=ANY_SCENARIO,
            grid=st.lists(st.integers(0, 5000), min_size=1, max_size=6, unique=True)
            .map(lambda bp: [b / 100 for b in sorted(bp)]))
+    @example(cfg=SUBNORMAL_FACE_EXAMPLE, grid=[0.0, 1.5])
     def test_sweep_curves_match_both_oracles(self, cfg, grid):
         assume(scenario_flows(cfg).face_total > 0)
-        (curve,) = run_sweep([cfg], grid).curves
         principal = cfg.moc * cfg.original_capital / len(cfg.portfolio.funds)
         rates = [funds_rate(g) / 100.0 for g in grid]
         want_m = [oracles.simulate_bank(dataclasses.replace(cfg, bank_rate=r)).final_multiple
                   for r in rates]
         want_u = [oracles.underwriter_ledger(cfg.portfolio, cfg.din_terms, r, principal).gross_return
                   for r in rates]
+        overflowed = [r for r, u in zip(rates, want_u) if not math.isfinite(u)]
+        if overflowed:  # a face near zero: the sweep names the first rate whose return is not finite
+            with pytest.raises(SweepError, match=f"gross return not finite at bank rate "
+                                                 f"{re.escape(repr(overflowed[0]))}$"):
+                run_sweep([cfg], grid)
+            return
+        (curve,) = run_sweep([cfg], grid).curves
         assert list(map(repr, curve.multiples)) == list(map(repr, want_m))
         assert list(map(repr, curve.returns)) == list(map(repr, want_u))
 
@@ -576,6 +596,22 @@ SCAN_GRID = [LO + (HI - LO) * i / 20 for i in range(21)]
 
 class TestBreakEvenScan:
     CFG = ScenarioConfig(ReturnPortfolio((1.0,)), DinTerms(), 0.02, 30)
+
+    def test_ledger_that_is_not_a_number_raises(self):
+        # At the horizon the survivor's inf exit meets an inf debt: inf - inf is nan on every scan rate.
+        cfg = ScenarioConfig(ReturnPortfolio((1e300, 0.5)), DinTerms(), 0.0, 1.7e308)
+        with pytest.raises(ValueError, match=r"^final multiple not finite at moc 1\.7e\+308 and capital 1\.0$"):
+            break_even_rate(cfg, LO, HI)
+
+    def test_nan_in_a_bisection_step_raises(self, scripted_margin):
+        scripted_margin(lambda r: (1.0 if r < 0.03 else -1.0) if r in SCAN_GRID else math.nan)
+        with pytest.raises(ValueError, match="^final multiple not finite at moc 30 and capital 1.0$"):
+            break_even_rate(self.CFG, LO, HI)
+
+    def test_infinite_margins_keep_their_sign(self, scripted_margin):
+        scripted_margin(lambda r: math.inf if r < 0.03 else -math.inf)
+        rate = break_even_rate(self.CFG, LO, HI)
+        assert SCAN_GRID[7] <= rate <= SCAN_GRID[8] and 0.03 - rate <= bank_engine.BREAK_EVEN_TOL
 
     def test_two_crossings_raise(self, scripted_margin):
         scripted_margin(lambda r: (r - 0.02) * (r - 0.05))

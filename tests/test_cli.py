@@ -218,6 +218,20 @@ class TestSimulateAndBreakeven:
         assert "got --coverage 1 --coverage-floor 2 (percent)" in err
         assert not (in_tmp / "bank_ledger.csv").exists()
 
+    @pytest.mark.parametrize("argv", [["breakeven"], ["simulate", "--libor", "1"], ["simulate", "--libor", "7"]])
+    def test_ledger_that_is_not_a_number_is_an_error(self, in_tmp, capsys, argv):
+        (in_tmp / "p.csv").write_text("multiple\n1e300\n0.5\n", encoding="utf-8")
+        code, out, err = run(capsys, *argv, "--portfolio", "p.csv", "--moc", "1.7e308")
+        assert code == 1
+        assert out == ""
+        assert "final multiple not finite at moc 1.7e+308 and capital 1.0" in err
+        assert sorted(p.name for p in in_tmp.iterdir()) == ["p.csv"]
+
+    def test_infinite_margins_still_bracket_a_break_even(self, capsys):
+        code, out, _ = run(capsys, "breakeven", "--moc", "1e308")
+        assert code == 0
+        assert out == "breakeven_bank_rate_pct=2.7233\n"
+
     def test_overflowing_ledger_writes_nothing(self, in_tmp, capsys):
         code, out, err = run(capsys, "simulate", "--moc", "1e308", "--libor", "7.5")
         assert code == 1

@@ -121,6 +121,28 @@ def test_only_checks_imports_numbers():
     assert importers == ["checks.py"]
 
 
+def _is_dataclass_decorator(node) -> bool:
+    target = node.func if isinstance(node, ast.Call) else node
+    return (target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)) == "dataclass"
+
+
+def test_only_records_that_check_their_fields_are_dataclasses():
+    """A record with no ``__post_init__`` is a ``NamedTuple``; ``dataclasses`` is imported only where one is checked."""
+    package = SRC / "venturebank"
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+    dataclasses_by_module = {
+        name: [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               and any(_is_dataclass_decorator(d) for d in node.decorator_list)]
+        for name, tree in trees.items()}
+    unchecked = [f"{name}:{node.name}" for name, nodes in dataclasses_by_module.items() for node in nodes
+                 if not any(isinstance(f, ast.FunctionDef) and f.name == "__post_init__" for f in node.body)]
+    assert not unchecked
+    importers = sorted(name for name, tree in trees.items() for node in ast.walk(tree)
+                       if (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names))
+                       or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses"))
+    assert importers == sorted(name for name, nodes in dataclasses_by_module.items() if nodes)
+
+
 def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     with PYPROJECT.open("rb") as fh:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from venturebank import sweep
 from venturebank.bank_engine import ScenarioConfig
 from venturebank.din import DinTerms
 from venturebank.market_data import funds_rate
@@ -169,6 +170,12 @@ class TestRunSweep:
         with pytest.raises(SweepError, match=message):
             run_sweep([ScenarioConfig(anchor131, DinTerms(), 0.0, 30)], grid)
 
+    @pytest.mark.parametrize("grid", [[0.0, 1e-17], np.array([0.0, 1e-17, 1.0])], ids=["list", "ndarray"])
+    def test_grid_rates_with_one_funding_rate_fail_before_any_kernel(self, anchor131, monkeypatch, grid):
+        monkeypatch.setattr(sweep, "scenario_flows", lambda cfg: pytest.fail("a kernel ran"))
+        with pytest.raises(SweepError, match=r"^rate grid entries 0 and 1 both fund at 0\.25 percent$"):
+            run_sweep([ScenarioConfig(anchor131, DinTerms(), 0.0, 30)], grid)
+
     @pytest.mark.parametrize("grid", [(1.0, 2.0), range(1, 3), np.array([1.0, 2.0])],
                              ids=["tuple", "range", "ndarray"])
     def test_any_sequence_grid_writes_the_list_grid_bytes(self, anchor131, tmp_path, grid):
@@ -219,12 +226,25 @@ class TestSweepCsv:
 
     def test_survived_must_be_true_or_false(self, tmp_path):
         below = math.nextafter(1.0, 0.0)
-        table = one_curve(rates=(1.0, 2.0, 3.0), multiples=(1.0, below, math.nan),
+        table = one_curve(rates=(1.0, 2.0, 3.0), multiples=(1.0, below, 0.0),
                           returns=(0.0, 0.0, 0.0))
         path = tmp_path / "sweep.csv"
         write_sweep_csv(path, table)
         survived = [line.rsplit(",", 1)[1] for line in path.read_text().splitlines()[1:]]
         assert survived == ["true", "false", "false"]
+
+    @pytest.mark.parametrize("column", ["multiples", "returns"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_names_curve_moc_and_rate(self, column, bad):
+        values = {"multiples": (1.5, 0.9, 0.8), "returns": (0.1, -0.1, -0.2), column: (1.0, bad, 0.0)}
+        name = column[:-1]
+        with pytest.raises(SweepError, match=rf"^curve 'p' at moc 30 has {name} {bad!r} at rate 2\.25$"):
+            one_curve(rates=(2.0, 2.25, 2.5), **values)
+
+    def test_finite_values_whose_sum_overflows_are_kept(self, tmp_path):
+        table = one_curve(multiples=(1.7e308, 1.7e308), returns=(-1.7e308, -1.7e308))
+        write_sweep_csv(tmp_path / "sweep.csv", table)
+        assert read_rows(tmp_path / "sweep.csv") == table.rows
 
     def test_unsorted_rows_rejected(self):
         with pytest.raises(SweepError, match="strictly ascend"):
