@@ -18,7 +18,7 @@ from itertools import accumulate, repeat
 from math import fsum
 from typing import NamedTuple, Sequence
 
-from .checks import finite_real
+from .checks import checked_fsum, finite_real
 from .din import DinTerms, PremiumBase
 from .portfolio import ReturnPortfolio
 
@@ -108,10 +108,11 @@ def scenario_flows(cfg: ScenarioConfig) -> Flows:
     if failing and not (math.isfinite(principal) and principal > 0):  # only when a payout is due
         raise ValueError(f"principal must be finite and positive, got {principal!r}")
     cap = terms.coverage_fraction * principal  # payout: shortfall capped at the face, ``min`` without a call
-    receipts[terms.payoff_year] = fsum([cap if cap < x else x for x in [(1.0 - m) * principal for m in failing]])
+    receipts[terms.payoff_year] = checked_fsum(
+        "DIN payouts", [cap if cap < x else x for x in [(1.0 - m) * principal for m in failing]])
     exits = [0.0] * (terms.term_years + 1)
-    exits[terms.payoff_year] += fsum([m * principal for m in failing])
-    exits[terms.term_years] += fsum([m * principal for m in survivors])
+    exits[terms.payoff_year] += checked_fsum("fund proceeds", [m * principal for m in failing])
+    exits[terms.term_years] += checked_fsum("fund proceeds", [m * principal for m in survivors])
     steps = [(p, r + e) for p, r, e in zip(premiums, receipts, exits)][1:]
     return Flows(premiums, receipts, exits, terms.coverage_fraction * principal * len(funds),
                  invested + premiums[0], steps)

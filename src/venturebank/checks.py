@@ -22,3 +22,11 @@ def finite_real(name: str, value, *, integer: bool = False):
     if integer and not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def checked_fsum(what: str, values) -> float:
+    """``math.fsum(values)``; ``ValueError`` naming ``what`` when finite values sum past the float range."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        raise ValueError(f"{what} sum past the float range") from None

@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 from math import fsum
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
-from .checks import ElementError, finite_real
+from .checks import ElementError, checked_fsum, finite_real
 
 
 #: Bounds of a synthesized fund multiple.
@@ -89,13 +89,20 @@ class KauffmanConstraints:
             raise ValueError("clamp losses must satisfy 0 <= sigma <= breakeven, got "
                              f"sigma_clamp_loss={self.sigma_clamp_loss!r}, "
                              f"breakeven_clamp_loss={self.breakeven_clamp_loss!r}")
+        # Synthesis sums the squares of n funds and n clamped funds; both totals must stay floats.
+        big = "mean" if abs(self.mean) > self.stddev else "stddev"
+        for name, total in ((big, self.n * (self.stddev * self.stddev + self.mean * self.mean)),
+                            ("breakeven_clamp_loss", self.n * (1.0 - self.breakeven_clamp_loss / 100.0))):
+            if not math.isfinite(total):
+                raise ValueError(f"{name} too large for {self.n} funds: synthesis would pass the float range, "
+                                 f"got {getattr(self, name)!r}")
 
 
 def portfolio_stats(p: ReturnPortfolio) -> PortfolioStats:
     """Arithmetic mean and population (n-divisor) standard deviation."""
     n = len(p.funds)
-    mean = fsum(p.funds) / n
-    var = fsum((m - mean) ** 2 for m in p.funds) / n
+    mean = checked_fsum("fund multiples", p.funds) / n
+    var = checked_fsum("squared deviations of the fund multiples", ((m - mean) ** 2 for m in p.funds)) / n
     return PortfolioStats(mean=mean, stddev=math.sqrt(var))
 
 
@@ -104,30 +111,12 @@ def clamp_loss(p: ReturnPortfolio, threshold: float) -> float:
     return (1.0 - fsum(1.0 if m > threshold else m for m in p.funds) / len(p.funds)) * 100.0
 
 
-def _centered_unit(rng: Any, k: int) -> list[float]:
-    """k deviations with zero sum and unit sum of squares, drawn from a numpy ``Generator``."""
-    import numpy as np
-
-    if k < 2:
-        return [0.0] * k
-    d = rng.uniform(-1.0, 1.0, k)
-    d -= d.mean()
-    norm = math.sqrt(float(np.dot(d, d)))
-    if norm < 1e-12:
-        d = np.linspace(-1.0, 1.0, k)
-        d -= d.mean()
-        norm = math.sqrt(float(np.dot(d, d)))
-    return (d / norm).tolist()
-
-
-def _bucket_values(rng: Any, k: int, mean: float,
-                   lo: float, hi: float) -> tuple[list[float], float]:
-    """Deviation shape for a band plus its spread capacity.
+def _bucket_values(d: list[float], mean: float, lo: float, hi: float) -> tuple[list[float], float]:
+    """Deviation shape ``d`` for a band plus its spread capacity.
 
     Capacity is in sum-of-squares units: the largest extra variance the
     band can absorb while every value stays inside [lo, hi].
     """
-    d = _centered_unit(rng, k)
     lo_ex, hi_ex = min(d), max(d)
     s_max = math.inf
     if lo_ex < 0:
@@ -156,7 +145,7 @@ def synthesize_kauffman(constraints: KauffmanConstraints, seed: int, *,
     """
     if finite_real("seed", seed, integer=True) < 0:
         raise ValueError(f"seed must be >= 0, got {seed!r}")
-    import numpy as np
+    from .draws import Pcg64, centered_unit
 
     c = constraints
     n = c.n
@@ -196,7 +185,7 @@ def synthesize_kauffman(constraints: KauffmanConstraints, seed: int, *,
 
     best_residual = math.inf
     for n_l in range(n_l_min, n - 1):
-        for n_h in range(n_h_min, max(n_h_min, n_h_cap) + 1):
+        for n_h in range(n_h_min, min(max(n_h_min, n_h_cap), n - n_l) + 1):  # no n_m < 0
             n_m = n - n_l - n_h
             if n_m < (1 if excess_mid > 0 else 0):
                 continue
@@ -217,7 +206,7 @@ def synthesize_kauffman(constraints: KauffmanConstraints, seed: int, *,
                 continue
             delta = max(0.0, delta)
 
-            rng = np.random.default_rng([seed, n_l, n_h])
+            rng = Pcg64((seed, n_l, n_h))
             parts: list[tuple[float, list[float], float]] = []
             cap_total = 0.0
             for k, mean_b, lo, hi in (
@@ -230,7 +219,7 @@ def synthesize_kauffman(constraints: KauffmanConstraints, seed: int, *,
                 if mean_b == 1.0 and excess_mid == 0 and lo == 1.0:
                     parts.append((mean_b, [0.0] * k, 0.0))
                     continue
-                d, cap = _bucket_values(rng, k, mean_b, lo, hi)
+                d, cap = _bucket_values(centered_unit(rng, k), mean_b, lo, hi)
                 parts.append((mean_b, d, cap))
                 cap_total += cap
             if cap_total + 1e-12 < delta:
@@ -295,7 +284,7 @@ def shift_to_mean(p: ReturnPortfolio, target: float) -> ReturnPortfolio:
     if finite_real("target mean", target) < 0:
         raise ValueError(f"target mean must be >= 0, got {target!r}")
     n = len(p.funds)
-    shift = target - fsum(p.funds) / n
+    shift = target - checked_fsum("fund multiples", p.funds) / n
     vals = [m + shift for m in p.funds]
     for _ in range(n + 2):
         clipped = -fsum(v for v in vals if v < 0)
@@ -308,7 +297,7 @@ def shift_to_mean(p: ReturnPortfolio, target: float) -> ReturnPortfolio:
         cut = clipped / len(positive)
         for i in positive:
             vals[i] -= cut
-    mean = fsum(vals) / n
+    mean = checked_fsum("shifted fund multiples", vals) / n
     if abs(mean - target) > 1e-9:
         raise InfeasibleShiftError(
             f"could not reach mean {target} with non-negative multiples (got {mean})"

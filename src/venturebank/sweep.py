@@ -35,7 +35,7 @@ class SweepTable:
     """Curves sorted by (label, moc) over one shared grid of funding rates.
 
     ``rates_pct`` are the funding rates in percent (grid rate plus
-    spread), strictly ascending; row ``j`` of every curve is at
+    spread), finite and strictly ascending; row ``j`` of every curve is at
     ``rates_pct[j]``, and every multiple and return is finite.
     """
 
@@ -46,6 +46,10 @@ class SweepTable:
         rates = self.rates_pct
         if not all(a < b for a, b in zip(rates, rates[1:])):
             raise SweepError("rates must strictly ascend")
+        if not math.isfinite(sum(rates)):  # a finite sum proves every rate finite
+            for j, pct in enumerate(rates):
+                if not math.isfinite(pct):
+                    raise SweepError(f"rate {j} is {pct!r}: rates must be finite")
         for c in self.curves:
             if not len(c.multiples) == len(c.returns) == len(rates):
                 raise SweepError(f"curve {c.label!r} at moc {c.moc:g} has "

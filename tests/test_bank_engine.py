@@ -404,6 +404,15 @@ class TestLedgerShape:
         assert len(lines) == 12
         assert "final_multiple=" in bank_summary(result)
 
+    @pytest.mark.parametrize("funds, coverage, moc, quantity", [
+        ((2.0, 2.0, 0.5), 0.0388, 1.7e308, "fund proceeds"),
+        ((0.0, 0.0, 0.0), 1.0, 1.7976931348623157e308, "DIN payouts"),  # three principals round past the max
+    ])
+    def test_flows_past_the_float_range_are_named(self, funds, coverage, moc, quantity):
+        cfg = ScenarioConfig(ReturnPortfolio(funds), DinTerms(coverage_fraction=coverage), 0.0, moc)
+        with pytest.raises(ValueError, match=f"^{quantity} sum past the float range$"):
+            scenario_flows(cfg)
+
 
 class TestConservation:
     def test_equity_change_equals_flows(self):

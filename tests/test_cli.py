@@ -160,6 +160,25 @@ class TestSimulateAndBreakeven:
         assert err == f"error: {message}\n"
         assert not any(in_tmp.iterdir())
 
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["synth", "--mean", "1e308"],
+                     "mean too large for 99 funds: synthesis would pass the float range, got 1e+308",
+                     id="synth-mean"),
+        pytest.param(["synth", "--stddev", "1e200"],
+                     "stddev too large for 99 funds: synthesis would pass the float range, got 1e+200",
+                     id="synth-stddev"),
+        pytest.param(["simulate", "--moc", "1.7e308"], "fund proceeds sum past the float range",
+                     id="simulate-moc"),
+        pytest.param(["breakeven", "--moc", "1.7e308"], "fund proceeds sum past the float range",
+                     id="breakeven-moc"),
+        pytest.param(["simulate", "--target-mean", "1e308"], "shifted fund multiples sum past the float range",
+                     id="simulate-target-mean"),
+    ])
+    def test_value_past_the_float_range_is_named(self, in_tmp, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not any(in_tmp.iterdir())
+
     @pytest.mark.parametrize("command", ["synth", "simulate", "breakeven", "sweep", "calibrate"])
     @pytest.mark.parametrize("text", ["-1", "1.5"])
     def test_seed_out_of_domain_is_a_usage_error(self, in_tmp, capsys, command, text):
@@ -442,6 +461,23 @@ class TestStartup:
         src = str(Path(venturebank.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         proc = subprocess.run([sys.executable, "-c", script], cwd=in_tmp, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_only_sweep_loads_numpy(self, in_tmp):
+        """Synthesis is numpy-free: ``synth``, ``calibrate`` and synthesized runs leave numpy unloaded."""
+        script = (
+            "import sys\n"
+            "from venturebank.cli import run_cli\n"
+            "for argv in (['synth'], ['breakeven'], ['calibrate'], ['simulate'], ['simulate', '--no-compress']):\n"
+            "    assert run_cli(argv) == 0, argv\n"
+            "    assert 'numpy' not in sys.modules, argv\n"
+            "assert run_cli(['sweep', '--grid', '1:2:0.5']) == 0\n"
+            "assert 'numpy' in sys.modules, 'sweep'\n"
+        )
+        src = str(Path(venturebank.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], cwd=in_tmp,
+                              env={**os.environ, "PYTHONPATH": src},
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
 

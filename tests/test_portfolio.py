@@ -47,6 +47,14 @@ class TestStats:
             with pytest.raises(ValueError, match=repr(bad)):
                 ReturnPortfolio((1.0, bad))
 
+    @pytest.mark.parametrize("funds, message", [
+        ((1e308, 1e308), "fund multiples sum past the float range"),
+        ((1e200, 0.0), "squared deviations of the fund multiples sum past the float range"),
+    ])
+    def test_sum_past_the_float_range_is_named(self, funds, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            portfolio_stats(ReturnPortfolio(funds))
+
     @pytest.mark.parametrize("bad", ["1.0", None, (1.0,)])
     def test_non_number_fund_names_its_index(self, bad):
         with pytest.raises(ValueError, match=f"^fund 1: multiple must be a real number, got {re.escape(repr(bad))}$"):
@@ -134,6 +142,26 @@ class TestSynthesis:
         with pytest.raises(ValueError, match=f"n must be an integer, got {value!r}"):
             KauffmanConstraints(n=value)
 
+    def test_mean_whose_square_overflows_is_named(self):
+        with pytest.raises(ValueError, match=r"^mean too large for 99 funds: synthesis would pass the float "
+                                             r"range, got 1e\+308$"):
+            KauffmanConstraints(mean=1e308)
+
+    def test_stddev_whose_square_overflows_is_named(self):
+        with pytest.raises(ValueError, match=r"^stddev too large for 99 funds: synthesis would pass the float "
+                                             r"range, got 1e\+200$"):
+            KauffmanConstraints(stddev=1e200)
+
+    def test_clamp_loss_whose_total_overflows_is_named(self):
+        with pytest.raises(ValueError, match=r"^breakeven_clamp_loss too large for 200 funds"):
+            KauffmanConstraints(n=200, breakeven_clamp_loss=1e308)
+        KauffmanConstraints(n=99, breakeven_clamp_loss=1e308)  # 99 such funds still sum to a float
+
+    def test_mean_beyond_every_band_fails_without_searching_past_n(self):
+        # Large winners need about 1e101 funds; only counts up to n are tried.
+        with pytest.raises(CalibrationError, match="no feasible band construction for n=99"):
+            synthesize_kauffman(KauffmanConstraints(mean=1e100), 42)
+
 
 class TestCompress:
     def test_even_count_exact(self):
@@ -192,6 +220,12 @@ class TestShift:
     def test_non_finite_target_rejected(self, target):
         with pytest.raises(ValueError, match="target mean must be finite"):
             shift_to_mean(ReturnPortfolio((1.0, 2.0), "x"), target)
+
+    def test_target_whose_sum_overflows_is_named(self, compressed50):
+        with pytest.raises(ValueError, match="^shifted fund multiples sum past the float range$"):
+            shift_to_mean(compressed50, 1e308)
+        with pytest.raises(ValueError, match="^fund multiples sum past the float range$"):
+            shift_to_mean(ReturnPortfolio((1e308, 1e308)), 1.0)
 
     def test_flooring_redistributes(self):
         # Shift of -0.95 floors two funds; the 1.8 of clipped mass comes

@@ -241,6 +241,13 @@ class TestSweepCsv:
         with pytest.raises(SweepError, match=rf"^curve 'p' at moc 30 has {name} {bad!r} at rate 2\.25$"):
             one_curve(rates=(2.0, 2.25, 2.5), **values)
 
+    @pytest.mark.parametrize("rates, index, bad", [
+        ((1.0, math.inf), 1, math.inf), ((-math.inf, 1.0), 0, -math.inf), ((math.nan,), 0, math.nan),
+    ])
+    def test_non_finite_rate_is_named(self, rates, index, bad):
+        with pytest.raises(SweepError, match=rf"^rate {index} is {bad!r}: rates must be finite$"):
+            one_curve(rates=rates, multiples=(1.0,) * len(rates), returns=(0.0,) * len(rates))
+
     def test_finite_values_whose_sum_overflows_are_kept(self, tmp_path):
         table = one_curve(multiples=(1.7e308, 1.7e308), returns=(-1.7e308, -1.7e308))
         write_sweep_csv(tmp_path / "sweep.csv", table)
