@@ -17,7 +17,11 @@ def finite_real(name: str, value, *, integer: bool = False):
     # A float skips the ABC check, which costs about 20x the type test; this runs once per fund and grid rate.
     if not (type(value) is float or isinstance(value, numbers.Real)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer or fraction past the float range
+        raise ValueError(f"{name} must be finite, got a number past the float range") from None
+    if not finite:
         raise ValueError(f"{name} must be finite, got {value!r}")
     if integer and not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")

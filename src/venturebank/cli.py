@@ -43,8 +43,6 @@ from .portfolio import (
 DEFAULT_SEED = 42
 DEFAULT_LIBOR_PCT = 1.57  # latest rate in the bundled window
 
-_FLAG_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-
 
 def _finite(text: str) -> float:
     """argparse type of every float flag: a finite number."""
@@ -84,22 +82,11 @@ def _list_of(kind):
     return parse
 
 
-def _config_value(parser: argparse.ArgumentParser, action: argparse.Action, text: str) -> object:
-    """``text`` read as argparse reads the flag; ``ArgumentError`` carries argparse's reason."""
-    if action.nargs == 0:  # store_true
-        if text.lower() not in _FLAG_WORDS:
-            raise argparse.ArgumentError(action, f"expected one of {', '.join(_FLAG_WORDS)}")
-        return _FLAG_WORDS[text.lower()]
-    value = parser._get_value(action, text)
-    parser._check_value(action, value)
-    return value
-
-
 def _apply_config(parser: argparse.ArgumentParser, path: str) -> dict[str, str]:
     """Preload subcommand flag defaults from a flat key=value file; return where each key was set.
 
-    Keys are the subcommands' long flag names; each value is typed by the
-    ``type`` and ``choices`` of the argparse action with that ``dest``.
+    Keys are the subcommands' long flag names; each value is read as argparse
+    reads the flag, by the ``type`` and ``choices`` of the action with that ``dest``.
     """
     subparsers = next(a for a in parser._actions
                       if isinstance(a, argparse._SubParsersAction)).choices.values()
@@ -118,10 +105,12 @@ def _apply_config(parser: argparse.ArgumentParser, path: str) -> dict[str, str]:
         if key not in actions:
             raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
         try:
-            values[key], lines[key] = _config_value(parser, actions[key], text), f"{path}: line {lineno}"
+            values[key] = parser._get_value(actions[key], text)
+            parser._check_value(actions[key], values[key])
         except argparse.ArgumentError as exc:
             raise ValueError(f"{path}: line {lineno}: bad value {text!r} for key {key!r}: "
                              f"{exc.message}") from None
+        lines[key] = f"{path}: line {lineno}"
     for sp in subparsers:
         known = {a.dest for a in sp._actions}
         sp.set_defaults(**{k: v for k, v in values.items() if k in known})
@@ -156,8 +145,6 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=_seed, default=None)  # None when not typed: DEFAULT_SEED
     p.add_argument("--target-mean", type=_non_negative, default=None,
                    help="shift the portfolio to this mean before simulating")
-    p.add_argument("--no-compress", action="store_true", default=None,
-                   help="skip pair compression in the synthesis pipeline")
     p.add_argument("--moc", type=_positive, default=30.0, help="leverage multiple (default 30)")
     _add_terms_flags(p)
 
@@ -173,17 +160,16 @@ def _terms_from(args: argparse.Namespace) -> DinTerms:
     )
 
 
-def _reference_portfolio(seed: int, compress: bool = True):
-    """The synthesized reference portfolio, pair-compressed unless ``compress`` is false."""
-    p = synthesize_kauffman(KauffmanConstraints(), seed)
-    return compress_pairs(p) if compress else p
+def _reference_portfolio(seed: int):
+    """The synthesized reference portfolio, pair-compressed."""
+    return compress_pairs(synthesize_kauffman(KauffmanConstraints(), seed))
 
 
 def _portfolio_from(args: argparse.Namespace):
     if args.portfolio:
         p = load_portfolio(args.portfolio)
     else:
-        p = _reference_portfolio(DEFAULT_SEED if args.seed is None else args.seed, not args.no_compress)
+        p = _reference_portfolio(DEFAULT_SEED if args.seed is None else args.seed)
     if args.target_mean is not None:
         p = shift_to_mean(p, args.target_mean)
     return p
@@ -385,13 +371,12 @@ def run_cli(argv: list[str]) -> int:
         keys = _apply_config(parser, args.config) if args.config else {}
         if keys:  # file values become subcommand defaults, so explicit flags still win
             args = parser.parse_args(argv)
-        if args.command in ("simulate", "breakeven") and args.portfolio:  # only synthesis reads these
-            for key, flag in (("seed", "--seed"), ("no_compress", "--no-compress")):
-                if getattr(flags, key) is not None:
-                    raise ValueError(f"--portfolio and {flag} cannot be combined: only synthesis reads {flag}")
-                if key in keys:
-                    raise ValueError(f"{keys[key]}: key {key!r} cannot be combined with --portfolio: "
-                                     f"only synthesis reads it")
+        if args.command in ("simulate", "breakeven") and args.portfolio:  # only synthesis reads --seed
+            if flags.seed is not None:
+                raise ValueError("--portfolio and --seed cannot be combined: only synthesis reads --seed")
+            if "seed" in keys:
+                raise ValueError(f"{keys['seed']}: key 'seed' cannot be combined with --portfolio: "
+                                 f"only synthesis reads it")
         if args.command == "breakeven" and not 0 <= args.lo < args.hi:  # flags or config file
             raise ValueError(f"--lo/--hi must satisfy 0 <= --lo < --hi, "
                              f"got --lo {args.lo:g} --hi {args.hi:g} (percent)")

@@ -13,7 +13,6 @@ engine boundary.
 from __future__ import annotations
 
 import datetime as dt
-import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from importlib import resources
@@ -28,9 +27,6 @@ FUNDS_RATE_SPREAD = 0.25
 
 #: FRED export convention for a date with no published observation.
 MISSING_MARKER = "."
-
-#: Environment variable overriding the bundled-data directory.
-DATA_DIR_ENV = "VENTUREBANK_DATA_DIR"
 
 #: File name of the bundled rate snapshot shipped with the package.
 SNAPSHOT_FILENAME = "libor_usd12m.csv"
@@ -183,8 +179,5 @@ def funds_rate(libor: float) -> float:
 
 
 def default_snapshot_path() -> Path:
-    """Path of the bundled rate snapshot, honouring the data-dir override."""
-    override = os.environ.get(DATA_DIR_ENV)
-    if override:
-        return Path(override) / SNAPSHOT_FILENAME
+    """Path of the bundled rate snapshot; ``ingest --csv`` reads any other file."""
     return Path(str(resources.files("venturebank") / "data" / SNAPSHOT_FILENAME))

@@ -85,17 +85,15 @@ class KauffmanConstraints:
             raise ValueError(f"need at least 3 funds, got n={self.n!r}")
         if self.stddev < 0:
             raise ValueError(f"stddev must be >= 0, got {self.stddev!r}")
-        if not (0 <= self.sigma_clamp_loss <= self.breakeven_clamp_loss):
-            raise ValueError("clamp losses must satisfy 0 <= sigma <= breakeven, got "
+        if not (0 <= self.sigma_clamp_loss <= self.breakeven_clamp_loss <= 100):  # clamped funds stay >= 0
+            raise ValueError("clamp losses must satisfy 0 <= sigma <= breakeven <= 100, got "
                              f"sigma_clamp_loss={self.sigma_clamp_loss!r}, "
                              f"breakeven_clamp_loss={self.breakeven_clamp_loss!r}")
-        # Synthesis sums the squares of n funds and n clamped funds; both totals must stay floats.
-        big = "mean" if abs(self.mean) > self.stddev else "stddev"
-        for name, total in ((big, self.n * (self.stddev * self.stddev + self.mean * self.mean)),
-                            ("breakeven_clamp_loss", self.n * (1.0 - self.breakeven_clamp_loss / 100.0))):
-            if not math.isfinite(total):
-                raise ValueError(f"{name} too large for {self.n} funds: synthesis would pass the float range, "
-                                 f"got {getattr(self, name)!r}")
+        # Synthesis sums the squares of n funds; that total must stay a float.
+        if not math.isfinite(self.n * (self.stddev * self.stddev + self.mean * self.mean)):
+            big = "mean" if abs(self.mean) > self.stddev else "stddev"
+            raise ValueError(f"{big} too large for {self.n} funds: synthesis would pass the float range, "
+                             f"got {getattr(self, big)!r}")
 
 
 def portfolio_stats(p: ReturnPortfolio) -> PortfolioStats:

@@ -80,10 +80,8 @@ def _svg_chart(xs: tuple[float, ...], series: dict[str, tuple[float, ...]], titl
     def px(x: float) -> float:
         return MARGIN_L + (x - x_lo) / (x_hi - x_lo or 1.0) * plot_w
 
-    y_span = y_hi - y_lo or 1.0
-
-    def py(y: float) -> float:
-        return MARGIN_T + (y_hi - y) / y_span * plot_h
+    def py(y: float) -> float:  # y_hi > y_lo: y_max > y_min, or both are ref_y (0 or 1) and pad is 0.05
+        return MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {WIDTH} {HEIGHT}" '
@@ -123,9 +121,8 @@ def _svg_chart(xs: tuple[float, ...], series: dict[str, tuple[float, ...]], titl
     # value; each curve fills a template of the formatted x pixels in one % call.
     import numpy as np
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        points = " ".join([f"{x:.2f},%.2f" for x in px(np.asarray(xs, dtype=float)).tolist()])
-        ys_px = [py(np.asarray(ys, dtype=float)).tolist() for ys in series.values()]
+    points = " ".join([f"{x:.2f},%.2f" for x in px(np.asarray(xs, dtype=float)).tolist()])
+    ys_px = [py(np.asarray(ys, dtype=float)).tolist() for ys in series.values()]
     legend_y = MARGIN_T + 10
     for i, (name, y_fields) in enumerate(zip(series, ys_px)):
         color = PALETTE[i % len(PALETTE)]

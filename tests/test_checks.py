@@ -42,6 +42,13 @@ class TestFiniteReal:
         with pytest.raises(ValueError, match=f"^x must be finite, got {re.escape(repr(value))}$"):
             finite_real("x", value)
 
+    @pytest.mark.parametrize("value", [10**400, -(10**400), Fraction(10**400, 3)])
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_a_number_past_the_float_range_is_named(self, value, integer):
+        """``math.isfinite`` cannot convert it, so it is not finite: a named ``ValueError``, not ``OverflowError``."""
+        with pytest.raises(ValueError, match="^n must be finite, got a number past the float range$"):
+            finite_real("n", value, integer=integer)
+
     @pytest.mark.parametrize("value", [2.0, 2.5, Fraction(4, 2), np.float64(3.0)])
     def test_integer_wants_an_integral_type(self, value):
         with pytest.raises(ValueError, match=f"^n must be an integer, got {re.escape(repr(value))}$"):

@@ -1,17 +1,26 @@
 """Command-line behaviour: determinism, outputs, exit codes."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import venturebank
+from venturebank.bank_engine import ScenarioConfig, simulate_bank, write_bank_csv
 from venturebank.cli import build_parser, run_cli
-from venturebank.din import PremiumBase
+from venturebank.din import DinTerms, PremiumBase
+from venturebank.market_data import funds_rate
+from venturebank.portfolio import KauffmanConstraints, shift_to_mean, synthesize_kauffman
 
 
 @pytest.fixture(autouse=True)
@@ -152,6 +161,8 @@ class TestSimulateAndBreakeven:
 
     @pytest.mark.parametrize("argv, message", [
         (["synth", "--n", "2"], "need at least 3 funds, got n=2"),
+        (["synth", "--breakeven-loss", "1.7e308"], "clamp losses must satisfy 0 <= sigma <= breakeven <= 100, "
+                                                    "got sigma_clamp_loss=2.72, breakeven_clamp_loss=1.7e+308"),
     ])
     def test_out_of_domain_value_is_named(self, in_tmp, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -245,6 +256,31 @@ class TestSimulateAndBreakeven:
         assert out == ""
         assert "final multiple not finite at moc 1.7e+308 and capital 1.0" in err
         assert sorted(p.name for p in in_tmp.iterdir()) == ["p.csv"]
+
+    @pytest.mark.parametrize("argv, name", [
+        pytest.param(["synth", "--n"], "n", id="synth-n"),
+        pytest.param(["simulate", "--term-years"], "term_years", id="simulate-term-years"),
+        pytest.param(["simulate", "--payoff-year"], "payoff_year", id="simulate-payoff-year"),
+        *(pytest.param([command, "--seed"], "seed", id=f"{command}-seed")
+          for command in ("synth", "breakeven", "sweep", "calibrate")),
+    ])
+    def test_integer_past_the_float_range_is_named(self, in_tmp, capsys, argv, name):
+        code, out, err = run(capsys, *argv, "1" + "0" * 400)
+        assert (code, out, err) == (1, "", f"error: {name} must be finite, got a number past the float range\n")
+        assert not any(in_tmp.iterdir())
+
+    def test_uncompressed_synthesis_goes_through_a_portfolio_file(self, in_tmp, capsys):
+        """``synth --out kauffman-99.csv`` then ``--portfolio kauffman-99.csv`` runs the uncompressed synthesis."""
+        assert run(capsys, "synth", "--seed", "7", "--out", "kauffman-99.csv")[0] == 0
+        code, out, _ = run(capsys, "simulate", "--portfolio", "kauffman-99.csv", "--target-mean", "1.31",
+                           "--moc", "43", "--premium-base", "principal_annual", "--ledger-out", "ledger.csv")
+        assert code == 0
+        assert out.startswith("portfolio=kauffman-99-m1.31\nfunds=99\n")
+        terms = DinTerms(3.88 / 100.0, 2.88 / 100.0, 5.0 / 100.0, "principal_annual")
+        portfolio = shift_to_mean(synthesize_kauffman(KauffmanConstraints(), 7), 1.31)
+        cfg = ScenarioConfig(portfolio, terms, funds_rate(1.57) / 100.0, 43.0)
+        write_bank_csv(in_tmp / "want.csv", simulate_bank(cfg))
+        assert (in_tmp / "ledger.csv").read_bytes() == (in_tmp / "want.csv").read_bytes()
 
     def test_infinite_margins_still_bracket_a_break_even(self, capsys):
         code, out, _ = run(capsys, "breakeven", "--moc", "1e308")
@@ -340,9 +376,9 @@ def flags_of(command: str) -> list[str]:
             if a.option_strings and a.dest != "help"]
 
 
-# One value other than the default for every flag of simulate, breakeven and sweep; None for a switch.
+# One value other than the default for every flag of simulate, breakeven and sweep.
 NON_DEFAULT = {
-    "--portfolio": "../p.csv", "--seed": "7", "--target-mean": "1.5", "--no-compress": None,
+    "--portfolio": "../p.csv", "--seed": "7", "--target-mean": "1.5",
     "--moc": "43", "--libor": "3", "--bank-rate": "4", "--capital": "2", "--ledger-out": "other.csv",
     "--coverage": "5.6", "--coverage-floor": "2", "--premium-rate": "4",
     "--premium-base": "principal_upfront", "--payoff-year": "4", "--term-years": "9",
@@ -379,8 +415,7 @@ class TestEveryFlagIsRead:
 
     def with_and_without(self, in_tmp, capsys, monkeypatch, command, flag, context=()):
         assert run(capsys, "synth", "--seed", "7", "--out", "p.csv")[0] == 0
-        value = NON_DEFAULT[flag]
-        given = [flag] if value is None else [flag, value]
+        given = [flag, NON_DEFAULT[flag]]
         return (self.outputs(capsys, monkeypatch, in_tmp / "with", [command, *context, *given]),
                 self.outputs(capsys, monkeypatch, in_tmp / "without", [command, *context]))
 
@@ -397,17 +432,16 @@ class TestEveryFlagIsRead:
         assert given == default, reason
 
     @pytest.mark.parametrize("command", ["simulate", "breakeven"])
-    @pytest.mark.parametrize("flag", ["--seed", "--no-compress"])
+    @pytest.mark.parametrize("flag", ["--seed"])
     def test_synthesis_flag_with_portfolio_is_a_usage_error(self, in_tmp, capsys, command, flag):
-        """Only synthesis reads --seed and --no-compress, and --portfolio skips synthesis."""
+        """Only synthesis reads --seed, and --portfolio skips synthesis."""
         assert run(capsys, "synth", "--out", "p.csv")[0] == 0
-        given = [flag] if NON_DEFAULT[flag] is None else [flag, NON_DEFAULT[flag]]
-        code, out, err = run(capsys, command, "--portfolio", "p.csv", *given)
+        code, out, err = run(capsys, command, "--portfolio", "p.csv", flag, NON_DEFAULT[flag])
         assert (code, out) == (2, "")
         assert f"--portfolio and {flag} cannot be combined" in err
 
     @pytest.mark.parametrize("command", ["simulate", "breakeven"])
-    @pytest.mark.parametrize("line", ["seed=42", "no_compress=false"])
+    @pytest.mark.parametrize("line", ["seed=42"])
     def test_synthesis_key_with_portfolio_names_file_line_and_key(self, in_tmp, capsys, command, line):
         assert run(capsys, "synth", "--out", "p.csv")[0] == 0
         (in_tmp / "c.cfg").write_text(f"moc=43\n{line}\n", encoding="utf-8")
@@ -469,7 +503,7 @@ class TestStartup:
         script = (
             "import sys\n"
             "from venturebank.cli import run_cli\n"
-            "for argv in (['synth'], ['breakeven'], ['calibrate'], ['simulate'], ['simulate', '--no-compress']):\n"
+            "for argv in (['synth'], ['breakeven'], ['calibrate'], ['simulate']):\n"
             "    assert run_cli(argv) == 0, argv\n"
             "    assert 'numpy' not in sys.modules, argv\n"
             "assert run_cli(['sweep', '--grid', '1:2:0.5']) == 0\n"
@@ -561,12 +595,13 @@ class TestConfigFile:
         assert code == 0
         assert configured == plain
 
-    def test_store_true_flag_from_file(self, in_tmp, capsys):
-        (in_tmp / "c.cfg").write_text("no_compress=true\n", encoding="utf-8")
-        _, compressed, _ = run(capsys, "simulate")
-        _, uncompressed, _ = run(capsys, "--config", "c.cfg", "simulate")
-        assert "funds=99\n" not in compressed
-        assert "funds=99\n" in uncompressed
+    @pytest.mark.parametrize("command", ["simulate", "breakeven"])
+    def test_no_compress_key_is_gone(self, in_tmp, capsys, command):
+        (in_tmp / "c.cfg").write_text("moc=43\nno_compress=true\n", encoding="utf-8")
+        code, out, err = run(capsys, "--config", "c.cfg", command)
+        assert (code, out) == (2, "")
+        assert err == "error: c.cfg: line 2: unknown key 'no_compress'\n"
+        assert not (in_tmp / "bank_ledger.csv").exists()
 
     @pytest.mark.parametrize("line", ["moc=lots", "no_compress=maybe", "premium_base=weekly",
                                       "moc=inf", "bank_rate=nan", "mocs=30,nan",
@@ -594,6 +629,24 @@ class TestExitCodes:
         assert code == 2
         assert "--surplus-rate" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "breakeven"])
+    def test_no_compress_flag_is_gone(self, in_tmp, capsys, command):
+        """The uncompressed synthesis is ``synth --out kauffman-99.csv``, then ``--portfolio kauffman-99.csv``."""
+        code, out, err = run(capsys, command, "--no-compress")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --no-compress" in err
+        assert not any(in_tmp.iterdir())
+
+    def test_no_flag_is_a_switch(self):
+        """Every flag but --help takes a value: a config file reads each key through its flag's ``type``,
+        which would take ``false`` for a switch as a true string."""
+        parser = build_parser()
+        parsers = [parser, *next(a for a in parser._actions
+                                 if isinstance(a, argparse._SubParsersAction)).choices.values()]
+        switches = [(p.prog, a.option_strings[0]) for p in parsers for a in p._actions
+                    if a.option_strings and a.nargs == 0 and a.dest != "help"]
+        assert not switches
+
     @pytest.mark.parametrize("command", ["breakeven", "sweep"])
     def test_capital_flag_only_on_simulate(self, capsys, command):
         code, _, err = run(capsys, command, "--capital", "2")
@@ -608,3 +661,69 @@ class TestExitCodes:
 
     def test_no_args_shows_usage(self, capsys):
         assert run(capsys)[0] != 0
+
+
+BIG_INT = "1" + "0" * 400  # an integer past the float range
+EXTREMES = st.sampled_from(["1e308", "-1e308", "1.7e308", "5e-324", "-5e-324", "-0.0", "0", "1", "43"])
+PORTFOLIOS = {"p.csv": "multiple\n0.5\n1.5\n2.0\n", "huge.csv": "multiple\n1e308\n1e308\n0.5\n",
+              "tiny.csv": "multiple\n5e-324\n0\n5e-324\n", "nan.csv": "multiple\n1.0\nnan\n"}
+RATES = {"r.csv": "DATE,USD12MD156N\n2010-01-04,2.0\n2010-01-05,.\n2010-01-06,50\n"}
+YEARS = st.integers(-1, 300).map(str) | st.sampled_from([BIG_INT, "-0.0"])
+DATES = st.sampled_from(["1986", "2010-01-05", "0001", "9999-12-31", "0"])
+# Flag text by flag; every other flag draws from EXTREMES. Sizes stay small: --n, grids and years
+# are drawn from values that allocate at most a few thousand floats, or that are rejected.
+VALUES = {
+    "--portfolio": st.sampled_from([*PORTFOLIOS, "missing.csv"]),
+    "--csv": st.sampled_from([*RATES, "p.csv", "missing.csv"]),
+    "--start": DATES, "--end": DATES,
+    "--seed": st.sampled_from(["0", "7", str(2**64), BIG_INT, "-1"]),
+    "--n": st.sampled_from(["2", "3", "7", "300", BIG_INT]),
+    "--payoff-year": YEARS, "--term-years": YEARS,
+    "--premium-base": st.sampled_from([b.value for b in PremiumBase]),
+    "--grid": st.sampled_from(["1:2:0.5", "0.53:7.50:0.25", "0:1e308:1e307", "5e-324:1e-323:5e-324",
+                               "1:2:5e-324", "2:1:1"]),
+    "--mocs": st.lists(EXTREMES, min_size=1, max_size=2).map(",".join),
+    "--targets": st.lists(EXTREMES, min_size=1, max_size=2).map(",".join),
+    "--label": st.sampled_from(["a,b", "x"]),
+    "--out": st.sampled_from(["o.csv", "sub/o.csv"]),
+    "--ledger-out": st.sampled_from(["o.csv", "sub/o.csv"]),
+    "--out-dir": st.sampled_from(["out", "."]),
+}
+COMMANDS = ("ingest", "synth", "coverage", "simulate", "breakeven", "sweep", "calibrate")
+
+
+class TestNoTraceback:
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_every_exit_is_a_status_and_one_error_line(self, data):
+        """Any flags and config keys, at finite extremes: status 0, 1 or 2 and never a traceback.
+
+        A nonzero status writes one ``error:`` line, status 2 writes no file, and status 0
+        prints no ``nan`` or ``inf``.
+        """
+        command = data.draw(st.sampled_from(COMMANDS), label="command")
+        flags = flags_of(command)
+        argv = [command]
+        for flag in data.draw(st.lists(st.sampled_from(flags), max_size=4, unique=True), label="flags"):
+            argv += [flag, data.draw(VALUES.get(flag, EXTREMES), label=flag)]
+        keys = data.draw(st.lists(st.sampled_from(flags), max_size=2, unique=True), label="keys")
+        config = [f"{key[2:]}={data.draw(VALUES.get(key, EXTREMES), label=key)}\n" for key in keys]
+        if config:
+            argv = ["--config", "c.cfg", *argv]
+        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+            for name, text in {**PORTFOLIOS, **RATES, "c.cfg": "".join(config)}.items():
+                Path(name).write_text(text, encoding="utf-8")
+            before = sorted(Path(".").rglob("*"))
+            with contextlib.redirect_stdout(io.StringIO()) as out, \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = run_cli(argv)
+            written = sorted(Path(".").rglob("*")) != before
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err, argv
+        if code:
+            assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
+        if code == 2:
+            assert not written, argv
+        if code == 0:
+            assert not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE), (argv, out)

@@ -151,13 +151,13 @@ class TestBundledSnapshot:
         text = default_snapshot_path().read_text(encoding="utf-8")
         assert ",.\n" in text
 
-    def test_data_dir_env_override(self, tmp_path, monkeypatch):
-        (tmp_path / "libor_usd12m.csv").write_text(
-            "DATE,USD12MD156N\n2010-01-04,2.0\n", encoding="utf-8"
-        )
+    def test_data_dir_env_is_ignored(self, tmp_path, monkeypatch):
+        """The bundled snapshot is the one default; ``ingest --csv`` reads any other rate file."""
+        bundled = default_snapshot_path()
+        (tmp_path / "libor_usd12m.csv").write_text("DATE,USD12MD156N\n2010-01-04,2.0\n", encoding="utf-8")
         monkeypatch.setenv("VENTUREBANK_DATA_DIR", str(tmp_path))
-        assert default_snapshot_path() == tmp_path / "libor_usd12m.csv"
-        assert len(load_libor_csv(default_snapshot_path())) == 1
+        assert default_snapshot_path() == bundled != tmp_path / "libor_usd12m.csv"
+        assert len(load_libor_csv(default_snapshot_path())) > 1
 
 
 class TestSeries:

@@ -121,6 +121,17 @@ def test_only_checks_imports_numbers():
     assert importers == ["checks.py"]
 
 
+def test_no_module_reads_the_environment():
+    """Every input comes in through a flag, a config key or an argument, never ``os.environ``/``os.getenv``."""
+    package = SRC / "venturebank"
+    readers = sorted(f"{path.name}:{node.lineno}" for path in package.glob("*.py")
+                     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                     if isinstance(node, ast.Attribute) and node.attr in ("environ", "environb", "getenv", "getenvb")
+                     or isinstance(node, ast.ImportFrom) and node.module == "os"
+                     and any(a.name in ("environ", "environb", "getenv", "getenvb") for a in node.names))
+    assert not readers
+
+
 def _is_dataclass_decorator(node) -> bool:
     target = node.func if isinstance(node, ast.Call) else node
     return (target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)) == "dataclass"

@@ -116,9 +116,12 @@ class TestSynthesis:
         ({"n": 2}, "need at least 3 funds, got n=2"),
         ({"stddev": -0.5}, "stddev must be >= 0, got -0.5"),
         ({"sigma_clamp_loss": 5.0, "breakeven_clamp_loss": 1.0},
-         "clamp losses must satisfy 0 <= sigma <= breakeven, got sigma_clamp_loss=5.0, breakeven_clamp_loss=1.0"),
-        ({"sigma_clamp_loss": -1.0}, "clamp losses must satisfy 0 <= sigma <= breakeven, "
+         "clamp losses must satisfy 0 <= sigma <= breakeven <= 100, got sigma_clamp_loss=5.0, "
+         "breakeven_clamp_loss=1.0"),
+        ({"sigma_clamp_loss": -1.0}, "clamp losses must satisfy 0 <= sigma <= breakeven <= 100, "
                                      "got sigma_clamp_loss=-1.0, breakeven_clamp_loss=17.45"),
+        ({"breakeven_clamp_loss": 100.5}, "clamp losses must satisfy 0 <= sigma <= breakeven <= 100, "
+                                          "got sigma_clamp_loss=2.72, breakeven_clamp_loss=100.5"),
     ])
     def test_out_of_domain_value_is_named(self, kwargs, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -153,9 +156,12 @@ class TestSynthesis:
             KauffmanConstraints(stddev=1e200)
 
     def test_clamp_loss_whose_total_overflows_is_named(self):
-        with pytest.raises(ValueError, match=r"^breakeven_clamp_loss too large for 200 funds"):
-            KauffmanConstraints(n=200, breakeven_clamp_loss=1e308)
-        KauffmanConstraints(n=99, breakeven_clamp_loss=1e308)  # 99 such funds still sum to a float
+        """A loss past 100% would clamp funds below 0; at 1e308 the losers' deficit overflowed in synthesis."""
+        for n in (99, 200):
+            with pytest.raises(ValueError, match=r"^clamp losses must satisfy 0 <= sigma <= breakeven <= 100, "
+                                                 r"got sigma_clamp_loss=2\.72, breakeven_clamp_loss=1e\+308$"):
+                KauffmanConstraints(n=n, breakeven_clamp_loss=1e308)
+        assert KauffmanConstraints(sigma_clamp_loss=100, breakeven_clamp_loss=100).breakeven_clamp_loss == 100
 
     def test_mean_beyond_every_band_fails_without_searching_past_n(self):
         # Large winners need about 1e101 funds; only counts up to n are tried.
