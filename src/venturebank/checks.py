@@ -1,7 +1,8 @@
-"""The one rule for a number handed to the package: a finite real, named when it is not."""
+"""The rules for what is handed to the package: a finite real number and UTF-8 text, named when they are not."""
 
 import math
 import numbers
+from pathlib import Path
 
 
 class ElementError(ValueError):
@@ -34,3 +35,13 @@ def checked_fsum(what: str, values) -> float:
         return math.fsum(values)
     except OverflowError:
         raise ValueError(f"{what} sum past the float range") from None
+
+
+def read_lines(path) -> list[str]:
+    """Lines of the UTF-8 text file ``path``; ``ValueError`` naming the file and line of a byte that is not."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:  # lines counted as the readers count them, by ``splitlines``
+        line = len((data[:exc.start].decode("utf-8") + "?").splitlines())
+        raise ValueError(f"{path}: line {line}: byte {data[exc.start]:#04x} is not UTF-8") from None

@@ -1,16 +1,18 @@
 """Command-line front end.
 
 Subcommands: ingest, synth, coverage, simulate, breakeven, sweep,
-calibrate. Flags can be preloaded from a flat key=value config file via
---config; explicit flags win over file values. All rates and coverage
-levels on the command line are percentages; conversion to fractions
-happens at the engine boundary.
+calibrate. One parse resolves every value: the keys of a key=value file
+given by --config before the subcommand (long flag names) become flag
+defaults, so explicit flags win and a later line wins for the same value
+(--libor and --bank-rate set one funding rate). Rates and coverage levels
+are percentages, converted to fractions at the engine boundary.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime as dt
+import os
 import sys
 from pathlib import Path
 
@@ -21,7 +23,7 @@ from .bank_engine import (
     simulate_bank,
     write_bank_csv,
 )
-from .checks import finite_real
+from .checks import finite_real, read_lines
 from .din import (
     DinTerms,
     PremiumBase,
@@ -82,39 +84,42 @@ def _list_of(kind):
     return parse
 
 
-def _apply_config(parser: argparse.ArgumentParser, path: str) -> dict[str, str]:
-    """Preload subcommand flag defaults from a flat key=value file; return where each key was set.
+class _Config(argparse.Action):
+    """``--config FILE``: flat key=value lines that become subcommand flag defaults as the file is read.
 
     Keys are the subcommands' long flag names; each value is read as argparse
-    reads the flag, by the ``type`` and ``choices`` of the action with that ``dest``.
+    reads the flag, by its ``type`` and ``choices``, and a later line for the
+    same value wins. A flag the file gives is no longer required.
+    ``args.config`` maps each key to the ``file: line N`` that set it.
     """
-    subparsers = next(a for a in parser._actions
-                      if isinstance(a, argparse._SubParsersAction)).choices.values()
-    actions = {a.dest: a for sp in subparsers for a in sp._actions
-               if a.option_strings and a.dest != "help"}
-    values: dict[str, object] = {}
-    lines: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}: line {lineno}: expected key=value")
-        key, _, text = line.partition("=")
-        key, text = key.strip().replace("-", "_"), text.strip()
-        if key not in actions:
-            raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
-        try:
-            values[key] = parser._get_value(actions[key], text)
-            parser._check_value(actions[key], values[key])
-        except argparse.ArgumentError as exc:
-            raise ValueError(f"{path}: line {lineno}: bad value {text!r} for key {key!r}: "
-                             f"{exc.message}") from None
-        lines[key] = f"{path}: line {lineno}"
-    for sp in subparsers:
-        known = {a.dest for a in sp._actions}
-        sp.set_defaults(**{k: v for k, v in values.items() if k in known})
-    return lines
+
+    def __call__(self, parser, namespace, path, option_string=None):
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction)).choices.values()
+        actions = {flag[2:].replace("-", "_"): a for sp in subparsers for a in sp._actions
+                   for flag in a.option_strings if flag.startswith("--") and a.dest != "help"}
+        values: dict[str, object] = {}
+        lines = dict(getattr(namespace, self.dest))  # a second --config adds to the first
+        for lineno, raw in enumerate(read_lines(path), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}: line {lineno}: expected key=value")
+            key, _, text = line.partition("=")
+            key, text = key.strip().replace("-", "_"), text.strip()
+            if (action := actions.get(key)) is None:
+                raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
+            try:
+                values[action.dest] = parser._get_value(action, text)
+                parser._check_value(action, values[action.dest])
+            except argparse.ArgumentError as exc:
+                raise ValueError(f"{path}: line {lineno}: bad value {text!r} for key {key!r}: "
+                                 f"{exc.message}") from None
+            lines[key] = f"{path}: line {lineno}"
+        for a in (a for sp in subparsers for a in sp._actions if a.dest in values):
+            a.default, a.required = values[a.dest], False
+        setattr(namespace, self.dest, lines)
 
 
 def _parse_date(text: str, end_of_year: bool) -> dt.date:
@@ -232,8 +237,7 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    rate_pct = args.bank_rate if args.bank_rate is not None else funds_rate(args.libor)
-    cfg = _scenario_from(args, rate_pct / 100.0, args.capital)
+    cfg = _scenario_from(args, args.bank_rate / 100.0, args.capital)
     result = simulate_bank(cfg)
     write_bank_csv(args.ledger_out, result)
     print(f"portfolio={cfg.portfolio.label}")
@@ -303,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="venturebank",
         description="Deterministic venture-bank / default-insurance scenario simulator.",
     )
-    parser.add_argument("--config", help="flat key=value file preloading flag defaults")
+    parser.add_argument("--config", action=_Config, default={},
+                        help="flat key=value file preloading flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="load a rate CSV and print window statistics")
@@ -333,9 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run one bank scenario and write its ledger")
     _add_scenario_flags(p)
     rate = p.add_mutually_exclusive_group()
-    rate.add_argument("--libor", type=_non_negative, default=DEFAULT_LIBOR_PCT,
+    rate.add_argument("--libor", dest="bank_rate", type=lambda t: funds_rate(_non_negative(t)),
+                      default=funds_rate(DEFAULT_LIBOR_PCT), metavar="LIBOR",
                       help=f"interbank rate percent; bank pays +0.25 (default {DEFAULT_LIBOR_PCT})")
-    rate.add_argument("--bank-rate", type=_non_negative, default=None,
+    rate.add_argument("--bank-rate", type=_non_negative,
                       help="bank funding rate percent, bypassing the spread")
     p.add_argument("--capital", type=_positive, default=1.0, help="original capital (default 1)")
     p.add_argument("--ledger-out", default="bank_ledger.csv")
@@ -364,40 +370,40 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_cli(argv: list[str]) -> int:
-    """Parse and dispatch; exit status 0 on success, nonzero with a diagnostic."""
-    parser = build_parser()
+    """Parse and dispatch; exit status 0 on success, 2 for bad input, 1 when the command fails."""
+    status = 2
     try:
-        args = flags = parser.parse_args(argv)
-        keys = _apply_config(parser, args.config) if args.config else {}
-        if keys:  # file values become subcommand defaults, so explicit flags still win
-            args = parser.parse_args(argv)
-        if args.command in ("simulate", "breakeven") and args.portfolio:  # only synthesis reads --seed
-            if flags.seed is not None:
-                raise ValueError("--portfolio and --seed cannot be combined: only synthesis reads --seed")
-            if "seed" in keys:
-                raise ValueError(f"{keys['seed']}: key 'seed' cannot be combined with --portfolio: "
+        args = build_parser().parse_args(argv)  # --config, given first, sets the subcommand's defaults
+        if args.command in ("simulate", "breakeven") and args.portfolio and args.seed is not None:
+            if "seed" in args.config:  # only synthesis reads --seed
+                raise ValueError(f"{args.config['seed']}: key 'seed' cannot be combined with --portfolio: "
                                  f"only synthesis reads it")
+            raise ValueError("--portfolio and --seed cannot be combined: only synthesis reads --seed")
         if args.command == "breakeven" and not 0 <= args.lo < args.hi:  # flags or config file
             raise ValueError(f"--lo/--hi must satisfy 0 <= --lo < --hi, "
                              f"got --lo {args.lo:g} --hi {args.hi:g} (percent)")
         if "coverage" in args and args.coverage < args.coverage_floor:
             raise ValueError(f"--coverage must be >= --coverage-floor, got --coverage {args.coverage:g} "
                              f"--coverage-floor {args.coverage_floor:g} (percent)")
+        status = 1
+        return args.handler(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    except BrokenPipeError:
+        raise  # the reader closed stdout: see main
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        return args.handler(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return status
 
 
 def main() -> None:
-    sys.exit(run_cli(sys.argv[1:]))
+    try:
+        status = run_cli(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
+    except BrokenPipeError:  # the reader took what it wanted, as `venturebank ingest | head -1` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the flush at exit stays silent
+        status = 0
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from math import fsum
 from pathlib import Path
 from typing import NamedTuple
 
-from .checks import ElementError, finite_real
+from .checks import ElementError, finite_real, read_lines
 
 #: Spread (percentage points) the bank pays over the interbank rate.
 FUNDS_RATE_SPREAD = 0.25
@@ -107,7 +107,7 @@ def load_libor_csv(path: str | Path) -> LiborSeries:
     if not path.exists():
         raise LiborLoadError(f"no such file: {path}")
 
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_lines(path)
     if not lines:
         raise LiborLoadError(f"{path}: empty file")
 

@@ -16,7 +16,7 @@ from math import fsum
 from pathlib import Path
 from typing import NamedTuple
 
-from .checks import ElementError, checked_fsum, finite_real
+from .checks import ElementError, checked_fsum, finite_real, read_lines
 
 
 #: Bounds of a synthesized fund multiple.
@@ -109,8 +109,8 @@ def clamp_loss(p: ReturnPortfolio, threshold: float) -> float:
     return (1.0 - fsum(1.0 if m > threshold else m for m in p.funds) / len(p.funds)) * 100.0
 
 
-def _bucket_values(d: list[float], mean: float, lo: float, hi: float) -> tuple[list[float], float]:
-    """Deviation shape ``d`` for a band plus its spread capacity.
+def _spread_capacity(d: list[float], mean: float, lo: float, hi: float) -> float:
+    """Spread capacity of a band with deviation shape ``d``.
 
     Capacity is in sum-of-squares units: the largest extra variance the
     band can absorb while every value stays inside [lo, hi].
@@ -121,9 +121,7 @@ def _bucket_values(d: list[float], mean: float, lo: float, hi: float) -> tuple[l
         s_max = min(s_max, (mean - lo) / -lo_ex)
     if hi_ex > 0:
         s_max = min(s_max, (hi - mean) / hi_ex)
-    if not math.isfinite(s_max):
-        s_max = 0.0
-    return d, max(0.0, s_max) ** 2
+    return max(0.0, s_max) ** 2 if math.isfinite(s_max) else 0.0
 
 
 def synthesize_kauffman(constraints: KauffmanConstraints, seed: int, *,
@@ -217,7 +215,8 @@ def synthesize_kauffman(constraints: KauffmanConstraints, seed: int, *,
                 if mean_b == 1.0 and excess_mid == 0 and lo == 1.0:
                     parts.append((mean_b, [0.0] * k, 0.0))
                     continue
-                d, cap = _bucket_values(centered_unit(rng, k), mean_b, lo, hi)
+                d = centered_unit(rng, k)
+                cap = _spread_capacity(d, mean_b, lo, hi)
                 parts.append((mean_b, d, cap))
                 cap_total += cap
             if cap_total + 1e-12 < delta:
@@ -322,7 +321,7 @@ def load_portfolio(path: str | Path) -> ReturnPortfolio:
     Blank lines are skipped; a bad row raises ``ValueError`` naming its line.
     """
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_lines(path)
     rows = [(lineno, ln.strip()) for lineno, ln in enumerate(lines, start=1) if ln.strip()]
     if not rows or rows[0][1] != "multiple":
         raise ValueError(f"{path}: expected a one-column CSV with header 'multiple'")

@@ -603,6 +603,68 @@ class TestConfigFile:
         assert err == "error: c.cfg: line 2: unknown key 'no_compress'\n"
         assert not (in_tmp / "bank_ledger.csv").exists()
 
+    @pytest.mark.parametrize("line, flag, shown", [("bank_rate=3", ["--libor", "2"], "2.2500"),
+                                                   ("libor=3", ["--bank-rate", "2"], "2.0000")])
+    def test_either_rate_flag_beats_either_rate_key(self, in_tmp, capsys, line, flag, shown):
+        """``--libor`` and ``--bank-rate`` write one funding rate, so an explicit flag wins over both keys."""
+        (in_tmp / "c.cfg").write_text(f"{line}\n", encoding="utf-8")
+        code, out, _ = run(capsys, "--config", "c.cfg", "simulate", *flag)
+        assert code == 0
+        assert f"bank_rate_pct={shown}\n" in out
+
+    @pytest.mark.parametrize("lines, shown", [("libor=3\nbank_rate=1\n", "1.0000"),
+                                              ("bank_rate=1\nlibor=3\n", "3.2500")])
+    def test_later_rate_key_wins(self, in_tmp, capsys, lines, shown):
+        (in_tmp / "c.cfg").write_text(lines, encoding="utf-8")
+        code, out, _ = run(capsys, "--config", "c.cfg", "simulate")
+        assert code == 0
+        assert f"bank_rate_pct={shown}\n" in out
+
+    def test_key_stands_in_for_a_required_flag(self, in_tmp, capsys):
+        assert run(capsys, "synth", "--out", "p.csv")[0] == 0
+        (in_tmp / "c.cfg").write_text("portfolio=p.csv\n", encoding="utf-8")
+        code, out, err = run(capsys, "--config", "c.cfg", "coverage")
+        assert (code, err) == (0, "")
+        assert out == run(capsys, "coverage", "--portfolio", "p.csv")[1]
+
+    def test_one_parse_per_command(self, in_tmp, capsys, monkeypatch):
+        """The file is read inside the one ``parse_args`` call, so flags are never parsed twice."""
+        calls = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def counted(parser, *args, **kwargs):
+            calls.append(parser.prog)
+            return parse_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", counted)
+        (in_tmp / "c.cfg").write_text("moc=43\n", encoding="utf-8")
+        assert run(capsys, "--config", "c.cfg", "simulate")[0] == 0
+        assert calls == ["venturebank"]
+
+    def test_seed_key_is_named_even_with_the_seed_flag(self, in_tmp, capsys):
+        assert run(capsys, "synth", "--out", "p.csv")[0] == 0
+        (in_tmp / "c.cfg").write_text("seed=7\n", encoding="utf-8")
+        code, out, err = run(capsys, "--config", "c.cfg", "simulate", "--portfolio", "p.csv", "--seed", "7")
+        assert (code, out) == (2, "")
+        assert err == ("error: c.cfg: line 1: key 'seed' cannot be combined with --portfolio: "
+                       "only synthesis reads it\n")
+
+    def test_second_file_adds_to_the_first(self, in_tmp, capsys):
+        assert run(capsys, "synth", "--out", "p.csv")[0] == 0
+        (in_tmp / "a.cfg").write_text("seed=7\nmoc=43\n", encoding="utf-8")
+        (in_tmp / "b.cfg").write_text("moc=30\n", encoding="utf-8")
+        code, out, _ = run(capsys, "--config", "a.cfg", "--config", "b.cfg", "simulate")
+        assert code == 0
+        assert "moc=30\n" in out
+        code, out, err = run(capsys, "--config", "a.cfg", "--config", "b.cfg", "simulate", "--portfolio", "p.csv")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: a.cfg: line 1: key 'seed' cannot be combined with --portfolio")
+
+    def test_missing_file_is_named_before_the_subcommand_is_asked_for(self, in_tmp, capsys):
+        code, out, err = run(capsys, "--config", "missing.cfg")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "'missing.cfg'" in err
+
     @pytest.mark.parametrize("line", ["moc=lots", "no_compress=maybe", "premium_base=weekly",
                                       "moc=inf", "bank_rate=nan", "mocs=30,nan",
                                       "start=19960", "end=2016-02-30", "premium_rate=-1",
@@ -647,6 +709,19 @@ class TestExitCodes:
                     if a.option_strings and a.nargs == 0 and a.dest != "help"]
         assert not switches
 
+    def test_flags_share_a_dest_only_when_exclusive(self):
+        """Two flags of one subcommand write one value only from one mutually exclusive group,
+        so argv can never give both and a config file's later line decides."""
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        for p in sub.choices.values():
+            by_dest: dict[str, set] = {}
+            for a in p._actions:
+                if a.option_strings:
+                    by_dest.setdefault(a.dest, set()).add(a)
+            for dest, actions in by_dest.items():
+                assert len(actions) == 1 or any(actions <= set(g._group_actions)
+                                                for g in p._mutually_exclusive_groups), (p.prog, dest)
+
     @pytest.mark.parametrize("command", ["breakeven", "sweep"])
     def test_capital_flag_only_on_simulate(self, capsys, command):
         code, _, err = run(capsys, command, "--capital", "2")
@@ -661,6 +736,37 @@ class TestExitCodes:
 
     def test_no_args_shows_usage(self, capsys):
         assert run(capsys)[0] != 0
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_closed_stdout_pipe_is_not_a_failure(self, in_tmp, unbuffered):
+        """``venturebank ingest | head -1``: the reader closed the pipe, so status 0 and no diagnostic.
+
+        The read end closes before the child starts, so its first write to stdout (in ``print``
+        when unbuffered, at the final flush otherwise) always meets a closed pipe.
+        """
+        src = str(Path(venturebank.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-c", "from venturebank.cli import main; main()", "ingest"],
+                                  cwd=in_tmp, env=env, stdout=write_end, stderr=subprocess.PIPE,
+                                  text=True, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+    @pytest.mark.parametrize("name, text, line, argv, status", [
+        ("c.cfg", b"moc=43\n\xe9\n", 2, ["--config", "c.cfg", "simulate"], 2),
+        ("p.csv", b"multiple\r\n1.0\r\n\xe9\r\n", 3, ["coverage", "--portfolio", "p.csv"], 1),
+        ("r.csv", b"DATE,RATE\n2010-01-04,2.0\n\n2010-01-05,\xe9\n", 4, ["ingest", "--csv", "r.csv"], 1),
+    ], ids=["config", "portfolio", "rates"])
+    def test_file_that_is_not_utf8_is_named(self, in_tmp, capsys, name, text, line, argv, status):
+        """The file and the line of the first byte that does not decode; blank lines and CRLF counted."""
+        (in_tmp / name).write_bytes(text)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (status, "")
+        assert err == f"error: {name}: line {line}: byte 0xe9 is not UTF-8\n"
 
 
 BIG_INT = "1" + "0" * 400  # an integer past the float range
