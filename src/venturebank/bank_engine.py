@@ -183,35 +183,6 @@ def _final_multiple(cfg: ScenarioConfig, flows: Flows, rate):
     return (cfg.original_capital - debt) / cfg.original_capital
 
 
-def _rate_array(rates: Sequence[float]):
-    """``rates`` as a numpy float array, each checked to be finite and >= 0; the first bad one is named."""
-    import numpy as np
-
-    rates = np.asarray(rates, dtype=float)
-    ok = (rates >= 0) & (rates < math.inf)
-    if not ok.all():
-        bad = finite_real("bank_rate", rates[ok.argmin()].item())
-        raise ValueError(f"bank_rate must be >= 0, got {bad!r}")
-    return rates
-
-
-def multiple_curve(cfg: ScenarioConfig, flows: Flows, rates: Sequence[float]) -> list[float]:
-    """Final multiple of ``cfg`` at each of a sequence of bank rates.
-
-    Runs the ledger of :func:`simulate_bank` over all the rates at once,
-    so element ``i`` equals ``simulate_bank(replace(cfg,
-    bank_rate=rates[i])).final_multiple`` bitwise; ``cfg.bank_rate``
-    itself is not used. ``flows`` is ``scenario_flows(cfg)``.
-    """
-    import numpy as np
-
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        multiples = _final_multiple(cfg, flows, _rate_array(rates))
-    if not np.isfinite(multiples).all():
-        raise _overflow(cfg)
-    return multiples.tolist()
-
-
 def _two_sum(a, b):
     """``(a + b, e)`` with ``a + b + e`` exactly the sum of ``a`` and ``b`` (Knuth's TwoSum)."""
     s = a + b
@@ -244,36 +215,45 @@ def _row_sums(matrix):
     return sums
 
 
-def underwriter_returns(terms: DinTerms, flows: Flows, bank_rates: Sequence[float]) -> list[float]:
-    """Underwriter gross return at each of a sequence of bank rates; break-even at 0.
+def rate_curves(cfg: ScenarioConfig, rates: Sequence[float]) -> tuple[list[float], list[float]]:
+    """Final multiple and underwriter gross return of ``cfg`` at each of a sequence of bank rates.
 
-    ``flows`` holds the premium and payout schedules (see
-    :func:`scenario_flows`). Payouts land at the payoff year and then
-    accrue compound carry cost at the bank rate (a per-year fraction)
-    through the end of the term. The gross return nets premiums against
-    payouts and carry, per unit of total insured face. Each rate's carry
-    is summed exactly by :func:`_row_sums`, all rates in one numpy pass,
-    bitwise as ``math.fsum`` sums it. A return that is not finite raises
-    :class:`UnderwriterError` naming the first such rate.
+    Each rate must be finite and >= 0 (the first bad one is named);
+    ``cfg.bank_rate`` is not used. The flows are built once and both
+    sides run on one numpy array of rates. Multiple ``i`` equals
+    ``simulate_bank(replace(cfg, bank_rate=rates[i])).final_multiple``
+    bitwise. The underwriter's payouts land at the payoff year and accrue
+    compound carry at the bank rate through the end of the term; the gross
+    return nets premiums against payouts and carry per unit of insured
+    face, break-even at 0, each rate's carry summed by :func:`_row_sums`,
+    bitwise as ``math.fsum`` would. A multiple that is not finite raises
+    ``ValueError``; then a zero insured face, or a return that is not
+    finite (the first such rate named), raises :class:`UnderwriterError`.
     """
     import numpy as np
 
-    rates = _rate_array(bank_rates)
-    if flows.face_total <= 0:
-        raise UnderwriterError("total insured face is zero; gross return undefined")
-
-    carry = np.zeros((len(rates), terms.term_years - terms.payoff_year), order="F")
-    outstanding = np.full(rates.shape, flows.receipts[terms.payoff_year])
-    net = fsum(flows.premiums) - fsum(flows.receipts)
-    with np.errstate(over="ignore", invalid="ignore"):  # a return that is not finite is reported below
+    rates = np.asarray(rates, dtype=float)
+    ok = (rates >= 0) & (rates < math.inf)
+    if not ok.all():
+        bad = finite_real("bank_rate", rates[ok.argmin()].item())
+        raise ValueError(f"bank_rate must be >= 0, got {bad!r}")
+    flows, terms = scenario_flows(cfg), cfg.din_terms
+    with np.errstate(over="ignore", invalid="ignore"):  # a value that is not finite is reported below
+        multiples = _final_multiple(cfg, flows, rates)
+        if not np.isfinite(multiples).all():
+            raise _overflow(cfg)
+        if flows.face_total <= 0:
+            raise UnderwriterError("total insured face is zero; gross return undefined")
+        carry = np.zeros((len(rates), terms.term_years - terms.payoff_year), order="F")
+        outstanding = np.full(rates.shape, flows.receipts[terms.payoff_year])
         for col in range(carry.shape[1]):
             carry[:, col] = outstanding * rates
             outstanding = outstanding + carry[:, col]
-        returns = (net - _row_sums(carry)) / flows.face_total
+        returns = (fsum(flows.premiums) - fsum(flows.receipts) - _row_sums(carry)) / flows.face_total
     finite = np.isfinite(returns)
     if not finite.all():
         raise UnderwriterError(f"gross return not finite at bank rate {rates[finite.argmin()].item()!r}")
-    return returns.tolist()
+    return multiples.tolist(), returns.tolist()
 
 
 def _scan_crossings(margins: list[float]) -> list[int]:
@@ -303,7 +283,7 @@ def break_even_rate(cfg: ScenarioConfig, lo: float, hi: float) -> float | None:
     that grid rate; a sign flip is bisected, relying on the final
     multiple being monotone in the rate between the two grid points.
     The flows are built once; the scan and each bisection step run the
-    ledger on one float rate, bitwise as :func:`multiple_curve` would.
+    ledger on one float rate, bitwise as :func:`rate_curves` would.
     A margin that is nan there (``inf - inf`` in the ledger) raises ``ValueError``.
     """
     if not 0 <= finite_real("lo", lo) < finite_real("hi", hi):

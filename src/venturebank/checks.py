@@ -38,10 +38,11 @@ def checked_fsum(what: str, values) -> float:
 
 
 def read_lines(path) -> list[str]:
-    """Lines of the UTF-8 text file ``path``; ``ValueError`` naming the file and line of a byte that is not."""
-    data = Path(path).read_bytes()
+    """Lines of the UTF-8 text file ``path``, less any leading byte-order mark;
+    ``ValueError`` naming the file and line of a byte that is not UTF-8."""
     try:
-        return data.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:  # lines counted as the readers count them, by ``splitlines``
+        return Path(path).read_bytes().decode("utf-8-sig").splitlines()
+    except UnicodeDecodeError as exc:  # offsets count from after the mark; lines as ``splitlines`` counts them
+        data = exc.object
         line = len((data[:exc.start].decode("utf-8") + "?").splitlines())
         raise ValueError(f"{path}: line {line}: byte {data[exc.start]:#04x} is not UTF-8") from None

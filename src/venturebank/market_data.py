@@ -100,14 +100,18 @@ def load_libor_csv(path: str | Path) -> LiborSeries:
     column. Rows whose value field is ``.`` are skipped (no observation
     published for that date). Any other non-numeric value or an
     unparseable date raises :class:`LiborLoadError` naming the offending
-    line, as does an observation :class:`LiborSeries` rejects (a date out
-    of order, a rate non-finite or outside [0, 50]).
+    line, as does a byte that is not UTF-8 or an observation
+    :class:`LiborSeries` rejects (a date out of order, a rate non-finite
+    or outside [0, 50]).
     """
     path = Path(path)
     if not path.exists():
         raise LiborLoadError(f"no such file: {path}")
 
-    lines = read_lines(path)
+    try:
+        lines = read_lines(path)
+    except ValueError as exc:  # a byte that is not UTF-8
+        raise LiborLoadError(str(exc)) from None
     if not lines:
         raise LiborLoadError(f"{path}: empty file")
 

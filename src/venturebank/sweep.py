@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .bank_engine import ScenarioConfig, multiple_curve, scenario_flows, underwriter_returns
+from .bank_engine import ScenarioConfig, rate_curves
 from .checks import finite_real
 from .market_data import RATE_MAX, funds_rate
 
@@ -129,9 +129,9 @@ def run_sweep(bases: Sequence[ScenarioConfig], rate_grid_pct: Sequence[float]) -
     Grid rates are interbank percentages; each is converted to the bank
     funding rate (rate plus spread, as a fraction) before both the bank
     simulation and the underwriter's return, so the two sides of every row
-    see the same funding cost. Each config's flows are built once and
-    its whole grid is one call of each rate kernel, both on one array of
-    rates, each ``pct / 100.0`` as one float division would give it.
+    see the same funding cost. Each config's whole grid is one call of
+    :func:`rate_curves` on one array of rates, each ``pct / 100.0`` as
+    one float division would give it.
     """
     import numpy as np
 
@@ -140,9 +140,7 @@ def run_sweep(bases: Sequence[ScenarioConfig], rate_grid_pct: Sequence[float]) -
     curves = []
     for cfg in bases:
         try:
-            flows = scenario_flows(cfg)
-            multiples = multiple_curve(cfg, flows, rates)
-            returns = underwriter_returns(cfg.din_terms, flows, rates)
+            multiples, returns = rate_curves(cfg, rates)
         except ValueError as exc:
             raise SweepError(
                 f"scenario failed for portfolio {cfg.portfolio.label!r} moc {cfg.moc} "

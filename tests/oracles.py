@@ -12,8 +12,8 @@ more is borrowed. ``underwriter_ledger`` is the per-year underwriter
 ledger at one bank rate, and ``underwriter_returns`` the earlier rate
 kernel, which sums each rate's carry with its own ``math.fsum``.
 ``din_payout`` is the earlier scalar payout on one fund. Tests compare
-``bank_engine.simulate_bank``, ``bank_engine.multiple_curve`` and
-``bank_engine.underwriter_returns`` with them by ``repr``, and ``bank_engine.scenario_flows`` with the loops
+``bank_engine.simulate_bank`` and both columns of ``bank_engine.rate_curves``
+with them by ``repr``, and ``bank_engine.scenario_flows`` with the loops
 and the payout here. ``chart_svg`` is the earlier chart writer, which
 computes and formats each polyline point on its own; tests compare
 ``report.emit_report``'s bytes with it.

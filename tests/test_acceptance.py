@@ -12,9 +12,9 @@ import time
 from venturebank.bank_engine import (
     ScenarioConfig,
     break_even_rate,
+    rate_curves,
     scenario_flows,
     simulate_bank,
-    underwriter_returns,
 )
 from venturebank.calibrate import anchor_bank_rate, run_calibration, write_calibration_report
 from venturebank.cli import run_cli
@@ -97,7 +97,7 @@ def test_criterion_03_coverage_ratio():
 
 
 def _gross_return(cfg: ScenarioConfig) -> float:
-    return underwriter_returns(cfg.din_terms, scenario_flows(cfg), [cfg.bank_rate])[0]
+    return rate_curves(cfg, [cfg.bank_rate])[1][0]
 
 
 def test_criterion_04_hand_ledger_oracles():
@@ -209,7 +209,7 @@ def test_criterion_09_zero_sum_mirror():
     for _ in range(10):
         cfg = _random_scenario(rng)
         bank = simulate_bank(cfg)
-        under = scenario_flows(cfg)  # what underwriter_returns consumes
+        under = scenario_flows(cfg)  # what rate_curves' underwriter side consumes
         for brow, premium, payout in zip(bank.ledger, under.premiums, under.receipts):
             if brow.premiums_paid != premium or brow.din_receipts != payout:
                 mismatches += 1

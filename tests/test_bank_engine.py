@@ -19,10 +19,9 @@ from venturebank.bank_engine import (
     _scan_crossings,
     bank_summary,
     break_even_rate,
-    multiple_curve,
+    rate_curves,
     scenario_flows,
     simulate_bank,
-    underwriter_returns,
     write_bank_csv,
 )
 from venturebank.din import DinTerms, PremiumBase
@@ -140,6 +139,14 @@ SUBNORMAL_FACE_EXAMPLE = ScenarioConfig(
 RATE_ARRAYS = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 0.6)), min_size=1, max_size=8)
 
 
+def curve_multiples(cfg: ScenarioConfig, rates: list[float]) -> list[float]:
+    """``rate_curves``' multiples; where the gross return is undefined, the same array ledger on its own."""
+    try:
+        return rate_curves(cfg, rates)[0]
+    except UnderwriterError:  # a zero or subnormal insured face: the multiples are still checked
+        return bank_engine._final_multiple(cfg, scenario_flows(cfg), np.asarray(rates, dtype=float)).tolist()
+
+
 BANK_ROW_FIELDS = ("year", "interest_accrued", "premiums_paid", "din_receipts",
                    "exit_proceeds", "debt_balance_end", "equity_estimate")
 
@@ -151,7 +158,7 @@ class TestRateKernels:
     @given(cfg=ANY_SCENARIO, rates=RATE_ARRAYS)
     @example(cfg=DUST_EXAMPLE, rates=[0.0, 0.02])
     def test_bank_kernel_matches_simulate_bank(self, cfg, rates):
-        got = multiple_curve(cfg, scenario_flows(cfg), rates)
+        got = curve_multiples(cfg, rates)
         want = [oracles.simulate_bank(dataclasses.replace(cfg, bank_rate=r)).final_multiple
                 for r in rates]
         assert list(map(repr, got)) == list(map(repr, want))
@@ -163,7 +170,7 @@ class TestRateKernels:
         # break_even_rate runs the ledger on one float rate at a time.
         flows = scenario_flows(cfg)
         got = bank_engine._final_multiple(cfg, flows, cfg.bank_rate)
-        assert repr(got) == repr(multiple_curve(cfg, flows, [cfg.bank_rate])[0])
+        assert repr(got) == repr(curve_multiples(cfg, [cfg.bank_rate])[0])
 
     @settings(max_examples=150, deadline=None)
     @given(cfg=ANY_SCENARIO, rates=RATE_ARRAYS)
@@ -177,9 +184,9 @@ class TestRateKernels:
         if overflowed:  # a face near zero: the kernel names the first rate whose return is not finite
             with pytest.raises(UnderwriterError, match=f"^gross return not finite at bank rate "
                                                        f"{re.escape(repr(overflowed[0]))}$"):
-                underwriter_returns(cfg.din_terms, scenario_flows(cfg), rates)
+                rate_curves(cfg, rates)
             return
-        got = underwriter_returns(cfg.din_terms, scenario_flows(cfg), rates)
+        got = rate_curves(cfg, rates)[1]
         assert list(map(repr, got)) == list(map(repr, want))
 
     @settings(max_examples=60, deadline=None)
@@ -238,17 +245,20 @@ class TestRateKernels:
         for bad, rule in ((-0.01, ">= 0"), (math.nan, "finite"), (math.inf, "finite")):
             first_bad = f"^bank_rate must be {rule}, got {bad!r}$"
             with pytest.raises(ValueError, match=first_bad):
-                multiple_curve(cfg, scenario_flows(cfg), [0.02, bad, -5.0])
+                rate_curves(cfg, [0.02, bad, -5.0])
             with pytest.raises(ValueError, match=first_bad):
-                underwriter_returns(DinTerms(), scenario_flows(cfg), [bad, -5.0])
+                rate_curves(cfg, [bad, -5.0])
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_rate_is_named_without_a_warning(self, anchor131):
         cfg = ScenarioConfig(anchor131, DinTerms(), 0.02, 30)
-        with pytest.raises(UnderwriterError, match=r"^gross return not finite at bank rate 1e\+200$"):
-            underwriter_returns(DinTerms(), scenario_flows(cfg), [0.02, 1e200, 1e300])
-        with pytest.raises(ValueError, match="^final multiple not finite at moc 30 and capital 1.0$"):
-            multiple_curve(cfg, scenario_flows(cfg), [0.02, 1e200])
+        for rates in ([0.02, 1e200, 1e300], [0.02, 1e200]):  # the multiple overflows before the return
+            with pytest.raises(ValueError, match="^final multiple not finite at moc 30 and capital 1.0$"):
+                rate_curves(cfg, rates)
+        subnormal_face = DinTerms(coverage_fraction=1e-310, coverage_floor=0.0,
+                                  premium_base=PremiumBase.PRINCIPAL_ANNUAL)
+        with pytest.raises(UnderwriterError, match=r"^gross return not finite at bank rate 0\.02$"):
+            rate_curves(dataclasses.replace(cfg, din_terms=subnormal_face), [0.02, 1e-3])
 
     def test_dense_sweep_returns_match_the_oracle(self, compressed50):
         configs = [ScenarioConfig(dataclasses.replace(shift_to_mean(compressed50, t), label=f"{t:.2f}x"),
@@ -263,7 +273,7 @@ class TestRateKernels:
 
 
 def kernel_row(payout: float, rate: float, columns: int) -> list[float]:
-    """One rate's carry, as ``underwriter_returns`` compounds it."""
+    """One rate's carry, as ``rate_curves`` compounds it."""
     row, outstanding = [], payout
     for _ in range(columns):
         row.append(outstanding * rate)
@@ -493,7 +503,7 @@ class TestMirror:
         for _ in range(10):
             cfg = _random_scenario(rng)
             bank = simulate_bank(cfg)
-            under = scenario_flows(cfg)  # what underwriter_returns consumes
+            under = scenario_flows(cfg)  # what rate_curves' underwriter side consumes
             for brow, premium, payout in zip(bank.ledger, under.premiums, under.receipts):
                 assert brow.premiums_paid == premium
                 assert brow.din_receipts == payout

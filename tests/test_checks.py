@@ -11,7 +11,7 @@ import pytest
 
 from venturebank import market_data, portfolio, sweep
 from venturebank.bank_engine import ScenarioConfig, break_even_rate
-from venturebank.checks import finite_real
+from venturebank.checks import finite_real, read_lines
 from venturebank.din import DinTerms, coverage_sigma_method
 from venturebank.market_data import LiborSeries, funds_rate, load_libor_csv
 from venturebank.portfolio import (
@@ -110,3 +110,21 @@ def test_each_grid_rate_row_and_fund_is_checked_once(monkeypatch, tmp_path):
     (tmp_path / "r.csv").write_text("DATE,X\n2010-01-04,1.0\n2010-01-05,.\n2010-01-06,1.5\n", encoding="utf-8")
     load_libor_csv(tmp_path / "r.csv")
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("data, line", [
+    (b"\xef\xbb\xbf\xe9\n", 1),
+    (b"\xef\xbb\xbfa\r\n\xe9\n", 2),
+    (b"a\n\xef\xbb\xbf\n\xe9", 3),
+], ids=["after-the-mark", "line-after-the-mark", "mark-inside"])
+def test_read_lines_counts_lines_from_the_first_byte_after_a_byte_order_mark(tmp_path, data, line):
+    path = tmp_path / "f.txt"
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as err:
+        read_lines(path)
+    assert str(err.value) == f"{path}: line {line}: byte 0xe9 is not UTF-8"
+
+
+def test_read_lines_drops_only_a_leading_byte_order_mark(tmp_path):
+    (tmp_path / "f.txt").write_bytes(b"\xef\xbb\xbfa\r\n\xef\xbb\xbfb\n")
+    assert read_lines(tmp_path / "f.txt") == ["a", "\ufeffb"]

@@ -760,13 +760,27 @@ class TestExitCodes:
         ("c.cfg", b"moc=43\n\xe9\n", 2, ["--config", "c.cfg", "simulate"], 2),
         ("p.csv", b"multiple\r\n1.0\r\n\xe9\r\n", 3, ["coverage", "--portfolio", "p.csv"], 1),
         ("r.csv", b"DATE,RATE\n2010-01-04,2.0\n\n2010-01-05,\xe9\n", 4, ["ingest", "--csv", "r.csv"], 1),
-    ], ids=["config", "portfolio", "rates"])
+        ("b.cfg", b"\xef\xbb\xbfmoc=43\n\xe9\n", 2, ["--config", "b.cfg", "simulate"], 2),
+    ], ids=["config", "portfolio", "rates", "config-with-byte-order-mark"])
     def test_file_that_is_not_utf8_is_named(self, in_tmp, capsys, name, text, line, argv, status):
         """The file and the line of the first byte that does not decode; blank lines and CRLF counted."""
         (in_tmp / name).write_bytes(text)
         code, out, err = run(capsys, *argv)
         assert (code, out) == (status, "")
         assert err == f"error: {name}: line {line}: byte 0xe9 is not UTF-8\n"
+
+    @pytest.mark.parametrize("name, text, argv", [
+        ("c.cfg", "moc=43\n", ["--config", "c.cfg", "simulate"]),
+        ("p.csv", "multiple\n0.5\n1.5\n2.0\n", ["coverage", "--portfolio", "p.csv"]),
+        ("r.csv", "DATE,RATE\n2010-01-04,2.0\n2010-01-05,2.5\n", ["ingest", "--csv", "r.csv"]),
+    ], ids=["config", "portfolio", "rates"])
+    def test_byte_order_mark_is_read_as_if_absent(self, in_tmp, capsys, name, text, argv):
+        """Every reader reads a file that starts with a UTF-8 byte-order mark as the same file without it."""
+        (in_tmp / name).write_text(text, encoding="utf-8")
+        want = run(capsys, *argv)
+        (in_tmp / name).write_text(text, encoding="utf-8-sig")
+        assert run(capsys, *argv) == want
+        assert want[0] == 0
 
 
 BIG_INT = "1" + "0" * 400  # an integer past the float range

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from venturebank.bank_engine import ScenarioConfig, UnderwriterError, scenario_flows, underwriter_returns
+from venturebank.bank_engine import ScenarioConfig, UnderwriterError, rate_curves, scenario_flows
 from venturebank.din import (
     CoverageMethod,
     DinTerms,
@@ -33,9 +33,9 @@ def payout(principal: float, multiple: float, terms: DinTerms) -> float:
 
 def gross_return(p: ReturnPortfolio, terms: DinTerms, bank_rate: float,
                  principal_per_fund: float) -> float:
-    """``underwriter_returns`` at one rate, for a book of ``principal_per_fund`` a fund."""
+    """``rate_curves``' gross return at one rate, for a book of ``principal_per_fund`` a fund."""
     cfg = ScenarioConfig(p, terms, bank_rate, moc=principal_per_fund * len(p.funds))
-    return underwriter_returns(terms, scenario_flows(cfg), [bank_rate])[0]
+    return rate_curves(cfg, [bank_rate])[1][0]
 
 
 class TestTerms:

@@ -80,6 +80,13 @@ class TestLoad:
         with pytest.raises(LiborLoadError, match="no such file"):
             load_libor_csv(tmp_path / "absent.csv")
 
+    def test_file_that_is_not_utf8_raises_load_error(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"DATE,X\n2016-01-04,1.0\n2016-01-05,\xe9\n")
+        with pytest.raises(LiborLoadError) as err:
+            load_libor_csv(path)
+        assert str(err.value) == f"{path}: line 3: byte 0xe9 is not UTF-8"
+
 
 class TestWindowStats:
     def test_constant_series(self, tmp_path):

@@ -121,6 +121,15 @@ def test_only_checks_imports_numbers():
     assert importers == ["checks.py"]
 
 
+def test_only_the_engine_names_the_flows():
+    """The rate-independent flows stay inside ``bank_engine``: no other module names them."""
+    package, names = SRC / "venturebank", {"scenario_flows", "Flows"}
+    namers = sorted({path.name for path in package.glob("*.py")
+                     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                     if {getattr(node, attr, None) for attr in ("id", "attr", "name")} & names})
+    assert namers == ["bank_engine.py"]
+
+
 def test_no_module_reads_the_environment():
     """Every input comes in through a flag, a config key or an argument, never ``os.environ``/``os.getenv``."""
     package = SRC / "venturebank"

@@ -172,7 +172,7 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("grid", [[0.0, 1e-17], np.array([0.0, 1e-17, 1.0])], ids=["list", "ndarray"])
     def test_grid_rates_with_one_funding_rate_fail_before_any_kernel(self, anchor131, monkeypatch, grid):
-        monkeypatch.setattr(sweep, "scenario_flows", lambda cfg: pytest.fail("a kernel ran"))
+        monkeypatch.setattr(sweep, "rate_curves", lambda cfg, rates: pytest.fail("a kernel ran"))
         with pytest.raises(SweepError, match=r"^rate grid entries 0 and 1 both fund at 0\.25 percent$"):
             run_sweep([ScenarioConfig(anchor131, DinTerms(), 0.0, 30)], grid)
 
