@@ -24,7 +24,8 @@ from .portfolio import ReturnPortfolio
 
 
 #: Points of the coarse break-even scan, and the rate width (per-year
-#: fraction) at which its bisection stops.
+#: fraction) at which its bisection stops. It stops sooner at two adjacent
+#: floats, which lie more than that width apart above 2**33.
 SCAN_POINTS = 21
 BREAK_EVEN_TOL = 1e-6
 
@@ -313,6 +314,8 @@ def break_even_rate(cfg: ScenarioConfig, lo: float, hi: float) -> float | None:
     f_lo = margins[a]
     while r_hi - r_lo > BREAK_EVEN_TOL:
         mid = (r_lo + r_hi) / 2
+        if mid in (r_lo, r_hi):  # no float lies between the ends
+            break
         f_mid = margin(mid)
         if f_mid == 0.0:
             return mid

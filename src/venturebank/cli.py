@@ -84,21 +84,28 @@ def _list_of(kind):
     return parse
 
 
+def _flag_value(action: argparse.Action, text: str):
+    """``text`` read as argparse reads ``action``'s flag: by its ``type``, then its ``choices``."""
+    try:
+        value = action.type(text) if action.type else text
+    except ValueError:  # only ``int`` raises one; the package's types raise their reason as ArgumentTypeError
+        raise argparse.ArgumentTypeError(f"invalid {action.type.__name__} value: {text!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise argparse.ArgumentTypeError(f"invalid choice: {value!r} "
+                                         f"(choose from {', '.join(map(repr, action.choices))})")
+    return value
+
+
 class _Config(argparse.Action):
     """``--config FILE``: flat key=value lines that become subcommand flag defaults as the file is read.
 
-    Keys are the subcommands' long flag names; each value is read as argparse
-    reads the flag, by its ``type`` and ``choices``, and a later line for the
-    same value wins. A flag the file gives is no longer required.
+    Keys are the subcommands' long flag names; ``flags``, filled by :func:`build_parser`, lists each key's
+    action in every subcommand that has it. Each value is read as argparse reads the flag, and a later
+    line for the same value wins. A flag the file gives is no longer required.
     ``args.config`` maps each key to the ``file: line N`` that set it.
     """
 
     def __call__(self, parser, namespace, path, option_string=None):
-        subparsers = next(a for a in parser._actions
-                          if isinstance(a, argparse._SubParsersAction)).choices.values()
-        actions = {flag[2:].replace("-", "_"): a for sp in subparsers for a in sp._actions
-                   for flag in a.option_strings if flag.startswith("--") and a.dest != "help"}
-        values: dict[str, object] = {}
         lines = dict(getattr(namespace, self.dest))  # a second --config adds to the first
         for lineno, raw in enumerate(read_lines(path), start=1):
             line = raw.strip()
@@ -108,17 +115,15 @@ class _Config(argparse.Action):
                 raise ValueError(f"{path}: line {lineno}: expected key=value")
             key, _, text = line.partition("=")
             key, text = key.strip().replace("-", "_"), text.strip()
-            if (action := actions.get(key)) is None:
+            if not (actions := self.flags.get(key)):
                 raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
             try:
-                values[action.dest] = parser._get_value(action, text)
-                parser._check_value(action, values[action.dest])
-            except argparse.ArgumentError as exc:
-                raise ValueError(f"{path}: line {lineno}: bad value {text!r} for key {key!r}: "
-                                 f"{exc.message}") from None
+                value = _flag_value(actions[0], text)  # a key's actions share one type and one choices
+            except argparse.ArgumentTypeError as exc:
+                raise ValueError(f"{path}: line {lineno}: bad value {text!r} for key {key!r}: {exc}") from None
+            for a in (a for recorded in self.flags.values() for a in recorded if a.dest == actions[0].dest):
+                a.default, a.required = value, False
             lines[key] = f"{path}: line {lineno}"
-        for a in (a for sp in subparsers for a in sp._actions if a.dest in values):
-            a.default, a.required = values[a.dest], False
         setattr(namespace, self.dest, lines)
 
 
@@ -132,26 +137,23 @@ def _parse_date(text: str, end_of_year: bool) -> dt.date:
         raise argparse.ArgumentTypeError(f"expected YYYY-MM-DD or YYYY, got {text!r}") from None
 
 
-def _add_terms_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--coverage", type=_non_negative, default=3.88,
-                   help="insured percent of each investment (default 3.88)")
-    p.add_argument("--coverage-floor", type=_non_negative, default=2.88,
-                   help="regulatory coverage floor, percent (default 2.88)")
-    p.add_argument("--premium-rate", type=_non_negative, default=5.0,
-                   help="annual premium, percent of the premium base (default 5)")
-    p.add_argument("--premium-base", choices=[b.value for b in PremiumBase],
-                   default=PremiumBase.FACE_ANNUAL.value)
-    p.add_argument("--payoff-year", type=int, default=5)
-    p.add_argument("--term-years", type=int, default=10)
+def _add_terms_flags(add, p: argparse.ArgumentParser) -> None:
+    add(p, "--coverage", type=_non_negative, default=3.88, help="insured percent of each investment (default 3.88)")
+    add(p, "--coverage-floor", type=_non_negative, default=2.88,
+        help="regulatory coverage floor, percent (default 2.88)")
+    add(p, "--premium-rate", type=_non_negative, default=5.0,
+        help="annual premium, percent of the premium base (default 5)")
+    add(p, "--premium-base", choices=[b.value for b in PremiumBase], default=PremiumBase.FACE_ANNUAL.value)
+    add(p, "--payoff-year", type=int, default=5)
+    add(p, "--term-years", type=int, default=10)
 
 
-def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--portfolio", help="portfolio CSV; omitted = built-in synthesis pipeline")
-    p.add_argument("--seed", type=_seed, default=None)  # None when not typed: DEFAULT_SEED
-    p.add_argument("--target-mean", type=_non_negative, default=None,
-                   help="shift the portfolio to this mean before simulating")
-    p.add_argument("--moc", type=_positive, default=30.0, help="leverage multiple (default 30)")
-    _add_terms_flags(p)
+def _add_scenario_flags(add, p: argparse.ArgumentParser) -> None:
+    add(p, "--portfolio", help="portfolio CSV; omitted = built-in synthesis pipeline")
+    add(p, "--seed", type=_seed, default=None)  # None when not typed: DEFAULT_SEED
+    add(p, "--target-mean", type=_non_negative, default=None, help="shift the portfolio to this mean before simulating")
+    add(p, "--moc", type=_positive, default=30.0, help="leverage multiple (default 30)")
+    _add_terms_flags(add, p)
 
 
 def _terms_from(args: argparse.Namespace) -> DinTerms:
@@ -303,68 +305,69 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="venturebank",
-        description="Deterministic venture-bank / default-insurance scenario simulator.",
-    )
-    parser.add_argument("--config", action=_Config, default={},
-                        help="flat key=value file preloading flag defaults")
+    parser = argparse.ArgumentParser(prog="venturebank",
+                                     description="Deterministic venture-bank / default-insurance scenario simulator.")
+    config = parser.add_argument("--config", action=_Config, default={},
+                                 help="flat key=value file preloading flag defaults")
+    config.flags = {}
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add(group, *names, **kwargs) -> None:  # group.add_argument, keeping the action under each config key
+        action = group.add_argument(*names, **kwargs)
+        for name in names:
+            config.flags.setdefault(name[2:].replace("-", "_"), []).append(action)
+
     p = sub.add_parser("ingest", help="load a rate CSV and print window statistics")
-    p.add_argument("--csv", help="rate CSV path (default: bundled snapshot)")
-    p.add_argument("--start", type=lambda text: _parse_date(text, end_of_year=False),
-                   help="window start, YYYY-MM-DD or YYYY")
-    p.add_argument("--end", type=lambda text: _parse_date(text, end_of_year=True),
-                   help="window end, YYYY-MM-DD or YYYY")
+    add(p, "--csv", help="rate CSV path (default: bundled snapshot)")
+    add(p, "--start", type=lambda text: _parse_date(text, end_of_year=False), help="window start, YYYY-MM-DD or YYYY")
+    add(p, "--end", type=lambda text: _parse_date(text, end_of_year=True), help="window end, YYYY-MM-DD or YYYY")
     p.set_defaults(handler=_cmd_ingest)
 
     p = sub.add_parser("synth", help="synthesize the reference portfolio")
-    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
-    p.add_argument("--n", type=int, default=99)
-    p.add_argument("--mean", type=_finite, default=1.31)
-    p.add_argument("--stddev", type=_finite, default=1.116)
-    p.add_argument("--sigma-loss", type=_finite, default=2.72)
-    p.add_argument("--breakeven-loss", type=_finite, default=17.45)
-    p.add_argument("--label", default=None)
-    p.add_argument("--out", default="portfolio.csv")
+    add(p, "--seed", type=_seed, default=DEFAULT_SEED)
+    add(p, "--n", type=int, default=99)
+    add(p, "--mean", type=_finite, default=1.31)
+    add(p, "--stddev", type=_finite, default=1.116)
+    add(p, "--sigma-loss", type=_finite, default=2.72)
+    add(p, "--breakeven-loss", type=_finite, default=17.45)
+    add(p, "--label", default=None)
+    add(p, "--out", default="portfolio.csv")
     p.set_defaults(handler=_cmd_synth)
 
     p = sub.add_parser("coverage", help="coverage sizing by both clamp methods")
-    p.add_argument("--portfolio", required=True)
-    p.add_argument("--floor", type=_non_negative, default=2.88, help="coverage floor, percent")
+    add(p, "--portfolio", required=True)
+    add(p, "--floor", type=_non_negative, default=2.88, help="coverage floor, percent")
     p.set_defaults(handler=_cmd_coverage)
 
     p = sub.add_parser("simulate", help="run one bank scenario and write its ledger")
-    _add_scenario_flags(p)
+    _add_scenario_flags(add, p)
     rate = p.add_mutually_exclusive_group()
-    rate.add_argument("--libor", dest="bank_rate", type=lambda t: funds_rate(_non_negative(t)),
-                      default=funds_rate(DEFAULT_LIBOR_PCT), metavar="LIBOR",
-                      help=f"interbank rate percent; bank pays +0.25 (default {DEFAULT_LIBOR_PCT})")
-    rate.add_argument("--bank-rate", type=_non_negative,
-                      help="bank funding rate percent, bypassing the spread")
-    p.add_argument("--capital", type=_positive, default=1.0, help="original capital (default 1)")
-    p.add_argument("--ledger-out", default="bank_ledger.csv")
+    add(rate, "--libor", dest="bank_rate", type=lambda t: funds_rate(_non_negative(t)),
+        default=funds_rate(DEFAULT_LIBOR_PCT), metavar="LIBOR",
+        help=f"interbank rate percent; bank pays +0.25 (default {DEFAULT_LIBOR_PCT})")
+    add(rate, "--bank-rate", type=_non_negative, help="bank funding rate percent, bypassing the spread")
+    add(p, "--capital", type=_positive, default=1.0, help="original capital (default 1)")
+    add(p, "--ledger-out", default="bank_ledger.csv")
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("breakeven", help="solve the break-even bank rate")
-    _add_scenario_flags(p)
-    p.add_argument("--lo", type=_finite, default=0.5, help="bracket low, percent (default 0.5)")
-    p.add_argument("--hi", type=_finite, default=7.5, help="bracket high, percent (default 7.5)")
+    _add_scenario_flags(add, p)
+    add(p, "--lo", type=_finite, default=0.5, help="bracket low, percent (default 0.5)")
+    add(p, "--hi", type=_finite, default=7.5, help="bracket high, percent (default 7.5)")
     p.set_defaults(handler=_cmd_breakeven)
 
     p = sub.add_parser("sweep", help="rate-grid sweep with CSV and SVG reports")
-    p.add_argument("--grid", default="0.53:7.50:0.25", help="lo:hi:step in percent")
-    p.add_argument("--mocs", type=_list_of(_positive), default="30,43")
-    p.add_argument("--targets", type=_list_of(_non_negative), default="1.10,1.31,1.50")
-    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
-    p.add_argument("--out-dir", default=".")
-    _add_terms_flags(p)
+    add(p, "--grid", default="0.53:7.50:0.25", help="lo:hi:step in percent")
+    add(p, "--mocs", type=_list_of(_positive), default="30,43")
+    add(p, "--targets", type=_list_of(_non_negative), default="1.10,1.31,1.50")
+    add(p, "--seed", type=_seed, default=DEFAULT_SEED)
+    add(p, "--out-dir", default=".")
+    _add_terms_flags(add, p)
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("calibrate", help="score premium-base/rate-reading modes against anchors")
-    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
-    p.add_argument("--out", default="calibration.txt")
+    add(p, "--seed", type=_seed, default=DEFAULT_SEED)
+    add(p, "--out", default="calibration.txt")
     p.set_defaults(handler=_cmd_calibrate)
     return parser
 

@@ -17,6 +17,11 @@ from .checks import finite_real
 from .portfolio import ReturnPortfolio, clamp_loss, portfolio_stats
 
 
+#: Longest note term in years. At a zero rate nothing else ends a long term,
+#: and the ledger's time and memory grow linearly with it.
+MAX_TERM_YEARS = 1_000
+
+
 class PremiumBase(str, enum.Enum):
     """What the annual premium rate applies to."""
 
@@ -61,6 +66,8 @@ class DinTerms:
         if not (0 < self.payoff_year <= self.term_years):
             raise ValueError(f"payoff_year must satisfy 0 < payoff_year <= term_years, got "
                              f"{self.payoff_year!r} and {self.term_years!r}")
+        if self.term_years > MAX_TERM_YEARS:
+            raise ValueError(f"term_years must be <= {MAX_TERM_YEARS}, got {self.term_years!r}")
         if self.premium_rate < 0:
             raise ValueError(f"premium_rate must be >= 0, got {self.premium_rate!r}")
 

@@ -106,7 +106,8 @@ def portfolio_stats(p: ReturnPortfolio) -> PortfolioStats:
 
 def clamp_loss(p: ReturnPortfolio, threshold: float) -> float:
     """Percentage points of mean lost by resetting every fund above ``threshold`` to 1.0."""
-    return (1.0 - fsum(1.0 if m > threshold else m for m in p.funds) / len(p.funds)) * 100.0
+    kept = checked_fsum("clamped fund multiples", (1.0 if m > threshold else m for m in p.funds))
+    return (1.0 - kept / len(p.funds)) * 100.0
 
 
 def _spread_capacity(d: list[float], mean: float, lo: float, hi: float) -> float:

@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import pytest
 
 from venturebank.din import DinTerms, PremiumBase
@@ -46,3 +49,24 @@ def portfolio110(compressed50):
 def calibrated_terms():
     """Premium convention selected by the calibration search."""
     return DinTerms(coverage_fraction=0.056, premium_base=PremiumBase.PRINCIPAL_UPFRONT)
+
+
+@pytest.fixture
+def time_budget():
+    """``with time_budget(seconds):`` fails the test when the block runs longer, so a hang fails, not stalls.
+
+    The failure is pytest's own, which ``run_cli``'s handlers do not catch.
+    """
+    @contextlib.contextmanager
+    def budget(seconds: float):
+        def expire(signum, frame):
+            pytest.fail(f"still running after the {seconds:g} s budget", pytrace=False)
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+    return budget

@@ -548,6 +548,17 @@ class TestBreakEven:
         assert simulate_bank(dataclasses.replace(cfg, bank_rate=rate - 2e-6)).final_multiple >= multiple
         assert simulate_bank(dataclasses.replace(cfg, bank_rate=rate + 2e-6)).final_multiple <= multiple
 
+    @pytest.mark.parametrize("hi", [1e21, 1.7e308])
+    def test_bisection_stops_at_adjacent_floats(self, time_budget, hi):
+        """Above 2**33 adjacent rates lie more than BREAK_EVEN_TOL apart: the crossing lies between two of them."""
+        cfg = ScenarioConfig(ReturnPortfolio((1e200,)), DinTerms(), 0.0, 30)
+        with time_budget(10):
+            rate = break_even_rate(cfg, 0.0, hi)
+        below = math.nextafter(rate, 0.0)
+        assert rate == 1e20 and rate - below > bank_engine.BREAK_EVEN_TOL
+        margins = [simulate_bank(dataclasses.replace(cfg, bank_rate=r)).final_multiple - 1.0 for r in (below, rate)]
+        assert margins[0] > 0 > margins[1]
+
 
 # One solve of each class of synthesized portfolio (funds x premium base x
 # rate or None): synthesis seed, funds, target mean, coverage %, MOC, base,

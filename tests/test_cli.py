@@ -116,6 +116,14 @@ class TestSimulateAndBreakeven:
         rate = float(out.strip().split("=")[1])
         assert 1.5 <= rate <= 3.0
 
+    @pytest.mark.parametrize("hi", ["1e308", "1e23"])
+    def test_breakeven_past_adjacent_floats_ends(self, in_tmp, capsys, time_budget, hi):
+        """The crossing lies at 1e22 percent, where adjacent rates lie farther apart than the bisection's width."""
+        (in_tmp / "far.csv").write_text("multiple\n1e200\n", encoding="utf-8")
+        with time_budget(20):
+            result = run(capsys, "breakeven", "--portfolio", "far.csv", "--hi", hi)
+        assert result == (0, "breakeven_bank_rate_pct=10000000000000000000000.0000\n", "")
+
     def test_breakeven_none(self, in_tmp, capsys):
         (in_tmp / "flat.csv").write_text("multiple\n" + "1.0\n" * 10, encoding="utf-8")
         code, out, _ = run(capsys, "breakeven", "--portfolio", "flat.csv")
@@ -163,6 +171,7 @@ class TestSimulateAndBreakeven:
         (["synth", "--n", "2"], "need at least 3 funds, got n=2"),
         (["synth", "--breakeven-loss", "1.7e308"], "clamp losses must satisfy 0 <= sigma <= breakeven <= 100, "
                                                     "got sigma_clamp_loss=2.72, breakeven_clamp_loss=1.7e+308"),
+        (["simulate", "--term-years", "1001"], "term_years must be <= 1000, got 1001"),
     ])
     def test_out_of_domain_value_is_named(self, in_tmp, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -568,6 +577,31 @@ class TestConfigFile:
         assert code == 2
         assert "bogus" in err
 
+    @pytest.mark.parametrize("line, command, reason", [
+        ("premium_base=weekly", "simulate",
+         "invalid choice: 'weekly' (choose from 'face_annual', 'principal_annual', 'principal_upfront')"),
+        ("n=abc", "synth", "invalid int value: 'abc'"),
+    ])
+    def test_reason_is_worded_the_same_on_every_python(self, in_tmp, capsys, line, command, reason):
+        """The reasons argparse words for a choice and an ``int`` flag, worded by the reader itself:
+        argparse's own wording of a choice dropped the quotes in a 3.13 patch release."""
+        (in_tmp / "c.cfg").write_text(f"{line}\n", encoding="utf-8")
+        key, _, text = line.partition("=")
+        assert run(capsys, "--config", "c.cfg", command) == (
+            2, "", f"error: c.cfg: line 1: bad value {text!r} for key {key!r}: {reason}\n")
+
+    def test_every_flag_is_a_key_whose_actions_read_alike(self):
+        """Each subcommand flag is recorded under its key, and the reader types a value by the key's
+        first action, so all of a key's actions share one ``type`` and one ``choices``."""
+        parser = build_parser()
+        flags = next(a for a in parser._actions if a.dest == "config").flags
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        recorded = sorted((key, id(a)) for key, actions in flags.items() for a in actions)
+        assert recorded == sorted((flag[2:].replace("-", "_"), id(a)) for p in sub.choices.values()
+                                  for a in p._actions for flag in a.option_strings if a.dest != "help")
+        for key, actions in flags.items():
+            assert len({(a.type, None if a.choices is None else tuple(a.choices)) for a in actions}) == 1, key
+
     def test_surplus_rate_key_is_gone(self, in_tmp, capsys):
         (in_tmp / "c.cfg").write_text("moc=43\nsurplus_rate=1\n", encoding="utf-8")
         code, _, err = run(capsys, "--config", "c.cfg", "simulate")
@@ -786,7 +820,8 @@ class TestExitCodes:
 BIG_INT = "1" + "0" * 400  # an integer past the float range
 EXTREMES = st.sampled_from(["1e308", "-1e308", "1.7e308", "5e-324", "-5e-324", "-0.0", "0", "1", "43"])
 PORTFOLIOS = {"p.csv": "multiple\n0.5\n1.5\n2.0\n", "huge.csv": "multiple\n1e308\n1e308\n0.5\n",
-              "tiny.csv": "multiple\n5e-324\n0\n5e-324\n", "nan.csv": "multiple\n1.0\nnan\n"}
+              "tiny.csv": "multiple\n5e-324\n0\n5e-324\n", "nan.csv": "multiple\n1.0\nnan\n",
+              "far.csv": "multiple\n1e200\n"}  # far.csv breaks even at a bank rate of 1e22 percent
 RATES = {"r.csv": "DATE,USD12MD156N\n2010-01-04,2.0\n2010-01-05,.\n2010-01-06,50\n"}
 YEARS = st.integers(-1, 300).map(str) | st.sampled_from([BIG_INT, "-0.0"])
 DATES = st.sampled_from(["1986", "2010-01-05", "0001", "9999-12-31", "0"])
@@ -812,15 +847,38 @@ VALUES = {
 COMMANDS = ("ingest", "synth", "coverage", "simulate", "breakeven", "sweep", "calibrate")
 
 
+def assert_exits_cleanly(argv: list[str], config: list[str], time_budget) -> None:
+    """Run ``argv`` beside the guard's files, with the key lines ``config`` in ``c.cfg``.
+
+    It exits within 20 s with status 0, 1 or 2 and never a traceback. A nonzero status
+    writes one ``error:`` line, status 2 writes no file, and status 0 prints no ``nan`` or ``inf``.
+    """
+    if config:
+        argv = ["--config", "c.cfg", *argv]
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        for name, text in {**PORTFOLIOS, **RATES, "c.cfg": "".join(config)}.items():
+            Path(name).write_text(text, encoding="utf-8")
+        before = sorted(Path(".").rglob("*"))
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()) as err, time_budget(20):
+            code = run_cli(argv)
+        written = sorted(Path(".").rglob("*")) != before
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err, argv
+    if code:
+        assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
+    if code == 2:
+        assert not written, argv
+    if code == 0:
+        assert not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE), (argv, out)
+
+
 class TestNoTraceback:
     @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.data())
-    def test_every_exit_is_a_status_and_one_error_line(self, data):
-        """Any flags and config keys, at finite extremes: status 0, 1 or 2 and never a traceback.
-
-        A nonzero status writes one ``error:`` line, status 2 writes no file, and status 0
-        prints no ``nan`` or ``inf``.
-        """
+    def test_every_exit_is_a_status_and_one_error_line(self, time_budget, data):
+        """Any flags and config keys, at finite extremes, exit cleanly (see ``assert_exits_cleanly``)."""
         command = data.draw(st.sampled_from(COMMANDS), label="command")
         flags = flags_of(command)
         argv = [command]
@@ -828,22 +886,8 @@ class TestNoTraceback:
             argv += [flag, data.draw(VALUES.get(flag, EXTREMES), label=flag)]
         keys = data.draw(st.lists(st.sampled_from(flags), max_size=2, unique=True), label="keys")
         config = [f"{key[2:]}={data.draw(VALUES.get(key, EXTREMES), label=key)}\n" for key in keys]
-        if config:
-            argv = ["--config", "c.cfg", *argv]
-        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
-            for name, text in {**PORTFOLIOS, **RATES, "c.cfg": "".join(config)}.items():
-                Path(name).write_text(text, encoding="utf-8")
-            before = sorted(Path(".").rglob("*"))
-            with contextlib.redirect_stdout(io.StringIO()) as out, \
-                    contextlib.redirect_stderr(io.StringIO()) as err:
-                code = run_cli(argv)
-            written = sorted(Path(".").rglob("*")) != before
-        out, err = out.getvalue(), err.getvalue()
-        assert code in (0, 1, 2), (argv, code)
-        assert "Traceback" not in err, argv
-        if code:
-            assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
-        if code == 2:
-            assert not written, argv
-        if code == 0:
-            assert not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE), (argv, out)
+        assert_exits_cleanly(argv, config, time_budget)
+
+    @pytest.mark.parametrize("argv", [["breakeven", "--portfolio", "far.csv", "--hi", "1e308"]])
+    def test_case_the_draws_reach_only_by_chance(self, time_budget, argv):
+        assert_exits_cleanly(argv, [], time_budget)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from venturebank.bank_engine import ScenarioConfig, UnderwriterError, rate_curves, scenario_flows
 from venturebank.din import (
+    MAX_TERM_YEARS,
     CoverageMethod,
     DinTerms,
     PremiumBase,
@@ -55,10 +56,14 @@ class TestTerms:
         ({"payoff_year": 0}, "payoff_year must satisfy 0 < payoff_year <= term_years, got 0 and 10"),
         ({"payoff_year": 11}, "payoff_year must satisfy 0 < payoff_year <= term_years, got 11 and 10"),
         ({"premium_rate": -0.01}, "premium_rate must be >= 0, got -0.01"),
+        ({"term_years": 1001}, "term_years must be <= 1000, got 1001"),
     ])
     def test_out_of_domain_value_is_named(self, kwargs, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             DinTerms(**kwargs)
+
+    def test_term_up_to_the_cap_is_accepted(self):
+        assert DinTerms(term_years=MAX_TERM_YEARS).term_years == MAX_TERM_YEARS == 1000
 
     @pytest.mark.parametrize("field", ["coverage_fraction", "coverage_floor", "premium_rate",
                                        "payoff_year", "term_years"])

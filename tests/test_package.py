@@ -111,6 +111,18 @@ def test_no_module_imports_a_private_name_of_another():
     assert not private
 
 
+def test_no_module_reads_a_private_attribute_of_another_object():
+    """Only ``self``'s single-underscore attributes are used: another object's, argparse's among them,
+    may change between releases. Dunders are exempt."""
+    package = SRC / "venturebank"
+    private = [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+               for path in sorted(package.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Attribute) and node.attr.startswith("_") and not node.attr.endswith("__")
+               and not (isinstance(node.value, ast.Name) and node.value.id == "self")]
+    assert not private
+
+
 def test_only_checks_imports_numbers():
     """Whether a value is a real number is decided in one place, ``checks.finite_real``."""
     package = SRC / "venturebank"

@@ -12,6 +12,7 @@ from venturebank.portfolio import (
     CalibrationError,
     KauffmanConstraints,
     ReturnPortfolio,
+    clamp_loss,
     compress_pairs,
     load_portfolio,
     portfolio_stats,
@@ -267,6 +268,10 @@ class TestClampOrdering:
         sg = fsum(1.0 if m > 1 + stats.stddev else m for m in p.funds) / n
         assert be <= sg + 1e-12
         assert sg <= stats.mean + 1e-12
+
+    def test_clamped_total_past_the_float_range_is_named(self):
+        with pytest.raises(ValueError, match="^clamped fund multiples sum past the float range$"):
+            clamp_loss(ReturnPortfolio((1e308, 1e308, 5e-324)), 1.8e308)
 
 
 class TestSerialization:
