@@ -13,9 +13,11 @@ the bank rate through the end of the term.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from math import fsum
+from operator import mul, sub
 from typing import NamedTuple, Sequence
 
 from .checks import checked_fsum, finite_real
@@ -97,44 +99,40 @@ def _premium_schedule(funds: int, survivors: int, terms: DinTerms, principal: fl
 
 
 def scenario_flows(cfg: ScenarioConfig) -> Flows:
-    """Premiums, payouts, exits, insured face and ledger steps of ``cfg``, from one split of its funds."""
+    """Premiums, payouts, exits, insured face and ledger steps of ``cfg``, from one sorted split of its funds."""
     funds, terms = cfg.portfolio.funds, cfg.din_terms
     invested = cfg.moc * cfg.original_capital
     principal = invested / len(funds)
-    failing, survivors = [], []
-    for m in funds:
-        (failing if m < 1.0 else survivors).append(m)
-    premiums = _premium_schedule(len(funds), len(survivors), terms, principal)
+    ordered = sorted(funds)  # every sum below is an exact fsum, so the order changes no bit
+    k = bisect_left(ordered, 1.0)  # the failing funds, below 1.0, are ordered[:k]
+    failing, survivors = ordered[:k], ordered[k:]
+    premiums = _premium_schedule(len(funds), len(funds) - k, terms, principal)
     receipts = [0.0] * (terms.term_years + 1)
-    if failing and not (math.isfinite(principal) and principal > 0):  # only when a payout is due
+    if k and not (math.isfinite(principal) and principal > 0):  # only when a payout is due
         raise ValueError(f"principal must be finite and positive, got {principal!r}")
-    cap = terms.coverage_fraction * principal  # payout: shortfall capped at the face, ``min`` without a call
+    cap = terms.coverage_fraction * principal  # a payout is the shortfall (1.0 - m) * principal, capped here
+    # The shortfall falls as m rises, so the j failing funds paid the cap come first.
+    j = bisect_left(failing, -cap, key=lambda m: -((1.0 - m) * principal))
     receipts[terms.payoff_year] = checked_fsum(
-        "DIN payouts", [cap if cap < x else x for x in [(1.0 - m) * principal for m in failing]])
+        "DIN payouts", chain(repeat(cap, j), map(mul, map(sub, repeat(1.0), failing[j:]), repeat(principal))))
     exits = [0.0] * (terms.term_years + 1)
-    exits[terms.payoff_year] += checked_fsum("fund proceeds", [m * principal for m in failing])
-    exits[terms.term_years] += checked_fsum("fund proceeds", [m * principal for m in survivors])
+    exits[terms.payoff_year] += checked_fsum("fund proceeds", map(mul, failing, repeat(principal)))
+    exits[terms.term_years] += checked_fsum("fund proceeds", map(mul, survivors, repeat(principal)))
     steps = [(p, r + e) for p, r, e in zip(premiums, receipts, exits)][1:]
     return Flows(premiums, receipts, exits, terms.coverage_fraction * principal * len(funds),
                  invested + premiums[0], steps)
 
 
-def _debts(flows: Flows, rate) -> list:
-    """The bank's debt at the end of each year 0..horizon.
+def _roll(debt, steps, rate):
+    """The bank's debt after ``steps`` from ``debt``: the one ledger kernel, on a float or a numpy array ``rate``.
 
-    Year 0 borrows ``flows.start`` (the invested ``moc x capital`` plus any upfront
-    premium); each of ``flows.steps`` then compounds the debt at ``rate``, borrows the
-    year's premiums and repays its payouts and exits. A failing fund returns at most its
-    principal, so the debt turns negative before the horizon only by rounding dust; at
-    the horizon a negative debt is the survivors' surplus. ``rate`` is a float or a
-    numpy array of rates; both run the same operations.
+    Each step compounds the debt at ``rate``, borrows the year's premiums and repays its payouts and
+    exits. A failing fund returns at most its principal, so the debt turns negative before the horizon
+    only by rounding dust; at the horizon a negative debt is the survivors' surplus.
     """
-    debt = flows.start
-    debts = [debt]
-    for premium, repayment in flows.steps:
+    for premium, repayment in steps:
         debt = debt + debt * rate + premium - repayment
-        debts.append(debt)
-    return debts
+    return debt
 
 
 class BankYear(NamedTuple):
@@ -163,8 +161,9 @@ def simulate_bank(cfg: ScenarioConfig) -> BankResult:
     """
     flows = scenario_flows(cfg)
     rate, capital = cfg.bank_rate, cfg.original_capital
+    debts = accumulate(flows.steps, lambda debt, step: _roll(debt, (step,), rate), initial=flows.start)
     rows, owed = [], 0.0
-    for year, debt in enumerate(_debts(flows, rate)):
+    for year, debt in enumerate(debts):
         interest, owed = owed * rate, (debt if debt > 0 else 0.0)
         rows.append(BankYear(year, interest, flows.premiums[year], flows.receipts[year],
                              flows.exits[year], owed, capital - debt))
@@ -180,7 +179,7 @@ def _overflow(cfg: ScenarioConfig) -> ValueError:
 
 def _final_multiple(cfg: ScenarioConfig, flows: Flows, rate):
     """Final multiple of ``cfg`` at ``rate``, a float or a numpy array of rates."""
-    debt = _debts(flows, rate)[-1]
+    debt = _roll(flows.start, flows.steps, rate)
     return (cfg.original_capital - debt) / cfg.original_capital
 
 
@@ -250,7 +249,8 @@ def rate_curves(cfg: ScenarioConfig, rates: Sequence[float]) -> tuple[list[float
         for col in range(carry.shape[1]):
             carry[:, col] = outstanding * rates
             outstanding = outstanding + carry[:, col]
-        returns = (fsum(flows.premiums) - fsum(flows.receipts) - _row_sums(carry)) / flows.face_total
+        premiums = checked_fsum("premiums", flows.premiums)  # reached past the float range only with no rates
+        returns = (premiums - fsum(flows.receipts) - _row_sums(carry)) / flows.face_total
     finite = np.isfinite(returns)
     if not finite.all():
         raise UnderwriterError(f"gross return not finite at bank rate {rates[finite.argmin()].item()!r}")

@@ -23,6 +23,15 @@ from .checks import ElementError, checked_fsum, finite_real, read_lines
 MIN_MULTIPLE = 0.32
 MAX_MULTIPLE = 12.0
 
+#: Most funds a synthesized portfolio may have (``KauffmanConstraints.n``); its work and memory are O(n).
+MAX_FUNDS = 10_000
+
+#: Work the band search of :func:`synthesize_kauffman` may spend before it gives up: one unit per
+#: band split it visits and one per fund it draws. A feasible synthesis visits a few splits and
+#: draws n funds once: at most 1,055 units (990 funds) in the tests, the README and the benchmark
+#: pools, and 10,649 at ``MAX_FUNDS``. Infeasible constraints spend all of it in about 0.6 s (shared 2-core VM).
+SEARCH_BUDGET = 250_000
+
 
 class CalibrationError(ValueError):
     """Synthesis could not meet its constraints; carries the residuals."""
@@ -83,6 +92,8 @@ class KauffmanConstraints:
             finite_real(name, getattr(self, name), integer=name == "n")
         if self.n < 3:
             raise ValueError(f"need at least 3 funds, got n={self.n!r}")
+        if self.n > MAX_FUNDS:
+            raise ValueError(f"need at most {MAX_FUNDS} funds, got n={self.n!r}")
         if self.stddev < 0:
             raise ValueError(f"stddev must be >= 0, got {self.stddev!r}")
         if not (0 <= self.sigma_clamp_loss <= self.breakeven_clamp_loss <= 100):  # clamped funds stay >= 0
@@ -138,7 +149,8 @@ def synthesize_kauffman(constraints: KauffmanConstraints, seed: int, *,
     then sized to land the standard deviation.
 
     Raises :class:`CalibrationError` with the residuals when no feasible
-    construction exists, and ``ValueError`` unless ``seed`` is an integer >= 0.
+    construction is found within ``SEARCH_BUDGET``, and ``ValueError``
+    unless ``seed`` is an integer >= 0.
     """
     if finite_real("seed", seed, integer=True) < 0:
         raise ValueError(f"seed must be >= 0, got {seed!r}")
@@ -180,64 +192,68 @@ def synthesize_kauffman(constraints: KauffmanConstraints, seed: int, *,
     n_h_min = 0 if excess_high == 0 else max(1, math.ceil(excess_high / (MAX_MULTIPLE - 1.0 - gap)))
     n_h_cap = 0 if excess_high == 0 else math.floor(excess_high / (c.stddev + gap))
 
-    best_residual = math.inf
-    for n_l in range(n_l_min, n - 1):
-        for n_h in range(n_h_min, min(max(n_h_min, n_h_cap), n - n_l) + 1):  # no n_m < 0
-            n_m = n - n_l - n_h
-            if n_m < (1 if excess_mid > 0 else 0):
-                continue
-            mean_l = 1.0 - deficit / n_l if n_l else 0.0
-            mean_h = 1.0 + excess_high / n_h if n_h else 0.0
-            mean_m = 1.0 + excess_mid / n_m if n_m else 0.0
-            if n_l and mean_l < MIN_MULTIPLE - 1e-12:
-                continue
-            if n_m and excess_mid > 0 and not (1.0 + gap / 2 <= mean_m <= threshold - gap):
-                continue
-            if n_h and not (threshold + gap <= mean_h <= MAX_MULTIPLE - gap):
-                continue
+    splits = ((n_l, n_h) for n_l in range(n_l_min, n - 1)
+              for n_h in range(n_h_min, min(max(n_h_min, n_h_cap), n - n_l) + 1))  # no n_m < 0
+    best_residual, spent = math.inf, 0
+    for n_l, n_h in splits:
+        spent += 1
+        if spent > SEARCH_BUDGET:
+            break
+        n_m = n - n_l - n_h
+        if n_m < (1 if excess_mid > 0 else 0):
+            continue
+        mean_l = 1.0 - deficit / n_l if n_l else 0.0
+        mean_h = 1.0 + excess_high / n_h if n_h else 0.0
+        mean_m = 1.0 + excess_mid / n_m if n_m else 0.0
+        if n_l and mean_l < MIN_MULTIPLE - 1e-12:
+            continue
+        if n_m and excess_mid > 0 and not (1.0 + gap / 2 <= mean_m <= threshold - gap):
+            continue
+        if n_h and not (threshold + gap <= mean_h <= MAX_MULTIPLE - gap):
+            continue
 
-            base_ss = n_l * mean_l ** 2 + n_m * mean_m ** 2 + n_h * mean_h ** 2
-            delta = ss_target - base_ss
-            if delta < -1e-9:
-                best_residual = min(best_residual, -delta)
-                continue
-            delta = max(0.0, delta)
+        base_ss = n_l * mean_l ** 2 + n_m * mean_m ** 2 + n_h * mean_h ** 2
+        delta = ss_target - base_ss
+        if delta < -1e-9:
+            best_residual = min(best_residual, -delta)
+            continue
+        delta = max(0.0, delta)
 
-            rng = Pcg64((seed, n_l, n_h))
-            parts: list[tuple[float, list[float], float]] = []
-            cap_total = 0.0
-            for k, mean_b, lo, hi in (
-                (n_l, mean_l, MIN_MULTIPLE, 1.0 - gap),
-                (n_m, mean_m, 1.0 + gap / 2 if excess_mid > 0 else 1.0, threshold - gap),
-                (n_h, mean_h, threshold + gap, MAX_MULTIPLE),
-            ):
-                if k == 0:
-                    continue
-                if mean_b == 1.0 and excess_mid == 0 and lo == 1.0:
-                    parts.append((mean_b, [0.0] * k, 0.0))
-                    continue
-                d = centered_unit(rng, k)
-                cap = _spread_capacity(d, mean_b, lo, hi)
-                parts.append((mean_b, d, cap))
-                cap_total += cap
-            if cap_total + 1e-12 < delta:
-                best_residual = min(best_residual, delta - cap_total)
+        rng = Pcg64((seed, n_l, n_h))
+        parts: list[tuple[float, list[float], float]] = []
+        cap_total = 0.0
+        for k, mean_b, lo, hi in (
+            (n_l, mean_l, MIN_MULTIPLE, 1.0 - gap),
+            (n_m, mean_m, 1.0 + gap / 2 if excess_mid > 0 else 1.0, threshold - gap),
+            (n_h, mean_h, threshold + gap, MAX_MULTIPLE),
+        ):
+            if k == 0:
                 continue
+            if mean_b == 1.0 and excess_mid == 0 and lo == 1.0:
+                parts.append((mean_b, [0.0] * k, 0.0))
+                continue
+            d = centered_unit(rng, k)
+            spent += k
+            cap = _spread_capacity(d, mean_b, lo, hi)
+            parts.append((mean_b, d, cap))
+            cap_total += cap
+        if cap_total + 1e-12 < delta:
+            best_residual = min(best_residual, delta - cap_total)
+            continue
 
-            values: list[float] = []
-            for mean_b, d, cap in parts:
-                take = delta * (cap / cap_total) if cap_total > 0 else 0.0
-                s = math.sqrt(take)
-                values.extend(mean_b + s * x for x in d)
-            values.sort(reverse=True)
-            out = ReturnPortfolio(tuple(values), name)
-            _verify_synthesis(out, c, residuals)
-            return out
+        values: list[float] = []
+        for mean_b, d, cap in parts:
+            take = delta * (cap / cap_total) if cap_total > 0 else 0.0
+            s = math.sqrt(take)
+            values.extend(mean_b + s * x for x in d)
+        values.sort(reverse=True)
+        out = ReturnPortfolio(tuple(values), name)
+        _verify_synthesis(out, c, residuals)
+        return out
 
     residuals["unmet_spread_or_base"] = best_residual
-    raise CalibrationError(
-        f"no feasible band construction for n={n} within the search budget", residuals
-    )
+    raise CalibrationError(f"no feasible band construction for n={n} within the search budget of "
+                           f"{SEARCH_BUDGET} band splits and drawn funds", residuals)
 
 
 def _verify_synthesis(p: ReturnPortfolio, c: KauffmanConstraints, residuals: dict[str, float]) -> None:

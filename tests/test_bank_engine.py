@@ -249,6 +249,12 @@ class TestRateKernels:
             with pytest.raises(ValueError, match=first_bad):
                 rate_curves(cfg, [bad, -5.0])
 
+    def test_premiums_past_the_float_range_are_named_on_an_empty_grid(self):
+        """With no rate there is no multiple to overflow first; the premiums' sum is named, not an ``OverflowError``."""
+        cfg = ScenarioConfig(ReturnPortfolio((0.0,)), DinTerms(coverage_fraction=1.7e308, payoff_year=6), 0.02, 4.0)
+        with pytest.raises(ValueError, match="^premiums sum past the float range$"):
+            rate_curves(cfg, [])
+
     @pytest.mark.filterwarnings("error")
     def test_overflowing_rate_is_named_without_a_warning(self, anchor131):
         cfg = ScenarioConfig(anchor131, DinTerms(), 0.02, 30)
@@ -422,6 +428,50 @@ class TestLedgerShape:
         cfg = ScenarioConfig(ReturnPortfolio(funds), DinTerms(coverage_fraction=coverage), 0.0, moc)
         with pytest.raises(ValueError, match=f"^{quantity} sum past the float range$"):
             scenario_flows(cfg)
+
+
+def outcome(call) -> str:
+    """``repr`` of what ``call()`` returns, or the type and text of the ``ValueError`` it raises."""
+    try:
+        return repr(call())
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@st.composite
+def any_terms(draw) -> DinTerms:
+    """Coverage from 0 to 100%, every premium base and note timing."""
+    return DinTerms(coverage_fraction=draw(st.floats(0.0, 1.0)), coverage_floor=0.0,
+                    premium_rate=draw(st.floats(0.0, 0.08)),
+                    premium_base=draw(st.sampled_from(list(PremiumBase))), **draw(note_timing()))
+
+
+# Signed zeros, break-even and the largest fund just below it, the smallest subnormal, and
+# multiples whose proceeds reach the float range at a large MOC.
+ORDER_FUND = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 1.0 - 2**-53, 5e-324, 1e307, 1e308, 1.7e308]),
+                       st.floats(0.0, 4.0), st.floats(0.0, 1.7e308))
+
+
+class TestFundOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(funds=st.lists(ORDER_FUND, min_size=1, max_size=20), copies=st.integers(1, 50),
+           terms=any_terms(), moc=st.sampled_from([0.5, 30.0, 1e300, 1.7e308]), shuffle=st.randoms())
+    @example(funds=[2.0, 2.0, 0.5], copies=1, terms=DinTerms(coverage_fraction=0.0388), moc=1.7e308,
+             shuffle=random.Random(0))
+    @example(funds=[0.0, 0.0, 0.0], copies=1, terms=DinTerms(coverage_fraction=1.0), moc=1.7976931348623157e308,
+             shuffle=random.Random(0))
+    def test_any_order_of_the_funds_gives_the_same_bits(self, funds, copies, terms, moc, shuffle):
+        """Up to 1,000 funds ascending, descending and shuffled: ``repr``-identical flows, ledger
+        and break-even rate, or the same error where a sum passes the float range."""
+        funds = funds * copies
+        shuffled = funds[:]
+        shuffle.shuffle(shuffled)
+        seen = set()
+        for order in (sorted(funds), sorted(funds, reverse=True), shuffled):
+            cfg = ScenarioConfig(ReturnPortfolio(tuple(order)), terms, 0.02, moc)
+            seen.add((outcome(lambda: scenario_flows(cfg)), outcome(lambda: simulate_bank(cfg)),
+                      outcome(lambda: break_even_rate(cfg, 0.0, 0.2))))
+        assert len(seen) == 1
 
 
 class TestConservation:

@@ -53,6 +53,13 @@ class TestSynth:
         assert "seed=42" in meta
         assert "residual_stddev=" in meta
 
+    def test_infeasible_synthesis_ends_naming_the_search_budget(self, in_tmp, capsys, time_budget):
+        with time_budget(5):
+            code, out, err = run(capsys, "synth", "--n", "300", "--stddev", "3")
+        assert (code, out) == (1, "")
+        assert err == ("error: no feasible band construction for n=300 within the search budget of "
+                       "250000 band splits and drawn funds\n")
+
 
 class TestCoverage:
     def test_prints_both_methods(self, in_tmp, capsys):
@@ -172,6 +179,7 @@ class TestSimulateAndBreakeven:
         (["synth", "--breakeven-loss", "1.7e308"], "clamp losses must satisfy 0 <= sigma <= breakeven <= 100, "
                                                     "got sigma_clamp_loss=2.72, breakeven_clamp_loss=1.7e+308"),
         (["simulate", "--term-years", "1001"], "term_years must be <= 1000, got 1001"),
+        (["synth", "--n", "10001"], "need at most 10000 funds, got n=10001"),
     ])
     def test_out_of_domain_value_is_named(self, in_tmp, capsys, argv, message):
         code, out, err = run(capsys, *argv)

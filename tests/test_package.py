@@ -142,6 +142,23 @@ def test_only_the_engine_names_the_flows():
     assert namers == ["bank_engine.py"]
 
 
+def test_the_debt_recurrence_is_written_once():
+    """One ledger kernel: ``x + x * rate`` appears only in ``bank_engine._roll``, and ``_debts`` is gone."""
+    package, found, names = SRC / "venturebank", [], set()
+    for path in package.glob("*.py"):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(func.name)
+                found += [f"{path.name}:{func.name}" for node in ast.walk(func)
+                          if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+                          and isinstance(node.left, ast.Name) and isinstance(node.right, ast.BinOp)
+                          and isinstance(node.right.op, ast.Mult)
+                          and node.left.id in {getattr(node.right.left, "id", None),
+                                               getattr(node.right.right, "id", None)}]
+    assert found == ["bank_engine.py:_roll"]
+    assert "_debts" not in names
+
+
 def test_no_module_reads_the_environment():
     """Every input comes in through a flag, a config key or an argument, never ``os.environ``/``os.getenv``."""
     package = SRC / "venturebank"

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from venturebank.portfolio import (
+    MAX_FUNDS,
+    SEARCH_BUDGET,
     CalibrationError,
     KauffmanConstraints,
     ReturnPortfolio,
@@ -168,6 +170,21 @@ class TestSynthesis:
         # Large winners need about 1e101 funds; only counts up to n are tried.
         with pytest.raises(CalibrationError, match="no feasible band construction for n=99"):
             synthesize_kauffman(KauffmanConstraints(mean=1e100), 42)
+
+    def test_fund_count_past_the_cap_is_named(self):
+        with pytest.raises(ValueError, match=f"^need at most {MAX_FUNDS} funds, got n={MAX_FUNDS + 1}$"):
+            KauffmanConstraints(n=MAX_FUNDS + 1)
+
+    def test_the_search_budget_admits_the_largest_portfolio(self):
+        assert len(synthesize_kauffman(KauffmanConstraints(n=MAX_FUNDS), 1)) == MAX_FUNDS
+
+    @pytest.mark.parametrize("n", [300, 600, MAX_FUNDS])
+    def test_infeasible_search_ends_at_its_budget(self, time_budget, n):
+        """A spread no band split can hold: every split is tried until the budget is spent, not n^2.7 work."""
+        with time_budget(5), pytest.raises(CalibrationError) as err:
+            synthesize_kauffman(KauffmanConstraints(n=n, stddev=3), 1)
+        assert str(err.value) == (f"no feasible band construction for n={n} within the search budget of "
+                                  f"{SEARCH_BUDGET} band splits and drawn funds")
 
 
 class TestCompress:
