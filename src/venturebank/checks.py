@@ -1,4 +1,4 @@
-"""The rules for what is handed to the package: a finite real number and UTF-8 text, named when they are not."""
+"""The rules for what is handed to the package (a finite real number, UTF-8 text) and for its sidecar lines."""
 
 import math
 import numbers
@@ -46,3 +46,11 @@ def read_lines(path) -> list[str]:
         data = exc.object
         line = len((data[:exc.start].decode("utf-8") + "?").splitlines())
         raise ValueError(f"{path}: line {line}: byte {data[exc.start]:#04x} is not UTF-8") from None
+
+
+def sidecar_text(entries: list[tuple[object, object]]) -> str:
+    """``key=value`` lines in order; ``ValueError`` names a key holding '=' or a line break, or a value holding one."""
+    for key, value in entries:
+        if "=" in f"{key}" or len(f"{key}={value}.".splitlines()) > 1:  # ``splitlines`` knows every line break
+            raise ValueError(f"sidecar key {key!r} must hold no '=' or line break, its value no line break: {value!r}")
+    return "\n".join(f"{key}={value}" for key, value in entries) + "\n"

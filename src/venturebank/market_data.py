@@ -15,7 +15,6 @@ from __future__ import annotations
 import datetime as dt
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from importlib import resources
 from math import fsum
 from pathlib import Path
 from typing import NamedTuple
@@ -183,5 +182,5 @@ def funds_rate(libor: float) -> float:
 
 
 def default_snapshot_path() -> Path:
-    """Path of the bundled rate snapshot; ``ingest --csv`` reads any other file."""
-    return Path(str(resources.files("venturebank") / "data" / SNAPSHOT_FILENAME))
+    """Path of the bundled rate snapshot, in ``data/`` beside this module; ``ingest --csv`` reads any other file."""
+    return Path(__file__).with_name("data") / SNAPSHOT_FILENAME

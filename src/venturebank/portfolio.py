@@ -16,7 +16,7 @@ from math import fsum
 from pathlib import Path
 from typing import NamedTuple
 
-from .checks import ElementError, checked_fsum, finite_real, read_lines
+from .checks import ElementError, checked_fsum, finite_real, read_lines, sidecar_text
 
 
 #: Bounds of a synthesized fund multiple.
@@ -200,14 +200,10 @@ def synthesize_kauffman(constraints: KauffmanConstraints, seed: int, *,
         if spent > SEARCH_BUDGET:
             break
         n_m = n - n_l - n_h
-        if n_m < (1 if excess_mid > 0 else 0):
-            continue
         mean_l = 1.0 - deficit / n_l if n_l else 0.0
         mean_h = 1.0 + excess_high / n_h if n_h else 0.0
         mean_m = 1.0 + excess_mid / n_m if n_m else 0.0
-        if n_l and mean_l < MIN_MULTIPLE - 1e-12:
-            continue
-        if n_m and excess_mid > 0 and not (1.0 + gap / 2 <= mean_m <= threshold - gap):
+        if excess_mid > 0 and not (1.0 + gap / 2 <= mean_m <= threshold - gap):  # n_m 0: mean_m 0.0, outside
             continue
         if n_h and not (threshold + gap <= mean_h <= MAX_MULTIPLE - gap):
             continue
@@ -323,13 +319,13 @@ def shift_to_mean(p: ReturnPortfolio, target: float) -> ReturnPortfolio:
 
 
 def save_portfolio(path: str | Path, p: ReturnPortfolio, metadata: dict[str, object] | None = None) -> None:
-    """Write the one-column CSV; metadata goes to a key=value sidecar."""
+    """Write the one-column CSV; metadata goes to a key=value sidecar, ``label`` first, checked before any write."""
     path = Path(path)
+    meta = None if metadata is None else sidecar_text([("label", p.label), *metadata.items()])
     lines = ["multiple"] + [repr(m) for m in p.funds]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    if metadata is not None:
-        meta_lines = [f"label={p.label}"] + [f"{k}={v}" for k, v in metadata.items()]
-        path.with_suffix(path.suffix + ".meta").write_text("\n".join(meta_lines) + "\n", encoding="utf-8")
+    if meta is not None:
+        path.with_suffix(path.suffix + ".meta").write_text(meta, encoding="utf-8")
 
 
 def load_portfolio(path: str | Path) -> ReturnPortfolio:

@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .bank_engine import ScenarioConfig, rate_curves
-from .checks import finite_real
+from .checks import finite_real, sidecar_text
 from .market_data import RATE_MAX, funds_rate
 
 
@@ -130,13 +130,10 @@ def run_sweep(bases: Sequence[ScenarioConfig], rate_grid_pct: Sequence[float]) -
     funding rate (rate plus spread, as a fraction) before both the bank
     simulation and the underwriter's return, so the two sides of every row
     see the same funding cost. Each config's whole grid is one call of
-    :func:`rate_curves` on one array of rates, each ``pct / 100.0`` as
-    one float division would give it.
+    :func:`rate_curves` on one list of rates, each ``pct / 100.0``.
     """
-    import numpy as np
-
     rates_pct = _funds_rates(rate_grid_pct)
-    rates = np.array(rates_pct) / 100.0
+    rates = [pct / 100.0 for pct in rates_pct]
     curves = []
     for cfg in bases:
         try:
@@ -189,5 +186,4 @@ def write_sweep_csv(path: str | Path, table: SweepTable) -> None:
 
 def write_sweep_meta(path: str | Path, provenance: dict[str, str]) -> None:
     """The sidecar of ``sweep.csv``: one ``key=value`` line per provenance entry, sorted by key."""
-    lines = [f"{k}={v}" for k, v in sorted(provenance.items())]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_text(sidecar_text(sorted(provenance.items())), encoding="utf-8")

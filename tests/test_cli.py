@@ -53,6 +53,13 @@ class TestSynth:
         assert "seed=42" in meta
         assert "residual_stddev=" in meta
 
+    def test_label_with_a_line_break_forges_no_sidecar_key(self, in_tmp, capsys):
+        """``label=a`` then ``b=c`` would read as two keys: the label is refused before either file is written."""
+        assert run(capsys, "synth", "--label", "a\nb=c", "--out", "l.csv") == (
+            1, "", "error: sidecar key 'label' must hold no '=' or line break, its value no line break: "
+                   "'a\\nb=c'\n")
+        assert not any(in_tmp.iterdir())
+
     def test_infeasible_synthesis_ends_naming_the_search_budget(self, in_tmp, capsys, time_budget):
         with time_budget(5):
             code, out, err = run(capsys, "synth", "--n", "300", "--stddev", "3")
@@ -72,6 +79,11 @@ class TestCoverage:
         breakeven = next(ln for ln in lines if ln.startswith("breakeven_clamp"))
         assert float(sigma.split(",")[2]) == pytest.approx(5.60, abs=0.05)
         assert float(breakeven.split(",")[2]) == pytest.approx(20.33, abs=0.05)
+
+    def test_header_only_portfolio_is_named(self, in_tmp, capsys):
+        (in_tmp / "hdr.csv").write_text("multiple\n", encoding="utf-8")
+        assert run(capsys, "coverage", "--portfolio", "hdr.csv") == (
+            1, "", "error: hdr.csv: portfolio must contain at least one fund\n")
 
 
 class TestIngest:
@@ -95,6 +107,17 @@ class TestIngest:
         assert code == 1
         assert out == ""
         assert err == "error: no observations through 1980-12-31; the series spans 1986-01-02 to 2016-12-30\n"
+
+    @pytest.mark.parametrize("body", [b"", b"\xef\xbb\xbf"])
+    def test_empty_file_is_named(self, in_tmp, capsys, body):
+        """A file holding only a byte-order mark is as empty as one holding nothing."""
+        (in_tmp / "empty.csv").write_bytes(body)
+        assert run(capsys, "ingest", "--csv", "empty.csv") == (1, "", "error: empty.csv: empty file\n")
+
+    def test_extra_field_names_its_line(self, in_tmp, capsys):
+        (in_tmp / "three.csv").write_text("DATE,USD12MD156N\n2010-01-04,2.0\n2010-01-05,2.1,9\n", encoding="utf-8")
+        assert run(capsys, "ingest", "--csv", "three.csv") == (
+            1, "", "error: three.csv: line 3: expected 2 fields, got 3\n")
 
     def test_missing_file_is_a_one_line_diagnostic(self, capsys):
         code, _out, err = run(capsys, "ingest", "--csv", "nope.csv")
@@ -515,6 +538,31 @@ class TestStartup:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
 
+    # Modules that finding the bundled rate file needs none of (``importlib.resources`` pulls in the
+    # other three). ``shutil`` is not here: argparse's help formatter imports it.
+    FILE_FINDING = ("importlib.resources", "tempfile", "random", "zipfile")
+
+    def test_clean_interpreter_loads_no_resource_machinery(self, in_tmp):
+        """Under ``python -S`` no ``.pth`` hook preloads a module, so the package's own stdlib closure shows:
+        neither the import nor ``ingest`` of the bundled rate file loads any module of ``FILE_FINDING``."""
+        script = (
+            "import sys\n"
+            f"unused = {self.FILE_FINDING!r}\n"
+            "def check(step):\n"
+            "    loaded = [m for m in unused if m in sys.modules]\n"
+            "    assert not loaded, (step, loaded)\n"
+            "from venturebank.cli import run_cli\n"
+            "check('import')\n"
+            "assert run_cli(['ingest']) == 0\n"
+            "check('ingest')\n"
+        )
+        src = str(Path(venturebank.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-S", "-c", script], cwd=in_tmp,
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(f"file={Path(src, 'venturebank', 'data', 'libor_usd12m.csv')}\n")
+
     def test_only_sweep_loads_numpy(self, in_tmp):
         """Synthesis is numpy-free: ``synth``, ``calibrate`` and synthesized runs leave numpy unloaded."""
         script = (
@@ -578,6 +626,12 @@ class TestConfigFile:
         code, _, _ = run(capsys, "--config", "run.cfg", "synth", "--out", "flagwins.csv")
         assert code == 0
         assert (in_tmp / "flagwins.csv").exists()
+
+    def test_line_without_equals_is_a_usage_error(self, in_tmp, capsys):
+        (in_tmp / "bad.cfg").write_text("moc 30\n", encoding="utf-8")
+        assert run(capsys, "--config", "bad.cfg", "simulate") == (
+            2, "", "error: bad.cfg: line 1: expected key=value\n")
+        assert not (in_tmp / "bank_ledger.csv").exists()
 
     def test_unknown_key_rejected(self, in_tmp, capsys):
         (in_tmp / "bad.cfg").write_text("bogus=1\n", encoding="utf-8")

@@ -105,6 +105,9 @@ class TestAgainstNumpy:
     (KauffmanConstraints(n=990), 7, "a659fcb00539a5f48aac1022448205a7a70a1a6f41110def0495aaac6191ab81"),
     (KauffmanConstraints(n=7, mean=1.1, stddev=0.2, sigma_clamp_loss=0.0, breakeven_clamp_loss=5.0), 3,
      "9230f8de1f48b840e228a20a06eeb21fbfd878191b894f1a9134f84b74a72409"),
+    # Equal clamp losses: the moderate band is 54 funds of exactly 1.0, drawn from no generator.
+    (KauffmanConstraints(sigma_clamp_loss=17.45, breakeven_clamp_loss=17.45), 42,
+     "5e7f728c2ffcb13e46c6a236a5605b5a57949ec89b2a3bd81778852f01412079"),
 ])
 def test_synthesized_portfolios_are_pinned(constraints, seed, digest):
     """sha256 of ``repr(funds)``, as numpy 2.4 with OpenBLAS 0.3.31 SkylakeX synthesized them."""

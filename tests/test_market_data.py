@@ -3,6 +3,7 @@
 import datetime as dt
 import math
 import statistics
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -157,6 +158,13 @@ class TestBundledSnapshot:
     def test_snapshot_contains_missing_markers(self):
         text = default_snapshot_path().read_text(encoding="utf-8")
         assert ",.\n" in text
+
+    def test_snapshot_sits_beside_the_module(self):
+        """The file ``importlib.resources`` finds in the package, found without importing it."""
+        from importlib import resources
+
+        assert default_snapshot_path() == Path(str(resources.files("venturebank") / "data" / "libor_usd12m.csv"))
+        assert default_snapshot_path().is_file()
 
     def test_data_dir_env_is_ignored(self, tmp_path, monkeypatch):
         """The bundled snapshot is the one default; ``ingest --csv`` reads any other rate file."""

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from venturebank.din import coverage_breakeven_method, coverage_sigma_method
 from venturebank.portfolio import (
     MAX_FUNDS,
     SEARCH_BUDGET,
@@ -96,6 +97,13 @@ class TestSynthesis:
     def test_degenerate_constants(self):
         p = synthesize_kauffman(KauffmanConstraints(5, 1.0, 0.0, 0.0, 0.0), seed=1)
         assert p.funds == (1.0,) * 5
+
+    def test_equal_clamp_losses_leave_the_moderate_band_at_break_even(self):
+        """With no moderate excess the moderate band needs no draws: its funds are exactly 1.0.
+        The portfolio's sha256 is pinned in ``test_draws.test_synthesized_portfolios_are_pinned``."""
+        p = synthesize_kauffman(KauffmanConstraints(sigma_clamp_loss=17.45, breakeven_clamp_loss=17.45), 42)
+        assert (len(p), p.funds.count(1.0)) == (99, 54)
+        assert coverage_sigma_method(p, 0.0).clamp_loss == coverage_breakeven_method(p, 0.0).clamp_loss == 17.45
 
     def test_all_multiples_nonnegative_and_sorted(self, kauffman99):
         assert all(m >= 0 for m in kauffman99.funds)
@@ -299,6 +307,10 @@ class TestSerialization:
         assert back.funds == compressed50.funds
         assert back.label == "p"
         assert (tmp_path / "p.csv.meta").exists()
+
+    def test_meta_is_label_first_then_in_order(self, tmp_path):
+        save_portfolio(tmp_path / "p.csv", ReturnPortfolio((2.0, 0.5), "x y"), metadata={"seed": 7, "n": 2})
+        assert (tmp_path / "p.csv.meta").read_bytes() == b"label=x y\nseed=7\nn=2\n"
 
     def test_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -208,6 +208,17 @@ class TestSweepCsv:
         write_sweep_meta(tmp_path / "sweep.meta", {"seed": "7", "config_digest": "x", "generated_at": "t"})
         assert (tmp_path / "sweep.meta").read_bytes() == b"config_digest=x\ngenerated_at=t\nseed=7\n"
 
+    @pytest.mark.parametrize("provenance, message", [
+        ({"seed": "7", "generated_at": "t\rseed=8"}, "sidecar key 'generated_at' must hold no '=' or line break, "
+                                                   "its value no line break: 't\\rseed=8'"),
+        ({"a=b": "1"}, "sidecar key 'a=b' must hold no '=' or line break, its value no line break: '1'"),
+    ])
+    def test_meta_refuses_a_line_that_reads_as_another_key(self, tmp_path, provenance, message):
+        with pytest.raises(ValueError) as err:
+            write_sweep_meta(tmp_path / "sweep.meta", provenance)
+        assert str(err.value) == message
+        assert not (tmp_path / "sweep.meta").exists()
+
     def test_round_trip_is_value_identical(self, tmp_path, six_curve_table):
         path = tmp_path / "sweep.csv"
         write_sweep_csv(path, six_curve_table)
