@@ -16,13 +16,6 @@ import os
 import sys
 from pathlib import Path
 
-from .bank_engine import (
-    ScenarioConfig,
-    bank_summary,
-    break_even_rate,
-    simulate_bank,
-    write_bank_csv,
-)
 from .checks import finite_real, read_lines
 from .din import (
     DinTerms,
@@ -182,7 +175,9 @@ def _portfolio_from(args: argparse.Namespace):
     return p
 
 
-def _scenario_from(args: argparse.Namespace, bank_rate: float, capital: float) -> ScenarioConfig:
+def _scenario_from(args: argparse.Namespace, bank_rate: float, capital: float):
+    from .bank_engine import ScenarioConfig
+
     return ScenarioConfig(portfolio=_portfolio_from(args), din_terms=_terms_from(args),
                           bank_rate=bank_rate, moc=args.moc, original_capital=capital)
 
@@ -239,6 +234,8 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .bank_engine import bank_summary, simulate_bank, write_bank_csv
+
     cfg = _scenario_from(args, args.bank_rate / 100.0, args.capital)
     result = simulate_bank(cfg)
     write_bank_csv(args.ledger_out, result)
@@ -252,6 +249,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_breakeven(args: argparse.Namespace) -> int:
+    from .bank_engine import break_even_rate
+
     cfg = _scenario_from(args, 0.0, 1.0)  # the solver picks the rate; capital moves it only by rounding
     rate = break_even_rate(cfg, args.lo / 100.0, args.hi / 100.0)
     if rate is None:
@@ -262,6 +261,7 @@ def _cmd_breakeven(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .bank_engine import ScenarioConfig
     from .report import ReportKind, emit_report
     from .sweep import config_digest, parse_rate_grid, run_sweep, write_sweep_csv, write_sweep_meta
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import enum
 import math
-from itertools import chain
 from pathlib import Path
 
 from .sweep import SweepTable
@@ -65,9 +64,12 @@ def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
 def _svg_chart(xs: tuple[float, ...], series: dict[str, tuple[float, ...]], title: str,
                x_label: str, y_label: str, ref_y: float, ref_label: str) -> str:
     """Every series has one y per x of the ascending ``xs``; an axis whose (padded) span overflows raises."""
+    import numpy as np
+
+    columns = [np.asarray(ys, dtype=float) for ys in series.values()]  # one conversion per series
     x_lo, x_hi = xs[0], xs[-1]
-    y_min = min(chain(*series.values(), (ref_y,)))
-    y_max = max(chain(*series.values(), (ref_y,)))
+    y_min = min([c.min().item() for c in columns] + [ref_y])
+    y_max = max([c.max().item() for c in columns] + [ref_y])
     pad = 0.05 * (y_max - y_min or 1.0)
     y_lo, y_hi = y_min - pad, y_max + pad
     for axis, lo, hi, span in (("x", x_lo, x_hi, x_hi - x_lo), ("y", y_min, y_max, y_hi - y_lo)):
@@ -117,17 +119,14 @@ def _svg_chart(xs: tuple[float, ...], series: dict[str, tuple[float, ...]], titl
     parts.append(f'<text x="{MARGIN_L + plot_w - 4}" y="{ry - 6:.1f}" '
                  f'text-anchor="end" fill="#333">{_escape(ref_label)}</text>')
 
-    # px and py run once per series as array expressions, in the float64 operations of one
-    # value; each curve fills a template of the formatted x pixels in one % call.
-    import numpy as np
-
+    # px and py run once per series as array expressions, in the float64 operations of one value;
+    # each curve fills a template of the formatted x pixels in one % call, with only its own y pixels.
     points = " ".join([f"{x:.2f},%.2f" for x in px(np.asarray(xs, dtype=float)).tolist()])
-    ys_px = [py(np.asarray(ys, dtype=float)).tolist() for ys in series.values()]
     legend_y = MARGIN_T + 10
-    for i, (name, y_fields) in enumerate(zip(series, ys_px)):
+    for i, (name, ys) in enumerate(zip(series, columns)):
         color = PALETTE[i % len(PALETTE)]
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="2" '
-                     f'points="{points % tuple(y_fields)}"/>')
+                     f'points="{points % tuple(py(ys).tolist())}"/>')
         lx = MARGIN_L + plot_w + 14
         parts.append(f'<line x1="{lx}" y1="{legend_y}" x2="{lx + 22}" y2="{legend_y}" '
                      f'stroke="{color}" stroke-width="3"/>')

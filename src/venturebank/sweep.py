@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -130,10 +131,10 @@ def run_sweep(bases: Sequence[ScenarioConfig], rate_grid_pct: Sequence[float]) -
     funding rate (rate plus spread, as a fraction) before both the bank
     simulation and the underwriter's return, so the two sides of every row
     see the same funding cost. Each config's whole grid is one call of
-    :func:`rate_curves` on one list of rates, each ``pct / 100.0``.
+    :func:`rate_curves` on one ``array("d")`` of rates, each ``pct / 100.0``, read by numpy without a copy.
     """
     rates_pct = _funds_rates(rate_grid_pct)
-    rates = [pct / 100.0 for pct in rates_pct]
+    rates = array("d", [pct / 100.0 for pct in rates_pct])
     curves = []
     for cfg in bases:
         try:
@@ -172,16 +173,16 @@ def _csv_field(text: str) -> str:
 def write_sweep_csv(path: str | Path, table: SweepTable) -> None:
     """One row per (curve, rate); provenance (including any timestamp) goes to the sidecar.
 
-    Each rate is formatted once per table and each curve's label and MOC
-    once per curve.
+    Each rate is formatted once per table and each curve's label and MOC once per curve. The file
+    is written one curve at a time, in ``Path.write_text``'s text mode, holding one curve's rows.
     """
     rate_fields = [f",{pct!r}," for pct in table.rates_pct]
-    lines = [CSV_HEADER]
-    for c in table.curves:
-        prefix = f"{_csv_field(c.label)},{c.moc!r}"
-        lines += [f"{prefix}{rate}{m!r},{u!r},{'true' if m >= 1.0 else 'false'}"
-                  for rate, m, u in zip(rate_fields, c.multiples, c.returns)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(CSV_HEADER + "\n")
+        for c in table.curves:
+            prefix = f"{_csv_field(c.label)},{c.moc!r}"
+            f.write("".join([f"{prefix}{rate}{m!r},{u!r},{'true' if m >= 1.0 else 'false'}\n"
+                             for rate, m, u in zip(rate_fields, c.multiples, c.returns)]))
 
 
 def write_sweep_meta(path: str | Path, provenance: dict[str, str]) -> None:

@@ -16,7 +16,9 @@ kernel, which sums each rate's carry with its own ``math.fsum``.
 with them by ``repr``, and ``bank_engine.scenario_flows`` with the loops
 and the payout here. ``chart_svg`` is the earlier chart writer, which
 computes and formats each polyline point on its own; tests compare
-``report.emit_report``'s bytes with it.
+``report.emit_report``'s bytes with it. ``write_sweep_csv`` is the earlier
+CSV writer, which builds the whole file as one string and writes it with
+``Path.write_text``; tests compare ``sweep.write_sweep_csv``'s bytes with it.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 from math import fsum
+from pathlib import Path
 
 from venturebank.bank_engine import Flows, ScenarioConfig, UnderwriterError
 from venturebank.din import DinTerms, PremiumBase
@@ -43,7 +46,7 @@ from venturebank.report import (
     _series_for,
     _ticks,
 )
-from venturebank.sweep import SweepTable
+from venturebank.sweep import CSV_HEADER, SweepTable, _csv_field
 
 
 def din_payout(principal: float, multiple: float, terms: DinTerms) -> float:
@@ -336,3 +339,14 @@ def chart_svg(table: SweepTable, kind: ReportKind) -> str:
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def write_sweep_csv(path: str | Path, table: SweepTable) -> None:
+    """The file ``sweep.write_sweep_csv(path, table)`` writes, built as one string first."""
+    rate_fields = [f",{pct!r}," for pct in table.rates_pct]
+    lines = [CSV_HEADER]
+    for c in table.curves:
+        prefix = f"{_csv_field(c.label)},{c.moc!r}"
+        lines += [f"{prefix}{rate}{m!r},{u!r},{'true' if m >= 1.0 else 'false'}"
+                  for rate, m, u in zip(rate_fields, c.multiples, c.returns)]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import random
 import re
+from array import array
 
 import numpy as np
 import oracles
@@ -239,6 +240,16 @@ class TestRateKernels:
     def test_dust_example_leaves_cash_in_the_oracle(self):
         # Keeps the example above meaningful: the cash ledger really holds dust.
         assert any(row.cash_balance_end > 0 for row in oracles.simulate_bank(DUST_EXAMPLE).ledger[:-1])
+
+    @pytest.mark.parametrize("sequence", [tuple, np.array, lambda rates: array("d", rates)],
+                             ids=["tuple", "ndarray", "array('d')"])
+    def test_any_rate_sequence_gives_the_list_curves(self, anchor131, sequence):
+        cfg = ScenarioConfig(anchor131, DinTerms(), 0.0, 30)
+        rates = [funds_rate(g) / 100.0 for g in parse_rate_grid("0.53:7.50:0.25")]
+        want = rate_curves(cfg, rates)
+        got = rate_curves(cfg, sequence(rates))
+        assert [list(map(repr, column)) for column in got] == [list(map(repr, column)) for column in want]
+        assert all(type(column) is list for column in got)
 
     def test_negative_or_nan_rate_rejected(self, anchor131):
         cfg = ScenarioConfig(anchor131, DinTerms(), 0.02, 30)

@@ -538,6 +538,27 @@ class TestStartup:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
 
+    def test_light_commands_never_import_bank_engine(self, in_tmp):
+        """``ingest``, ``synth`` and ``coverage`` run no bank ledger, so none of them loads ``bank_engine``."""
+        script = (
+            "import sys\n"
+            "def check(step):\n"
+            "    assert 'venturebank.bank_engine' not in sys.modules, step\n"
+            "from venturebank.cli import run_cli\n"
+            "check('import')\n"
+            "assert run_cli(['ingest']) == 0\n"
+            "check('ingest')\n"
+            "assert run_cli(['synth', '--out', 'p.csv']) == 0\n"
+            "check('synth')\n"
+            "assert run_cli(['coverage', '--portfolio', 'p.csv']) == 0\n"
+            "check('coverage')\n"
+        )
+        src = str(Path(venturebank.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], cwd=in_tmp,
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
     # Modules that finding the bundled rate file needs none of (``importlib.resources`` pulls in the
     # other three). ``shutil`` is not here: argparse's help formatter imports it.
     FILE_FINDING = ("importlib.resources", "tempfile", "random", "zipfile")

@@ -66,6 +66,12 @@ def six_curve_table(six_configs):
     return run_sweep(six_configs, parse_rate_grid("0.53:7.50:0.25"))
 
 
+@pytest.fixture(scope="module")
+def dense_table(six_configs):
+    """The six paper curves over the benchmark's dense grid: 1,395 rates, 8,370 rows."""
+    return run_sweep(six_configs, parse_rate_grid("0.53:7.50:0.005"))
+
+
 def reference_csv(table: SweepTable) -> str:
     """Row-at-a-time CSV formatting, kept as the oracle of the column writer."""
     def field(text):
@@ -306,6 +312,17 @@ class TestSweepCsv:
             write_sweep_csv(path, table)
             assert path.read_bytes() == reference_csv(table).encode("utf-8")
 
+    @pytest.mark.parametrize("case", ["dense", "label with comma, quote and line break", "header only",
+                                      "longer file at the target"])
+    def test_streamed_file_matches_the_one_string_writer(self, tmp_path, dense_table, case):
+        table = {"dense": dense_table, "label with comma, quote and line break": one_curve(label='a,"b"\r\nc'),
+                 "header only": SweepTable((2.0, 2.25), ()), "longer file at the target": one_curve()}[case]
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        got.write_text("x" * 10_000 + "\n", encoding="utf-8")  # the stream must truncate it
+        write_sweep_csv(got, table)
+        oracles.write_sweep_csv(want, table)
+        assert got.read_bytes() == want.read_bytes()
+
     @settings(max_examples=10, deadline=None)
     @given(order=st.permutations(range(6)))
     def test_config_order_does_not_change_outputs(self, six_configs, order):
@@ -383,6 +400,17 @@ class TestReports:
                     assert not out.exists()
                 else:
                     assert emit_report(table, kind, out).read_bytes() == want.encode("utf-8")
+
+    def test_reference_line_outside_every_series_matches_per_point_oracle(self, tmp_path):
+        """Every multiple above 1.0 and every return below 0: the reference line sets one end of the y axis."""
+        table = SweepTable((2.0, 2.25, 2.5), (SweepCurve("a", 30.0, (1.5, 1.25, 1.1), (-0.1, -0.2, -0.3)),
+                                              SweepCurve("b", 43.0, (2.0, 1.7, 1.01), (-0.05, -0.15, -0.4))))
+        for kind, outside in ((ReportKind.BANK_MULTIPLE, max), (ReportKind.UNDERWRITER_RETURN, min)):
+            svg = emit_report(table, kind, tmp_path / f"{kind.value}.svg").read_bytes()
+            assert svg == oracles.chart_svg(table, kind).encode("utf-8")
+            ref = float(re.search(rb'class="refline" x1="\d+" y1="([\d.]+)"', svg).group(1))
+            pixels = [float(y) for y in re.findall(rb',([\d.]+)', b" ".join(re.findall(rb'points="([^"]*)"', svg)))]
+            assert outside(pixels + [ref]) == ref and ref not in pixels
 
     @pytest.mark.parametrize("rates, multiples, axis", [
         ((2.0, 2.25), (1e308, -1e308), "y axis: values from -1e+308 to 1e+308"),

@@ -8,9 +8,14 @@ output keeps the side, commit, workload, seed, trace flag, ``attempted``,
 and, per workload and side, the median of each end-to-end metric over
 the untraced runs. Nothing is measured here.
 
+A side's ``commit`` is the one its runs' provenance names, which is
+``null`` in a checkout made by ``git archive``; ``--commit NAME=SHA``
+names it instead.
+
 Run from the repository root:
 
-    python tools/bench_json.py --side parent=../parent --side change=. --out BENCH_19.json
+    python tools/bench_json.py --side parent=../parent --side change=. --out BENCH_19.json \
+        --commit parent=$(git rev-parse HEAD~1)
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ import statistics
 from pathlib import Path
 
 
-def runs(side: str, checkout: Path) -> list[dict]:
-    """One record per full run of ``perfbench/run.py`` in ``checkout``."""
+def runs(side: str, checkout: Path, commit: str | None = None) -> list[dict]:
+    """One record per full run of ``perfbench/run.py`` in ``checkout``; ``commit``, when given, names its commit."""
     out = []
     for path in sorted((checkout / "perfbench" / "out" / "results").glob("*.json")):
         if path.name.endswith(".stamp.json"):
@@ -31,7 +36,7 @@ def runs(side: str, checkout: Path) -> list[dict]:
         prov = result["provenance"]
         if prov["smoke"]:
             continue
-        record = {"side": side, "commit": prov["git_commit"], "source_sha256": prov["source_sha256"],
+        record = {"side": side, "commit": commit or prov["git_commit"], "source_sha256": prov["source_sha256"],
                   "workload": prov["workload"], "seed": prov["seed"], "trace": prov["trace"],
                   "seconds": prov["seconds"], "attempted": result["attempted"],
                   "failed": result["failed"], "end_to_end": result["end_to_end"]}
@@ -58,12 +63,17 @@ def medians(records: list[dict]) -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--side", action="append", required=True, metavar="NAME=CHECKOUT")
+    parser.add_argument("--commit", action="append", default=[], metavar="NAME=SHA",
+                        help="the commit side NAME measured (default: the one its provenance names)")
     parser.add_argument("--out", required=True)
     args = parser.parse_args()
+    sides = dict(spec.partition("=")[::2] for spec in args.side)
+    commits = dict(spec.partition("=")[::2] for spec in args.commit)
+    if unknown := sorted(commits.keys() - sides.keys()):
+        parser.error(f"--commit names no --side: {', '.join(unknown)}")
     records = []
-    for spec in args.side:
-        side, _, checkout = spec.partition("=")
-        records += runs(side, Path(checkout))
+    for side, checkout in sides.items():
+        records += runs(side, Path(checkout), commits.get(side))
     bench = {"runs": records, "median_end_to_end": medians(records)}
     Path(args.out).write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
 
