@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from math import fsum
 from operator import mul, sub
-from typing import NamedTuple, Sequence
 
-from .checks import checked_fsum, finite_real
+from .checks import checked_fsum, finite_real, write_text
 from .din import DinTerms, PremiumBase
 from .portfolio import ReturnPortfolio
 
@@ -65,19 +66,12 @@ class ScenarioConfig:
             raise ValueError(f"horizon_years must equal the note term, got {self.horizon_years!r}")
 
 
-class Flows(NamedTuple):
-    """The rate-independent flows of one scenario, per model year 0..horizon.
-
-    Built once per scenario by :func:`scenario_flows`. ``start`` and
-    ``steps`` are what the bank ledger reads.
-    """
-
-    premiums: list[float]   # bank to underwriter, borrowed
-    receipts: list[float]   # underwriter to bank: payouts, all at the payoff year
-    exits: list[float]      # fund exits: failures at the payoff year, survivors at the horizon
-    face_total: float       # insured face of the whole portfolio
-    start: float            # invested moc x capital plus the year-0 premiums
-    steps: list[tuple[float, float]]  # years 1..horizon: (premiums, receipts[y] + exits[y])
+#: The rate-independent flows of one scenario, per model year 0..horizon, built once per scenario by
+#: :func:`scenario_flows`: ``premiums`` (bank to underwriter, borrowed), ``receipts`` (underwriter to bank:
+#: payouts, all at the payoff year), ``exits`` (fund exits: failures at the payoff year, survivors at the
+#: horizon) and ``face_total`` (insured face of the whole portfolio). The bank ledger reads ``start`` (invested
+#: moc x capital plus the year-0 premiums) and ``steps`` (years 1..horizon: (premiums, receipts[y] + exits[y])).
+Flows = namedtuple("Flows", "premiums receipts exits face_total start steps")
 
 
 def _premium_schedule(funds: int, survivors: int, terms: DinTerms, principal: float) -> list[float]:
@@ -135,20 +129,10 @@ def _roll(debt, steps, rate):
     return debt
 
 
-class BankYear(NamedTuple):
-    year: int
-    interest_accrued: float
-    premiums_paid: float
-    din_receipts: float
-    exit_proceeds: float
-    debt_balance_end: float
-    equity_estimate: float
-
-
-class BankResult(NamedTuple):
-    final_multiple: float
-    survived: bool
-    ledger: tuple[BankYear, ...]
+#: One ledger row of :func:`simulate_bank` (see there), and the run: its multiple, survival and rows.
+BankYear = namedtuple("BankYear", "year interest_accrued premiums_paid din_receipts exit_proceeds "
+                                  "debt_balance_end equity_estimate")
+BankResult = namedtuple("BankResult", "final_multiple survived ledger")
 
 
 def simulate_bank(cfg: ScenarioConfig) -> BankResult:
@@ -328,16 +312,9 @@ def break_even_rate(cfg: ScenarioConfig, lo: float, hi: float) -> float | None:
 
 def write_bank_csv(path, result: BankResult) -> None:
     """One row per year: interest, premiums, receipts, exits, balances."""
-    from pathlib import Path
-
-    lines = ["year,interest,premiums,din_receipts,exit_proceeds,debt,equity"]
-    for row in result.ledger:
-        lines.append(
-            f"{row.year},{row.interest_accrued!r},{row.premiums_paid!r},"
-            f"{row.din_receipts!r},{row.exit_proceeds!r},"
-            f"{row.debt_balance_end!r},{row.equity_estimate!r}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, ["year,interest,premiums,din_receipts,exit_proceeds,debt,equity\n", *(
+        f"{r.year},{r.interest_accrued!r},{r.premiums_paid!r},{r.din_receipts!r},{r.exit_proceeds!r},"
+        f"{r.debt_balance_end!r},{r.equity_estimate!r}\n" for r in result.ledger)])
 
 
 def bank_summary(result: BankResult) -> str:

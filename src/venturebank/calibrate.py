@@ -11,10 +11,10 @@ default for reproduction runs.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import NamedTuple
+from collections import namedtuple
 
 from .bank_engine import ScenarioConfig, simulate_bank
+from .checks import write_text
 from .din import DinTerms, PremiumBase
 from .market_data import funds_rate
 from .portfolio import ReturnPortfolio
@@ -29,21 +29,21 @@ REDUCED_COVERAGE = 0.0388
 RATE_READINGS = ("libor", "bank")  # libor: anchor + spread; bank: anchor as-is
 
 
-class CalibrationCase(NamedTuple):
-    premium_base: PremiumBase
-    rate_reading: str
-    m30: float
-    m43: float
-    uplift: float
-    score: float
+class CalibrationCase(namedtuple("CalibrationCase", "premium_base rate_reading m30 m43 uplift score")):
+    """One mode (a premium base and a rate reading): its multiples at 30X and 43X (``m30``, ``m43``), the gain
+    at 30X from the coverage cut (``uplift``), and its ``score`` (lower is better)."""
+
+    __slots__ = ()
 
     @property
     def mode(self) -> str:
         return f"{self.premium_base.value}+{self.rate_reading}"
 
 
-class CalibrationReport(NamedTuple):
-    cases: tuple[CalibrationCase, ...]  # best score first
+class CalibrationReport(namedtuple("CalibrationReport", "cases")):
+    """``cases``: every :class:`CalibrationCase`, best score first."""
+
+    __slots__ = ()
 
     @property
     def selected(self) -> CalibrationCase:
@@ -105,5 +105,5 @@ def calibration_text(report: CalibrationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_calibration_report(path: str | Path, report: CalibrationReport) -> None:
-    Path(path).write_text(calibration_text(report), encoding="utf-8")
+def write_calibration_report(path, report: CalibrationReport) -> None:
+    write_text(path, [calibration_text(report)])

@@ -1,8 +1,7 @@
-"""The rules for what is handed to the package (a finite real number, UTF-8 text) and for its sidecar lines."""
+"""The rules for what the package reads (a finite real number, UTF-8 text) and writes (UTF-8 text, sidecar lines)."""
 
 import math
 import numbers
-from pathlib import Path
 
 
 class ElementError(ValueError):
@@ -41,11 +40,18 @@ def read_lines(path) -> list[str]:
     """Lines of the UTF-8 text file ``path``, less any leading byte-order mark;
     ``ValueError`` naming the file and line of a byte that is not UTF-8."""
     try:
-        return Path(path).read_bytes().decode("utf-8-sig").splitlines()
+        with open(path, "rb") as f:
+            return f.read().decode("utf-8-sig").splitlines()
     except UnicodeDecodeError as exc:  # offsets count from after the mark; lines as ``splitlines`` counts them
         data = exc.object
         line = len((data[:exc.start].decode("utf-8") + "?").splitlines())
         raise ValueError(f"{path}: line {line}: byte {data[exc.start]:#04x} is not UTF-8") from None
+
+
+def write_text(path, parts) -> None:
+    """Write the strings of ``parts`` to ``path`` in ``Path.write_text``'s text mode: UTF-8, ``newline=None``."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(parts)
 
 
 def sidecar_text(entries: list[tuple[object, object]]) -> str:

@@ -14,7 +14,6 @@ import argparse
 import datetime as dt
 import os
 import sys
-from pathlib import Path
 
 from .checks import finite_real, read_lines
 from .din import (
@@ -183,6 +182,8 @@ def _scenario_from(args: argparse.Namespace, bank_rate: float, capital: float):
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
+    from pathlib import Path  # prints the file as ``Path`` spells it
+
     path = Path(args.csv) if args.csv else default_snapshot_path()
     series = load_libor_csv(path)
     start, end = args.start, args.end
@@ -261,6 +262,8 @@ def _cmd_breakeven(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from pathlib import Path  # ``Path(".") / "sweep.csv"`` prints as ``sweep.csv``
+
     from .bank_engine import ScenarioConfig
     from .report import ReportKind, emit_report
     from .sweep import config_digest, parse_rate_grid, run_sweep, write_sweep_csv, write_sweep_meta

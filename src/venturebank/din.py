@@ -10,8 +10,8 @@ flows these terms produce are built in :mod:`bank_engine`.
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .checks import finite_real
 from .portfolio import ReturnPortfolio, clamp_loss, portfolio_stats
@@ -72,10 +72,10 @@ class DinTerms:
             raise ValueError(f"premium_rate must be >= 0, got {self.premium_rate!r}")
 
 
-class CoverageAssessment(NamedTuple):
-    method: CoverageMethod
-    clamp_loss: float       # percentage points of portfolio lost after clamping
-    recommended_coverage: float  # floor + clamp loss, percentage points
+class CoverageAssessment(namedtuple("CoverageAssessment", "method clamp_loss recommended_coverage")):
+    """``clamp_loss``: percentage points of portfolio lost after clamping; ``recommended_coverage``: floor plus it."""
+
+    __slots__ = ()
 
     def as_csv_row(self) -> str:
         return f"{self.method.value},{self.clamp_loss:.4f},{self.recommended_coverage:.4f}"

@@ -13,11 +13,11 @@ engine boundary.
 from __future__ import annotations
 
 import datetime as dt
+import os
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from dataclasses import dataclass
 from math import fsum
-from pathlib import Path
-from typing import NamedTuple
 
 from .checks import ElementError, finite_real, read_lines
 
@@ -86,13 +86,11 @@ class LiborSeries:
         return self.rates[lo:hi]
 
 
-class WindowStats(NamedTuple):
-    median: float
-    mean: float
-    count: int
+#: Median, mean and count of the rates in one window (:func:`window_stats`).
+WindowStats = namedtuple("WindowStats", "median mean count")
 
 
-def load_libor_csv(path: str | Path) -> LiborSeries:
+def load_libor_csv(path) -> LiborSeries:
     """Load a FRED-format rate CSV into a :class:`LiborSeries`.
 
     The first line must be a header naming the date column and one value
@@ -103,8 +101,7 @@ def load_libor_csv(path: str | Path) -> LiborSeries:
     :class:`LiborSeries` rejects (a date out of order, a rate non-finite
     or outside [0, 50]).
     """
-    path = Path(path)
-    if not path.exists():
+    if not os.path.exists(path):
         raise LiborLoadError(f"no such file: {path}")
 
     try:
@@ -181,6 +178,8 @@ def funds_rate(libor: float) -> float:
     return libor + FUNDS_RATE_SPREAD
 
 
-def default_snapshot_path() -> Path:
-    """Path of the bundled rate snapshot, in ``data/`` beside this module; ``ingest --csv`` reads any other file."""
+def default_snapshot_path():
+    """The bundled rate snapshot's ``pathlib.Path``, in ``data/`` beside this module; ``ingest --csv`` reads others."""
+    from pathlib import Path
+
     return Path(__file__).with_name("data") / SNAPSHOT_FILENAME

@@ -11,12 +11,12 @@ coverage sizing.
 from __future__ import annotations
 
 import math
+import os
+from collections import namedtuple
 from dataclasses import dataclass
 from math import fsum
-from pathlib import Path
-from typing import NamedTuple
 
-from .checks import ElementError, checked_fsum, finite_real, read_lines, sidecar_text
+from .checks import ElementError, checked_fsum, finite_real, read_lines, sidecar_text, write_text
 
 
 #: Bounds of a synthesized fund multiple.
@@ -42,7 +42,7 @@ class CalibrationError(ValueError):
 
 
 class InfeasibleShiftError(ValueError):
-    """A mean shift could not be satisfied with non-negative multiples."""
+    """A mean shift missed its target by rounding at the funds' magnitude, which may floor every fund at zero."""
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,8 @@ class ReturnPortfolio:
         return len(self.funds)
 
 
-class PortfolioStats(NamedTuple):
-    mean: float
-    stddev: float
+#: Arithmetic mean and population standard deviation of the funds (:func:`portfolio_stats`).
+PortfolioStats = namedtuple("PortfolioStats", "mean stddev")
 
 
 @dataclass(frozen=True)
@@ -308,32 +307,32 @@ def shift_to_mean(p: ReturnPortfolio, target: float) -> ReturnPortfolio:
         for i in positive:
             vals[i] -= cut
     mean = checked_fsum("shifted fund multiples", vals) / n
-    if abs(mean - target) > 1e-9:
-        raise InfeasibleShiftError(
-            f"could not reach mean {target} with non-negative multiples (got {mean})"
-        )
+    if abs(mean - target) > 1e-9:  # every fund at the target is a non-negative answer: the miss is rounding
+        big = f"{max(max(p.funds), target):g}"
+        if clipped <= 0.0:  # no deficit was left to take back
+            raise InfeasibleShiftError(f"could not reach mean {target}: at multiples as large as {big}, "
+                                       f"rounding leaves it no closer than {mean}")
+        raise InfeasibleShiftError(f"could not reach mean {target} with non-negative multiples: rounding at "
+                                   f"multiples as large as {big} floored every fund at zero (got {mean})")
     # Scrub float dust left by the redistribution loop.
     vals = [0.0 if -1e-15 < v < 1e-15 else v for v in vals]
     suffix = f"m{target:g}"
     return ReturnPortfolio(tuple(vals), f"{p.label}-{suffix}" if p.label else suffix)
 
 
-def save_portfolio(path: str | Path, p: ReturnPortfolio, metadata: dict[str, object] | None = None) -> None:
+def save_portfolio(path, p: ReturnPortfolio, metadata: dict[str, object] | None = None) -> None:
     """Write the one-column CSV; metadata goes to a key=value sidecar, ``label`` first, checked before any write."""
-    path = Path(path)
     meta = None if metadata is None else sidecar_text([("label", p.label), *metadata.items()])
-    lines = ["multiple"] + [repr(m) for m in p.funds]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, ["multiple\n", *(f"{m!r}\n" for m in p.funds)])
     if meta is not None:
-        path.with_suffix(path.suffix + ".meta").write_text(meta, encoding="utf-8")
+        write_text(f"{path}.meta", [meta])
 
 
-def load_portfolio(path: str | Path) -> ReturnPortfolio:
+def load_portfolio(path) -> ReturnPortfolio:
     """Read a one-column ``multiple`` CSV written by :func:`save_portfolio`, labelled by its stem.
 
     Blank lines are skipped; a bad row raises ``ValueError`` naming its line.
     """
-    path = Path(path)
     lines = read_lines(path)
     rows = [(lineno, ln.strip()) for lineno, ln in enumerate(lines, start=1) if ln.strip()]
     if not rows or rows[0][1] != "multiple":
@@ -344,8 +343,10 @@ def load_portfolio(path: str | Path) -> ReturnPortfolio:
             funds.append(float(text))
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: non-numeric multiple {text!r}") from None
+    name = os.path.basename(path)
+    dot = name.rfind(".")  # the stem as ``pathlib`` cuts it: a dot that starts or ends the name stays
     try:
-        return ReturnPortfolio(tuple(funds), path.stem)
+        return ReturnPortfolio(tuple(funds), name[:dot] if 0 < dot < len(name) - 1 else name)
     except ElementError as exc:
         raise ValueError(f"{path}: line {rows[exc.index + 1][0]}: {exc}") from None
     except ValueError as exc:

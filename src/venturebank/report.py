@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import enum
 import math
-from pathlib import Path
 
+from .checks import write_text
 from .sweep import SweepTable
 
 WIDTH, HEIGHT = 840, 520
@@ -137,13 +137,15 @@ def _svg_chart(xs: tuple[float, ...], series: dict[str, tuple[float, ...]], titl
     return "\n".join(parts) + "\n"
 
 
-def emit_report(table: SweepTable, kind: ReportKind, out: str | Path) -> Path:
-    """Write the chart for one side of the sweep.
+def emit_report(table: SweepTable, kind: ReportKind, out):
+    """Write the chart for one side of the sweep to ``out`` and return it as a ``pathlib.Path``.
 
     The bank chart carries a break-even reference line at 1.0; the
     underwriter chart at 0. Both plot columns the sweep CSV already
     holds. Raises on an empty table before creating any file.
     """
+    from pathlib import Path
+
     if not table.rates_pct or not table.curves:
         raise ValueError("cannot render an empty sweep table")
     title, y_label, ref_y, ref_label = _CHARTS[kind]
@@ -151,5 +153,5 @@ def emit_report(table: SweepTable, kind: ReportKind, out: str | Path) -> Path:
                      y_label, ref_y, ref_label)
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(svg, encoding="utf-8")
+    write_text(out, [svg])
     return out

@@ -2,6 +2,7 @@
 
 import datetime as dt
 import math
+import os
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -10,18 +11,21 @@ import numpy as np
 import pytest
 
 from venturebank import market_data, portfolio, sweep
-from venturebank.bank_engine import ScenarioConfig, break_even_rate
-from venturebank.checks import finite_real, read_lines
+from venturebank.bank_engine import ScenarioConfig, break_even_rate, simulate_bank, write_bank_csv
+from venturebank.calibrate import run_calibration, write_calibration_report
+from venturebank.checks import finite_real, read_lines, write_text
 from venturebank.din import DinTerms, coverage_sigma_method
 from venturebank.market_data import LiborSeries, funds_rate, load_libor_csv
 from venturebank.portfolio import (
     KauffmanConstraints,
     ReturnPortfolio,
     load_portfolio,
+    save_portfolio,
     shift_to_mean,
     synthesize_kauffman,
 )
-from venturebank.sweep import SweepError, run_sweep
+from venturebank.report import ReportKind, emit_report
+from venturebank.sweep import SweepError, run_sweep, write_sweep_csv, write_sweep_meta
 
 PORTFOLIO = ReturnPortfolio((0.5, 1.5, 2.0), "p")
 CONFIG = ScenarioConfig(PORTFOLIO, DinTerms(), 0.02, 30)
@@ -128,3 +132,33 @@ def test_read_lines_counts_lines_from_the_first_byte_after_a_byte_order_mark(tmp
 def test_read_lines_drops_only_a_leading_byte_order_mark(tmp_path):
     (tmp_path / "f.txt").write_bytes(b"\xef\xbb\xbfa\r\n\xef\xbb\xbfb\n")
     assert read_lines(tmp_path / "f.txt") == ["a", "\ufeffb"]
+
+
+def test_write_text_writes_utf8_as_path_write_text_does(tmp_path):
+    parts = ["a\n", "\u00e9\r\n", "b"]
+    write_text(tmp_path / "got.txt", iter(parts))
+    (tmp_path / "want.txt").write_text("".join(parts), encoding="utf-8")
+    assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+
+
+# Every writer of the package, by the file it writes.
+WRITERS = {
+    "ledger.csv": lambda path: write_bank_csv(path, simulate_bank(CONFIG)),
+    "calibration.txt": lambda path: write_calibration_report(path, run_calibration(PORTFOLIO)),
+    "portfolio.csv": lambda path: save_portfolio(path, PORTFOLIO, metadata={"seed": 7}),
+    "sweep.csv": lambda path: write_sweep_csv(path, run_sweep([CONFIG], [1.0, 2.0])),
+    "sweep.meta": lambda path: write_sweep_meta(path, {"seed": "7"}),
+    "fig3.svg": lambda path: emit_report(run_sweep([CONFIG], [1.0, 2.0]), ReportKind.BANK_MULTIPLE, path),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_every_writer_writes_the_same_bytes_given_a_str_or_a_path(tmp_path, name):
+    (tmp_path / "str").mkdir()
+    (tmp_path / "path").mkdir()
+    WRITERS[name](str(tmp_path / "str" / name))
+    WRITERS[name](tmp_path / "path" / name)
+    written = sorted(os.listdir(tmp_path / "str"))
+    assert name in written and written == sorted(os.listdir(tmp_path / "path"))
+    for file in written:
+        assert (tmp_path / "str" / file).read_bytes() == (tmp_path / "path" / file).read_bytes(), file

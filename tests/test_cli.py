@@ -402,6 +402,14 @@ class TestSweep:
         assert "final multiple not finite at moc 1e+308 and capital 1.0" in err
         assert not (in_tmp / "out").exists()
 
+    def test_sweep_past_the_row_cap_fails_at_once(self, in_tmp, capsys, time_budget):
+        """3 targets x 4 MOCs at the largest grid are 12 x 99,501 rows: refused before any curve runs."""
+        with time_budget(5):
+            code, out, err = run(capsys, "sweep", "--grid", "0:49.75:0.0005", "--mocs", "1,2,3,4", "--out-dir", "out")
+        assert (code, out) == (1, "")
+        assert err == "error: 12 curves x 99501 rates is more than MAX_SWEEP_ROWS (1000000) rows\n"
+        assert not (in_tmp / "out").exists()
+
     @pytest.mark.parametrize("argv", [["--targets", "1.101,1.104"], ["--mocs", "30,30"]])
     def test_duplicate_curve_names_label_and_moc(self, in_tmp, capsys, argv):
         code, _, err = run(capsys, "sweep", "--out-dir", "out", *argv)
@@ -583,6 +591,34 @@ class TestStartup:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith(f"file={Path(src, 'venturebank', 'data', 'libor_usd12m.csv')}\n")
+
+    # Modules the package used to load only for itself: ``typing`` for its records, ``pathlib`` (with
+    # ``urllib.parse`` and ``ipaddress``) for its files.
+    OWN_ONLY = ("typing", "pathlib", "urllib.parse", "ipaddress")
+
+    def test_clean_interpreter_loads_no_typing_or_pathlib(self, in_tmp):
+        """Under ``python -S`` neither the import nor a light command loads a module of ``OWN_ONLY``.
+        ``ingest`` prints the rate file as ``pathlib`` spells it, so it loads only ``pathlib``."""
+        (in_tmp / "r.csv").write_text("DATE,RATE\n2020-01-02,1.5\n", encoding="utf-8")
+        script = (
+            "import sys\n"
+            "def check(step, unused):\n"
+            "    loaded = [m for m in unused if m in sys.modules]\n"
+            "    assert not loaded, (step, loaded)\n"
+            "from venturebank.cli import run_cli\n"
+            f"check('import', {self.OWN_ONLY!r})\n"
+            "for argv in (['synth', '--out', 'p.csv'], ['coverage', '--portfolio', 'p.csv'],\n"
+            "             ['simulate', '--portfolio', 'p.csv'], ['breakeven'], ['calibrate']):\n"
+            "    assert run_cli(argv) == 0, argv\n"
+            f"    check(argv[0], {self.OWN_ONLY!r})\n"
+            "assert run_cli(['ingest', '--csv', 'r.csv']) == 0\n"
+            "check('ingest --csv', ('typing',))\n"
+        )
+        src = str(Path(venturebank.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-S", "-c", script], cwd=in_tmp,
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
     def test_only_sweep_loads_numpy(self, in_tmp):
         """Synthesis is numpy-free: ``synth``, ``calibrate`` and synthesized runs leave numpy unloaded."""
@@ -802,6 +838,13 @@ class TestConfigFile:
 
 
 class TestExitCodes:
+    def test_a_missing_file_is_named_as_typed(self, capsys):
+        """The package opens a file by the name it was given, so the OS error spells it so; ``ingest``
+        prints and reads its ``--csv`` as ``pathlib`` spells it."""
+        assert run(capsys, "coverage", "--portfolio", "./none.csv") == (
+            1, "", "error: [Errno 2] No such file or directory: './none.csv'\n")
+        assert run(capsys, "ingest", "--csv", "./none.csv") == (1, "", "error: no such file: none.csv\n")
+
     @pytest.mark.parametrize("command", ["simulate", "breakeven", "sweep"])
     def test_surplus_rate_flag_is_gone(self, capsys, command):
         code, _, err = run(capsys, command, "--surplus-rate", "1")
@@ -971,6 +1014,7 @@ class TestNoTraceback:
         config = [f"{key[2:]}={data.draw(VALUES.get(key, EXTREMES), label=key)}\n" for key in keys]
         assert_exits_cleanly(argv, config, time_budget)
 
-    @pytest.mark.parametrize("argv", [["breakeven", "--portfolio", "far.csv", "--hi", "1e308"]])
+    @pytest.mark.parametrize("argv", [["breakeven", "--portfolio", "far.csv", "--hi", "1e308"],
+                                      ["sweep", "--grid", "0:49.75:0.0005", "--mocs", "1,2,3,4,5,6,7,8,9,10"]])
     def test_case_the_draws_reach_only_by_chance(self, time_budget, argv):
         assert_exits_cleanly(argv, [], time_budget)

@@ -10,6 +10,7 @@ import re
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +31,7 @@ from venturebank.portfolio import (
     synthesize_kauffman,
 )
 from venturebank.report import ReportKind, emit_report
-from venturebank.sweep import SweepCurve, SweepTable, run_sweep, write_sweep_csv
+from venturebank.sweep import SweepCurve, SweepError, SweepTable, run_sweep, write_sweep_csv
 
 EXTREMES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1.0, 43.0, -1.0, 1e308, -1e308, 1.7e308])
 REALS = EXTREMES | st.floats(-4.0, 4.0)
@@ -105,3 +106,13 @@ class TestEveryCallNamesItsFault:
             if drawn is not None:
                 attempt(write_sweep_csv, out / "drawn.csv", drawn)
                 attempt(emit_report, drawn, draw(st.sampled_from(list(ReportKind))), out / "chart.svg")
+
+
+def test_a_sweep_past_the_row_cap_fails_at_once(time_budget):
+    """30 curves of the largest grid's 99,501 rates would take about 9 s and 400 MB; the cap refuses them first."""
+    cfg = ScenarioConfig(ReturnPortfolio((0.5, 2.0), "p"), DinTerms(), 0.02, 30.0)
+    grid = [k * 0.0005 for k in range(99_501)]
+    with time_budget(5):
+        assert attempt(run_sweep, [cfg] * 30, grid) is None
+        with pytest.raises(SweepError, match=r"^30 curves x 99501 rates is more than MAX_SWEEP_ROWS \(1000000\) rows$"):
+            run_sweep([cfg] * 30, grid)

@@ -176,7 +176,8 @@ def _is_dataclass_decorator(node) -> bool:
 
 
 def test_only_records_that_check_their_fields_are_dataclasses():
-    """A record with no ``__post_init__`` is a ``NamedTuple``; ``dataclasses`` is imported only where one is checked."""
+    """A record with no ``__post_init__`` is a ``collections.namedtuple``; ``dataclasses`` is imported only where
+    one is checked."""
     package = SRC / "venturebank"
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
     dataclasses_by_module = {
@@ -190,6 +191,54 @@ def test_only_records_that_check_their_fields_are_dataclasses():
                        if (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names))
                        or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses"))
     assert importers == sorted(name for name, nodes in dataclasses_by_module.items() if nodes)
+
+
+def _imports_of(tree, module: str) -> list:
+    """The ``import`` and ``from ... import`` nodes under ``tree`` that load ``module`` or a submodule of it."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Import) and any(a.name.split(".")[0] == module for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.level == 0 and (node.module or "").split(".")[0] == module]
+
+
+def test_no_typing_and_pathlib_only_inside_functions():
+    """A clean start loads neither: ``collections.namedtuple`` makes the records, ``collections.abc`` names
+    ``Sequence``, and ``pathlib`` is imported only by the functions that return or print a ``Path``."""
+    package = SRC / "venturebank"
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+    assert not [name for name, tree in trees.items() if _imports_of(tree, "typing")]
+    in_functions = {id(node) for tree in trees.values() for func in ast.walk(tree)
+                    if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    for node in _imports_of(func, "pathlib")}
+    outside = [f"{name}:{node.lineno}" for name, tree in trees.items() for node in _imports_of(tree, "pathlib")
+               if id(node) not in in_functions]
+    assert not outside
+
+
+RECORDS = [
+    ("bank_engine", "Flows", ("premiums", "receipts", "exits", "face_total", "start", "steps")),
+    ("bank_engine", "BankYear", ("year", "interest_accrued", "premiums_paid", "din_receipts", "exit_proceeds",
+                                 "debt_balance_end", "equity_estimate")),
+    ("bank_engine", "BankResult", ("final_multiple", "survived", "ledger")),
+    ("calibrate", "CalibrationCase", ("premium_base", "rate_reading", "m30", "m43", "uplift", "score")),
+    ("calibrate", "CalibrationReport", ("cases",)),
+    ("din", "CoverageAssessment", ("method", "clamp_loss", "recommended_coverage")),
+    ("market_data", "WindowStats", ("median", "mean", "count")),
+    ("portfolio", "PortfolioStats", ("mean", "stddev")),
+    ("sweep", "SweepCurve", ("label", "moc", "multiples", "returns")),
+]
+
+
+@pytest.mark.parametrize("module, name, fields", RECORDS)
+def test_records_are_tuples_with_their_fields(module, name, fields):
+    """Each record keeps its fields in order, equals the plain tuple of its values, ``_replace`` keeps its type,
+    and no instance has a ``__dict__`` (the ones with methods set ``__slots__ = ()``)."""
+    record = getattr(importlib.import_module(f"venturebank.{module}"), name)
+    values = tuple(range(len(fields)))
+    r = record(*values)
+    assert record._fields == fields
+    assert r == values and hash(r) == hash(values)
+    assert type(r._replace(**{fields[0]: -1})) is record and r._replace(**{fields[0]: -1}) == (-1, *values[1:])
+    assert not hasattr(r, "__dict__")
 
 
 def test_version_matches_pyproject():

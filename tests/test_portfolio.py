@@ -1,8 +1,10 @@
 """Portfolio synthesis, compression, and mean shifting."""
 
 import math
+import os
 import re
 from math import fsum
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from venturebank.portfolio import (
     MAX_FUNDS,
     SEARCH_BUDGET,
     CalibrationError,
+    InfeasibleShiftError,
     KauffmanConstraints,
     ReturnPortfolio,
     clamp_loss,
@@ -266,6 +269,21 @@ class TestShift:
         assert out.funds == pytest.approx((0.0, 0.0, 0.15), abs=1e-12)
         assert portfolio_stats(out).mean == pytest.approx(0.05, abs=1e-12)
 
+    def test_a_miss_by_rounding_names_the_magnitude(self):
+        """[3.0, 0.0, 0.0] has mean 1, but the shift passes through about 6.7e11, whose last bit is worth
+        about 1.2e-4: rounding, not the floor at zero, leaves the mean short."""
+        with pytest.raises(InfeasibleShiftError, match=r"^could not reach mean 1\.0: at multiples as large as 1e\+12, "
+                                                       r"rounding leaves it no closer than 0\.9999593098958334$"):
+            shift_to_mean(ReturnPortfolio((1e12, 0.5, 0.5)), 1.0)
+
+    def test_a_miss_with_every_fund_floored_names_non_negativity_and_rounding(self):
+        """Rounding drives the last positive fund below zero, so the floor leaves every fund at zero with a
+        deficit still to take back, though [3e-05, 0.0, 0.0] has the mean."""
+        with pytest.raises(InfeasibleShiftError, match=r"^could not reach mean 1e-05 with non-negative multiples: "
+                                                       r"rounding at multiples as large as 1e\+12 floored every fund "
+                                                       r"at zero \(got 0\.0\)$"):
+            shift_to_mean(ReturnPortfolio((1e12, 0.5, 0.5)), 1e-5)
+
     @given(funds=funds_lists, target=st.floats(0, 5, allow_nan=False))
     @settings(max_examples=120)
     def test_mean_lands_on_target(self, funds, target):
@@ -307,6 +325,22 @@ class TestSerialization:
         assert back.funds == compressed50.funds
         assert back.label == "p"
         assert (tmp_path / "p.csv.meta").exists()
+
+    @pytest.mark.parametrize("name, label", [("p.csv", "p"), ("dir/p.csv", "p"), ("./p.csv", "p"), ("p", "p"),
+                                             ("a.", "a."), ("a.b.", "a.b."), (".p", ".p"), ("p.tar.csv", "p.tar")])
+    def test_label_is_the_file_stem_as_pathlib_cuts_it(self, tmp_path, monkeypatch, name, label):
+        """``simulate`` prints the label as ``portfolio=``; a dot that starts or ends the name stays in it."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "dir").mkdir()
+        Path(name).write_text("multiple\n1.5\n", encoding="utf-8")
+        assert load_portfolio(name).label == load_portfolio(Path(name)).label == label
+
+    @pytest.mark.parametrize("name", ["out.csv", "out", "a."])
+    def test_sidecar_is_the_file_name_plus_meta(self, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        save_portfolio(name, ReturnPortfolio((1.5,), "x"), metadata={"seed": 7})
+        assert sorted(os.listdir()) == sorted([name, f"{name}.meta"])
+        assert Path(f"{name}.meta").read_bytes() == b"label=x\nseed=7\n"
 
     def test_meta_is_label_first_then_in_order(self, tmp_path):
         save_portfolio(tmp_path / "p.csv", ReturnPortfolio((2.0, 0.5), "x y"), metadata={"seed": 7, "n": 2})

@@ -190,6 +190,19 @@ class TestRunSweep:
         write_sweep_csv(tmp_path / "got.csv", run_sweep([cfg], grid))
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
+    def test_row_cap_is_checked_before_the_grid_and_any_kernel(self, anchor131, monkeypatch):
+        """One row past ``MAX_SWEEP_ROWS`` fails naming the cap before the grid's own checks; at the cap,
+        the grid's check (here of its repeated rate) decides."""
+        monkeypatch.setattr(sweep, "rate_curves", lambda cfg, rates: pytest.fail("a kernel ran"))
+        configs = [ScenarioConfig(anchor131, DinTerms(), 0.0, 30)] * 10
+        with pytest.raises(SweepError, match=r"^10 curves x 100001 rates is more than MAX_SWEEP_ROWS \(1000000\) "):
+            run_sweep(configs, [1.0] * 100_001)
+        with pytest.raises(SweepError, match="^rate grid must be strictly ascending$"):
+            run_sweep(configs, [1.0] * 100_000)
+
+    def test_row_cap_admits_the_default_curves_at_the_largest_grid(self):
+        assert 6 * len(parse_rate_grid("0:49.75:0.0005")) == 597_006 <= sweep.MAX_SWEEP_ROWS
+
     def test_digest_covers_fund_values_under_one_label(self, anchor131):
         cfg = ScenarioConfig(anchor131, DinTerms(), 0.0, 30)
         bumped = dataclasses.replace(
