@@ -271,10 +271,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     grid = parse_rate_grid(args.grid)
     compressed = _reference_portfolio(args.seed)
     terms = _terms_from(args)
-    configs = []
-    for target in args.targets:
+    configs, made = [], {}  # each curve's (label, moc): the indexes of the target and the moc that made it
+    for ti, target in enumerate(args.targets):
         shifted = ReturnPortfolio(shift_to_mean(compressed, target).funds, f"{target:.2f}x")
-        for moc in args.mocs:
+        for mi, moc in enumerate(args.mocs):
+            tj, mj = made.setdefault((shifted.label, moc), (ti, mi))
+            if (tj, mj) != (ti, mi):
+                flag, a, b = ("--mocs", args.mocs[mj], moc) if tj == ti else ("--targets", args.targets[tj], target)
+                raise ValueError(f"duplicate curve {shifted.label!r} at moc {moc:g}: from {flag} {a!r} and {b!r}")
             configs.append(ScenarioConfig(portfolio=shifted, din_terms=terms, bank_rate=0.0, moc=moc))
 
     table = run_sweep(configs, grid)

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass
-from math import fsum
 
 from .checks import ElementError, checked_fsum, finite_real, read_lines, sidecar_text, write_text
 
@@ -42,7 +42,7 @@ class CalibrationError(ValueError):
 
 
 class InfeasibleShiftError(ValueError):
-    """A mean shift missed its target by rounding at the funds' magnitude, which may floor every fund at zero."""
+    """A mean shift missed its target by rounding at the funds' magnitude."""
 
 
 @dataclass(frozen=True)
@@ -283,39 +283,31 @@ def compress_pairs(p: ReturnPortfolio) -> ReturnPortfolio:
 
 
 def shift_to_mean(p: ReturnPortfolio, target: float) -> ReturnPortfolio:
-    """Shift every fund by a constant so the mean lands on ``target``.
+    """Shift the funds so the mean lands on ``target``, floored at zero: one water-fill.
 
-    Funds driven below zero are floored at zero and the clipped deficit
-    is taken back uniformly from the funds still above zero, repeating
-    until the mean is within 1e-9 of the target. With no flooring the
-    spread is untouched.
+    With no fund below zero under the uniform shift, every fund moves by it and the spread is untouched.
+    Otherwise the k largest funds share the shift ``(n * target - their sum) / k``, for the largest k that
+    keeps each of them above zero, and the rest are 0.0. A mean still more than 1e-9 off the target is
+    rounding at the funds' magnitude (every fund at the target is an answer): ``InfeasibleShiftError``.
     """
     if finite_real("target mean", target) < 0:
         raise ValueError(f"target mean must be >= 0, got {target!r}")
     n = len(p.funds)
-    shift = target - checked_fsum("fund multiples", p.funds) / n
-    vals = [m + shift for m in p.funds]
-    for _ in range(n + 2):
-        clipped = -fsum(v for v in vals if v < 0)
-        vals = [max(0.0, v) for v in vals]
-        if clipped <= 0.0:
-            break
-        positive = [i for i, v in enumerate(vals) if v > 0]
-        if not positive:
-            break
-        cut = clipped / len(positive)
-        for i in positive:
-            vals[i] -= cut
+    shift, low = target - checked_fsum("fund multiples", p.funds) / n, 0.0  # ``low``: the smallest fund kept
+    if min(p.funds) + shift < 0:
+        order = sorted(p.funds, reverse=True)
+        want = checked_fsum("shifted fund multiples", [target] * n)  # n * target, its overflow named
+
+        def level(k: int) -> float:  # the one shift of the k largest funds
+            return (want - checked_fsum("fund multiples", order[:k])) / k
+        # Above zero for every k up to the answer and for none past it: a bisection finds the answer.
+        k = bisect_left(range(1, n + 1), True, key=lambda k: order[k - 1] + level(k) <= 0)
+        shift, low = (level(k), order[k - 1]) if k else (0.0, math.inf)
+    vals = [m + shift if m >= low else 0.0 for m in p.funds]
     mean = checked_fsum("shifted fund multiples", vals) / n
-    if abs(mean - target) > 1e-9:  # every fund at the target is a non-negative answer: the miss is rounding
-        big = f"{max(max(p.funds), target):g}"
-        if clipped <= 0.0:  # no deficit was left to take back
-            raise InfeasibleShiftError(f"could not reach mean {target}: at multiples as large as {big}, "
-                                       f"rounding leaves it no closer than {mean}")
-        raise InfeasibleShiftError(f"could not reach mean {target} with non-negative multiples: rounding at "
-                                   f"multiples as large as {big} floored every fund at zero (got {mean})")
-    # Scrub float dust left by the redistribution loop.
-    vals = [0.0 if -1e-15 < v < 1e-15 else v for v in vals]
+    if abs(mean - target) > 1e-9:
+        raise InfeasibleShiftError(f"could not reach mean {target}: at multiples as large as "
+                                   f"{max(max(p.funds), target):g}, rounding leaves it no closer than {mean}")
     suffix = f"m{target:g}"
     return ReturnPortfolio(tuple(vals), f"{p.label}-{suffix}" if p.label else suffix)
 

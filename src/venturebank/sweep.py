@@ -8,6 +8,7 @@ from array import array
 from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import count, takewhile
 
 from .bank_engine import ScenarioConfig, rate_curves
 from .checks import finite_real, sidecar_text, write_text
@@ -16,6 +17,9 @@ from .market_data import RATE_MAX, funds_rate
 
 #: Most points a ``lo:hi:step`` grid spec may expand to.
 MAX_GRID_POINTS = 100_000
+
+#: Smallest grid step and span: points round to 10 decimals and one within 1e-9 of ``hi`` gives way to it.
+GRID_RESOLUTION = 2e-9
 
 #: Most rows (curves x grid rates) one sweep may hold. At the largest grid a ``sweep`` process peaked at
 #: 118 MB with the default 6 curves (597,006 rows) and at 167 MB with 10 (995,010 rows, 2.8 s); each
@@ -81,7 +85,7 @@ def parse_rate_grid(spec: str) -> list[float]:
     """Parse ``lo:hi:step`` into an inclusive ascending grid.
 
     The final step is clamped to ``hi`` when the step does not divide
-    the span evenly.
+    the span evenly. A step or span below ``GRID_RESOLUTION`` raises.
     """
     try:
         lo_s, hi_s, step_s = spec.split(":")
@@ -92,18 +96,11 @@ def parse_rate_grid(spec: str) -> list[float]:
         raise SweepError(f"bad grid {spec!r}; need lo < hi and step > 0")
     points = (hi - lo) / step + 1
     if points > MAX_GRID_POINTS:
-        count = math.ceil(points) if math.isfinite(points) else points
-        raise SweepError(f"bad grid {spec!r}; {count} points, more than {MAX_GRID_POINTS}")
-    grid = []
-    k = 0
-    while True:
-        v = round(lo + k * step, 10)
-        if v >= hi - 1e-9:
-            break
-        grid.append(v)
-        k += 1
-    grid.append(hi)
-    return grid
+        total = math.ceil(points) if math.isfinite(points) else points
+        raise SweepError(f"bad grid {spec!r}; {total} points, more than {MAX_GRID_POINTS}")
+    if step < GRID_RESOLUTION or hi - lo < GRID_RESOLUTION:
+        raise SweepError(f"bad grid {spec!r}; step and span must be at least its resolution, {GRID_RESOLUTION:g}")
+    return [*takewhile(lambda v: v < hi - 1e-9, (round(lo + k * step, 10) for k in count())), hi]
 
 
 def _funds_rates(grid: Sequence[float]) -> tuple[float, ...]:

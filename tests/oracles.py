@@ -19,12 +19,16 @@ computes and formats each polyline point on its own; tests compare
 ``report.emit_report``'s bytes with it. ``write_sweep_csv`` is the earlier
 CSV writer, which builds the whole file as one string and writes it with
 ``Path.write_text``; tests compare ``sweep.write_sweep_csv``'s bytes with it.
+``shift_to_mean`` is the mean shift's water-fill in exact ``Fraction``
+arithmetic, found by trying every count of surviving funds in turn; tests
+compare ``portfolio.shift_to_mean`` with it within a bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain
 from math import fsum
 from pathlib import Path
@@ -58,6 +62,20 @@ def din_payout(principal: float, multiple: float, terms: DinTerms) -> float:
     if multiple >= 1.0:
         return 0.0
     return min((1.0 - multiple) * principal, terms.coverage_fraction * principal)
+
+
+def shift_to_mean(funds: list[float], target: float) -> list[Fraction]:
+    """The funds shifted to mean ``target``, exactly: the k largest share one shift, for the largest k
+    that leaves each of them above zero, and the rest are 0."""
+    ordered = sorted(map(Fraction, funds), reverse=True)
+    want = len(funds) * Fraction(target)
+    shift, low, total = Fraction(0), math.inf, Fraction(0)
+    for k, m in enumerate(ordered, start=1):
+        total += m
+        if m + (want - total) / k <= 0:
+            break
+        shift, low = (want - total) / k, m
+    return [m + shift if m >= low else Fraction(0) for m in map(Fraction, funds)]
 
 
 def premium_schedule(p: ReturnPortfolio, terms: DinTerms, principal_per_fund: float) -> list[float]:

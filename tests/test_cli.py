@@ -322,6 +322,13 @@ class TestSimulateAndBreakeven:
         write_bank_csv(in_tmp / "want.csv", simulate_bank(cfg))
         assert (in_tmp / "ledger.csv").read_bytes() == (in_tmp / "want.csv").read_bytes()
 
+    def test_a_portfolio_twelve_orders_wide_reaches_its_mean(self, in_tmp, capsys):
+        """[3.0, 0.0, 0.0] has mean 1; the shift once stopped near 0.99996 and exited 1."""
+        (in_tmp / "p.csv").write_text("multiple\n1e12\n0.5\n0.5\n")
+        code, out, err = run(capsys, "simulate", "--portfolio", "p.csv", "--target-mean", "1")
+        assert (code, err) == (0, "")
+        assert out.startswith("portfolio=p-m1\nfunds=3\n")
+
     def test_infinite_margins_still_bracket_a_break_even(self, capsys):
         code, out, _ = run(capsys, "breakeven", "--moc", "1e308")
         assert code == 0
@@ -844,6 +851,24 @@ class TestExitCodes:
         assert run(capsys, "coverage", "--portfolio", "./none.csv") == (
             1, "", "error: [Errno 2] No such file or directory: './none.csv'\n")
         assert run(capsys, "ingest", "--csv", "./none.csv") == (1, "", "error: no such file: none.csv\n")
+
+    @pytest.mark.parametrize("spec", ["1:1.000000001:0.0000000001", "0:0.0000000005:0.0000000001",
+                                      "0:0.0000001:0.00000000001"])
+    def test_a_grid_finer_than_its_resolution_exits_1(self, in_tmp, capsys, spec):
+        """Once one rate for eleven, only ``hi``, and ``rate grid must be strictly ascending``."""
+        assert run(capsys, "sweep", "--grid", spec, "--out-dir", "out") == (
+            1, "", f"error: bad grid '{spec}'; step and span must be at least its resolution, 2e-09\n")
+        assert not any(in_tmp.iterdir())
+
+    def test_targets_that_share_a_label_are_named(self, in_tmp, capsys):
+        assert run(capsys, "sweep", "--targets", "1.3,1.101,1.104", "--out-dir", "out") == (
+            1, "", "error: duplicate curve '1.10x' at moc 30: from --targets 1.101 and 1.104\n")
+        assert not any(in_tmp.iterdir())
+
+    def test_repeated_mocs_are_named(self, in_tmp, capsys):
+        assert run(capsys, "sweep", "--mocs", "43,30,43", "--out-dir", "out") == (
+            1, "", "error: duplicate curve '1.10x' at moc 43: from --mocs 43.0 and 43.0\n")
+        assert not any(in_tmp.iterdir())
 
     @pytest.mark.parametrize("command", ["simulate", "breakeven", "sweep"])
     def test_surplus_rate_flag_is_gone(self, capsys, command):

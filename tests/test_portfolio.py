@@ -3,11 +3,13 @@
 import math
 import os
 import re
+from fractions import Fraction
 from math import fsum
 from pathlib import Path
 
+import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from venturebank.din import coverage_breakeven_method, coverage_sigma_method
@@ -269,20 +271,41 @@ class TestShift:
         assert out.funds == pytest.approx((0.0, 0.0, 0.15), abs=1e-12)
         assert portfolio_stats(out).mean == pytest.approx(0.05, abs=1e-12)
 
-    def test_a_miss_by_rounding_names_the_magnitude(self):
-        """[3.0, 0.0, 0.0] has mean 1, but the shift passes through about 6.7e11, whose last bit is worth
-        about 1.2e-4: rounding, not the floor at zero, leaves the mean short."""
-        with pytest.raises(InfeasibleShiftError, match=r"^could not reach mean 1\.0: at multiples as large as 1e\+12, "
-                                                       r"rounding leaves it no closer than 0\.9999593098958334$"):
-            shift_to_mean(ReturnPortfolio((1e12, 0.5, 0.5)), 1.0)
+    def test_a_portfolio_twelve_orders_wide_reaches_its_mean(self):
+        """The floor is found first and the one survivor shifted once, from its own value: no intermediate
+        near 6.7e11, whose last bit is worth about 1.2e-4, stands between the funds and the mean."""
+        assert shift_to_mean(ReturnPortfolio((1e12, 0.5, 0.5)), 1.0).funds == (3.0, 0.0, 0.0)
 
-    def test_a_miss_with_every_fund_floored_names_non_negativity_and_rounding(self):
-        """Rounding drives the last positive fund below zero, so the floor leaves every fund at zero with a
-        deficit still to take back, though [3e-05, 0.0, 0.0] has the mean."""
-        with pytest.raises(InfeasibleShiftError, match=r"^could not reach mean 1e-05 with non-negative multiples: "
-                                                       r"rounding at multiples as large as 1e\+12 floored every fund "
-                                                       r"at zero \(got 0\.0\)$"):
+    def test_a_cubic_portfolio_keeps_one_survivor(self):
+        """Funds 1, 8, ..., 1e9 to mean 1.0: only the largest stays above zero, and it carries the whole sum."""
+        out = shift_to_mean(ReturnPortfolio(tuple(float((i + 1) ** 3) for i in range(1000))), 1.0)
+        assert out.funds == (0.0,) * 999 + (1000.0,)
+
+    def test_a_miss_with_every_fund_floored_names_rounding(self):
+        """``1e12 + (3e-05 - 1e12)`` rounds to 0.0, so even the largest fund floors, though [3e-05, 0.0, 0.0]
+        has the mean: the one message names the magnitude that rounding works at."""
+        with pytest.raises(InfeasibleShiftError, match=r"^could not reach mean 1e-05: at multiples as large as "
+                                                       r"1e\+12, rounding leaves it no closer than 0\.0$"):
             shift_to_mean(ReturnPortfolio((1e12, 0.5, 0.5)), 1e-5)
+
+    @given(funds=funds_lists, target=st.floats(0, 25, allow_nan=False))
+    @settings(max_examples=200)
+    def test_matches_the_exact_water_fill(self, funds, target):
+        """Each fund within 1e-12 of the largest fund's scale of the exact shift; a fund is floored exactly
+        when the exact one is, but for a fund whose exact value lies within that bound of zero."""
+        out = shift_to_mean(ReturnPortfolio(tuple(funds)), target).funds
+        bound = 1e-12 * max(1.0, max(funds))
+        for got, want in zip(out, oracles.shift_to_mean(funds, target), strict=True):
+            assert abs(Fraction(got) - want) <= bound
+            assert got > 0 or want <= bound
+
+    @given(funds=funds_lists, target=st.floats(0, 25, allow_nan=False))
+    @settings(max_examples=200)
+    def test_without_a_floor_every_fund_moves_by_the_one_shift(self, funds, target):
+        shift = target - fsum(funds) / len(funds)
+        assume(min(funds) + shift >= 0)
+        out = shift_to_mean(ReturnPortfolio(tuple(funds)), target).funds
+        assert list(map(float.hex, out)) == [(m + shift).hex() for m in funds]
 
     @given(funds=funds_lists, target=st.floats(0, 5, allow_nan=False))
     @settings(max_examples=120)

@@ -121,6 +121,20 @@ class TestRateGrid:
     def test_grid_at_the_size_limit_is_built(self):
         assert len(parse_rate_grid("0:99999:1")) == 100_000
 
+    @pytest.mark.parametrize("spec", ["1:1.000000001:0.0000000001", "0:0.0000000005:0.0000000001",
+                                      "0:0.0000001:0.00000000001", "0:0.0000001:0.0000000019", "0:0.0000000019:1"])
+    def test_a_grid_finer_than_its_resolution_is_rejected(self, spec):
+        """These specs once gave one rate for eleven, kept only ``hi``, or repeated a rounded point."""
+        with pytest.raises(SweepError, match=rf"^bad grid '{re.escape(spec)}'; step and span must be at least "
+                                             r"its resolution, 2e-09$"):
+            parse_rate_grid(spec)
+
+    @pytest.mark.parametrize("spec, grid", [("0:0.000000002:0.000000002", [0.0, 2e-09]),
+                                            ("0:0.000000004:0.000000002", [0.0, 2e-09, 4e-09]),
+                                            ("1:1.000000003:1", [1.0, 1.000000003])])
+    def test_a_grid_at_its_resolution_keeps_every_point(self, spec, grid):
+        assert parse_rate_grid(spec) == grid
+
 
 class TestRunSweep:
     def test_singleton(self, anchor131):
