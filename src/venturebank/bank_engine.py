@@ -315,12 +315,3 @@ def write_bank_csv(path, result: BankResult) -> None:
     write_text(path, ["year,interest,premiums,din_receipts,exit_proceeds,debt,equity\n", *(
         f"{r.year},{r.interest_accrued!r},{r.premiums_paid!r},{r.din_receipts!r},{r.exit_proceeds!r},"
         f"{r.debt_balance_end!r},{r.equity_estimate!r}\n" for r in result.ledger)])
-
-
-def bank_summary(result: BankResult) -> str:
-    """Key=value block for one run."""
-    return (
-        f"final_multiple={result.final_multiple!r}\n"
-        f"survived={str(result.survived).lower()}\n"
-        f"years={len(result.ledger) - 1}\n"
-    )

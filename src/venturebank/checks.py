@@ -55,7 +55,7 @@ def write_text(path, parts) -> None:
 
 
 def sidecar_text(entries: list[tuple[object, object]]) -> str:
-    """``key=value`` lines in order; ``ValueError`` names a key holding '=' or a line break, or a value holding one."""
+    """Sidecar or stdout ``key=value`` lines; ``ValueError`` names a key with '=' or a line break, a value with one."""
     for key, value in entries:
         if "=" in f"{key}" or len(f"{key}={value}.".splitlines()) > 1:  # ``splitlines`` knows every line break
             raise ValueError(f"sidecar key {key!r} must hold no '=' or line break, its value no line break: {value!r}")

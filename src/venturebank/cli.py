@@ -15,7 +15,7 @@ import datetime as dt
 import os
 import sys
 
-from .checks import finite_real, read_lines
+from .checks import finite_real, read_lines, sidecar_text
 from .din import (
     DinTerms,
     PremiumBase,
@@ -181,7 +181,7 @@ def _scenario_from(args: argparse.Namespace, bank_rate: float, capital: float):
                           bank_rate=bank_rate, moc=args.moc, original_capital=capital)
 
 
-def _cmd_ingest(args: argparse.Namespace) -> int:
+def _cmd_ingest(args: argparse.Namespace) -> str:
     from pathlib import Path  # prints the file as ``Path`` spells it
 
     path = Path(args.csv) if args.csv else default_snapshot_path()
@@ -189,20 +189,16 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     start, end = args.start, args.end
     stats = window_stats(series, start, end)
     rates = series.rates_in_window(start, end)
-    print(f"file={path}")
-    print(f"observations={len(series)}")
-    print(f"window_start={start or series.start}")
-    print(f"window_end={end or series.end}")
-    print(f"count={stats.count}")
-    print(f"median={stats.median:.4f}")
-    print(f"mean={stats.mean:.4f}")
-    print(f"min={min(rates):.4f}")
-    print(f"max={max(rates):.4f}")
-    print(f"funds_rate_at_median={funds_rate(stats.median):.4f}")
-    return 0
+    return sidecar_text([
+        ("file", path), ("observations", len(series)),
+        ("window_start", start or series.start), ("window_end", end or series.end),
+        ("count", stats.count), ("median", f"{stats.median:.4f}"), ("mean", f"{stats.mean:.4f}"),
+        ("min", f"{min(rates):.4f}"), ("max", f"{max(rates):.4f}"),
+        ("funds_rate_at_median", f"{funds_rate(stats.median):.4f}"),
+    ])
 
 
-def _cmd_synth(args: argparse.Namespace) -> int:
+def _cmd_synth(args: argparse.Namespace) -> str:
     constraints = KauffmanConstraints(
         n=args.n, mean=args.mean, stddev=args.stddev,
         sigma_clamp_loss=args.sigma_loss, breakeven_clamp_loss=args.breakeven_loss,
@@ -223,45 +219,40 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         "residual_sigma_clamp_loss": repr(sigma - constraints.sigma_clamp_loss),
         "residual_breakeven_clamp_loss": repr(breakeven - constraints.breakeven_clamp_loss),
     })
-    print(f"wrote {args.out} ({len(p)} funds, mean {stats.mean:.4f}, stddev {stats.stddev:.4f})")
-    return 0
+    return f"wrote {args.out} ({len(p)} funds, mean {stats.mean:.4f}, stddev {stats.stddev:.4f})\n"
 
 
-def _cmd_coverage(args: argparse.Namespace) -> int:
+def _cmd_coverage(args: argparse.Namespace) -> str:
     p = load_portfolio(args.portfolio)
-    rows = [method(p, args.floor).as_csv_row() for method in (coverage_sigma_method, coverage_breakeven_method)]
-    print("method,clamp_loss_pct,recommended_pct", *rows, sep="\n")
-    return 0
+    return "method,clamp_loss_pct,recommended_pct\n" + "".join(
+        f"{a.method.value},{a.clamp_loss:.4f},{a.recommended_coverage:.4f}\n"
+        for a in (coverage_sigma_method(p, args.floor), coverage_breakeven_method(p, args.floor)))
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    from .bank_engine import bank_summary, simulate_bank, write_bank_csv
+def _cmd_simulate(args: argparse.Namespace) -> str:
+    from .bank_engine import simulate_bank, write_bank_csv
 
     cfg = _scenario_from(args, args.bank_rate / 100.0, args.capital)
     result = simulate_bank(cfg)
+    text = sidecar_text([  # checked before the ledger is written, so a line break writes nothing
+        ("portfolio", cfg.portfolio.label), ("funds", len(cfg.portfolio)), ("moc", f"{cfg.moc:g}"),
+        ("bank_rate_pct", f"{cfg.bank_rate * 100:.4f}"), ("final_multiple", repr(result.final_multiple)),
+        ("survived", str(result.survived).lower()), ("years", len(result.ledger) - 1),
+        ("ledger", args.ledger_out),
+    ])
     write_bank_csv(args.ledger_out, result)
-    print(f"portfolio={cfg.portfolio.label}")
-    print(f"funds={len(cfg.portfolio)}")
-    print(f"moc={cfg.moc:g}")
-    print(f"bank_rate_pct={cfg.bank_rate * 100:.4f}")
-    print(bank_summary(result), end="")
-    print(f"ledger={args.ledger_out}")
-    return 0
+    return text
 
 
-def _cmd_breakeven(args: argparse.Namespace) -> int:
+def _cmd_breakeven(args: argparse.Namespace) -> str:
     from .bank_engine import break_even_rate
 
     cfg = _scenario_from(args, 0.0, 1.0)  # the solver picks the rate; capital moves it only by rounding
     rate = break_even_rate(cfg, args.lo / 100.0, args.hi / 100.0)
-    if rate is None:
-        print("breakeven_bank_rate_pct=none")
-    else:
-        print(f"breakeven_bank_rate_pct={rate * 100:.4f}")
-    return 0
+    return sidecar_text([("breakeven_bank_rate_pct", "none" if rate is None else f"{rate * 100:.4f}")])
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> str:
     from pathlib import Path  # ``Path(".") / "sweep.csv"`` prints as ``sweep.csv``
 
     from .bank_engine import ScenarioConfig
@@ -293,22 +284,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     })
     emit_report(table, ReportKind.BANK_MULTIPLE, out_dir / "fig3.svg")
     emit_report(table, ReportKind.UNDERWRITER_RETURN, out_dir / "fig4.svg")
-    for name in ("sweep.csv", "sweep.meta", "fig3.svg", "fig4.svg"):
-        print(f"wrote {out_dir / name}")
-    return 0
+    return "".join(f"wrote {out_dir / name}\n" for name in ("sweep.csv", "sweep.meta", "fig3.svg", "fig4.svg"))
 
 
-def _cmd_calibrate(args: argparse.Namespace) -> int:
+def _cmd_calibrate(args: argparse.Namespace) -> str:
     from .calibrate import run_calibration, write_calibration_report
 
     anchor = shift_to_mean(_reference_portfolio(args.seed), 1.31)
     report = run_calibration(anchor)
     write_calibration_report(args.out, report)
     best = report.selected
-    print(f"selected={best.mode}")
-    print(f"m30={best.m30:.4f} m43={best.m43:.4f} uplift={best.uplift:+.4f} score={best.score:.4f}")
-    print(f"wrote {args.out}")
-    return 0
+    return (sidecar_text([("selected", best.mode)])
+            + f"m30={best.m30:.4f} m43={best.m43:.4f} uplift={best.uplift:+.4f} score={best.score:.4f}\n"
+            + f"wrote {args.out}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_cli(argv: list[str]) -> int:
-    """Parse and dispatch; exit status 0 on success, 2 for bad input, 1 when the command fails."""
+    """Parse, dispatch and write the handler's returned text; exit 0 on success, 2 for bad input, 1 on failure."""
     status = 2
     try:
         args = build_parser().parse_args(argv)  # --config, given first, sets the subcommand's defaults
@@ -396,7 +384,11 @@ def run_cli(argv: list[str]) -> int:
             raise ValueError(f"--coverage must be >= --coverage-floor, got --coverage {args.coverage:g} "
                              f"--coverage-floor {args.coverage_floor:g} (percent)")
         status = 1
-        return args.handler(args)
+        for flag, path in (("--out", getattr(args, "out", "")), ("--out-dir", getattr(args, "out_dir", ""))):
+            if len(f"{path}.".splitlines()) > 1:  # printed on a ``wrote`` line, a line break would forge a line
+                raise ValueError(f"{flag} must hold no line break, got {path!r}")
+        sys.stdout.write(args.handler(args))
+        return 0
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     except BrokenPipeError:

@@ -72,13 +72,8 @@ class DinTerms:
             raise ValueError(f"premium_rate must be >= 0, got {self.premium_rate!r}")
 
 
-class CoverageAssessment(namedtuple("CoverageAssessment", "method clamp_loss recommended_coverage")):
-    """``clamp_loss``: percentage points of portfolio lost after clamping; ``recommended_coverage``: floor plus it."""
-
-    __slots__ = ()
-
-    def as_csv_row(self) -> str:
-        return f"{self.method.value},{self.clamp_loss:.4f},{self.recommended_coverage:.4f}"
+#: ``clamp_loss``: percentage points of portfolio lost after clamping; ``recommended_coverage``: floor plus it.
+CoverageAssessment = namedtuple("CoverageAssessment", "method clamp_loss recommended_coverage")
 
 
 def _assess(p: ReturnPortfolio, floor: float, threshold: float, method: CoverageMethod) -> CoverageAssessment:

@@ -287,8 +287,8 @@ def shift_to_mean(p: ReturnPortfolio, target: float) -> ReturnPortfolio:
 
     With no fund below zero under the uniform shift, every fund moves by it and the spread is untouched.
     Otherwise the k largest funds share the shift ``(n * target - their sum) / k``, for the largest k that
-    keeps each of them above zero, and the rest are 0.0. A mean still more than 1e-9 off the target is
-    rounding at the funds' magnitude (every fund at the target is an answer): ``InfeasibleShiftError``.
+    keeps each of them above zero, and the rest are 0.0. A fund shifted past the float range is a ``ValueError``;
+    a mean more than 1e-9 off is rounding, as every fund at the target is an answer: ``InfeasibleShiftError``.
     """
     if finite_real("target mean", target) < 0:
         raise ValueError(f"target mean must be >= 0, got {target!r}")
@@ -305,6 +305,8 @@ def shift_to_mean(p: ReturnPortfolio, target: float) -> ReturnPortfolio:
         shift, low = (level(k), order[k - 1]) if k else (0.0, math.inf)
     vals = [m + shift if m >= low else 0.0 for m in p.funds]
     mean = checked_fsum("shifted fund multiples", vals) / n
+    if not math.isfinite(mean):  # a shifted fund rounded to inf
+        raise ValueError(f"could not reach mean {target}: shifted fund multiples past the float range")
     if abs(mean - target) > 1e-9:
         raise InfeasibleShiftError(f"could not reach mean {target}: at multiples as large as "
                                    f"{max(max(p.funds), target):g}, rounding leaves it no closer than {mean}")

@@ -870,6 +870,35 @@ class TestExitCodes:
             1, "", "error: duplicate curve '1.10x' at moc 43: from --mocs 43.0 and 43.0\n")
         assert not any(in_tmp.iterdir())
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["synth", "--out"], "--out"), (["calibrate", "--out"], "--out"), (["sweep", "--out-dir"], "--out-dir"),
+    ], ids=["synth", "calibrate", "sweep"])
+    def test_a_path_with_a_line_break_writes_nothing(self, in_tmp, capsys, argv, flag):
+        """The path is printed on a ``wrote`` line, where its line break would forge a ``selected=`` line."""
+        path = "p.csv\nselected=face_annual+bank"
+        assert run(capsys, *argv, path) == (1, "", f"error: {flag} must hold no line break, got {path!r}\n")
+        assert not any(in_tmp.iterdir())
+
+    def test_a_portfolio_stem_with_a_line_break_forges_no_key(self, in_tmp, capsys):
+        """The stem is the ``portfolio=`` value; checked before the ledger is written."""
+        (in_tmp / "x\nfinal_multiple=99.csv").write_text("multiple\n0.5\n1.5\n", encoding="utf-8")
+        code, out, err = run(capsys, "simulate", "--portfolio", "x\nfinal_multiple=99.csv")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: sidecar key 'portfolio' must hold no '=' or line break")
+        assert not (in_tmp / "bank_ledger.csv").exists()
+
+    def test_a_ledger_path_with_a_line_break_writes_no_ledger(self, in_tmp, capsys):
+        code, out, err = run(capsys, "simulate", "--ledger-out", "l.csv\nfinal_multiple=99")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: sidecar key 'ledger' must hold no '=' or line break")
+        assert not any(in_tmp.iterdir())
+
+    def test_a_rate_file_path_with_a_line_break_forges_no_key(self, in_tmp, capsys):
+        (in_tmp / "r.csv\ncount=0").write_text("DATE,RATE\n2010-01-04,2.0\n", encoding="utf-8")
+        code, out, err = run(capsys, "ingest", "--csv", "r.csv\ncount=0")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: sidecar key 'file' must hold no '=' or line break")
+
     @pytest.mark.parametrize("command", ["simulate", "breakeven", "sweep"])
     def test_surplus_rate_flag_is_gone(self, capsys, command):
         code, _, err = run(capsys, command, "--surplus-rate", "1")
@@ -926,7 +955,7 @@ class TestExitCodes:
     def test_closed_stdout_pipe_is_not_a_failure(self, in_tmp, unbuffered):
         """``venturebank ingest | head -1``: the reader closed the pipe, so status 0 and no diagnostic.
 
-        The read end closes before the child starts, so its first write to stdout (in ``print``
+        The read end closes before the child starts, so its first write to stdout (in ``run_cli``
         when unbuffered, at the final flush otherwise) always meets a closed pipe.
         """
         src = str(Path(venturebank.__file__).resolve().parents[1])

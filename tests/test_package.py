@@ -170,6 +170,28 @@ def test_no_module_reads_the_environment():
     assert not readers
 
 
+def _writes_stdout(node) -> bool:
+    """A call that writes stdout: ``print`` without ``file=sys.stderr``, or a ``sys.stdout`` write method."""
+    if not isinstance(node, ast.Call):
+        return False
+    if isinstance(node.func, ast.Name) and node.func.id == "print":
+        return not any(k.arg == "file" and ast.unparse(k.value) == "sys.stderr" for k in node.keywords)
+    return ast.unparse(node.func).startswith("sys.stdout.") and ast.unparse(node.func).endswith(("write", "writelines"))
+
+
+def test_only_run_cli_writes_stdout():
+    """Each command's handler returns its text and ``cli.run_cli`` writes it, once: no other function or module
+    formats stdout. An ``error:`` line to stderr is a diagnostic, not output."""
+    package = SRC / "venturebank"
+    writers = [(path.name, getattr(top, "name", None)) for path in sorted(package.glob("*.py"))
+               for top in ast.parse(path.read_text(encoding="utf-8")).body
+               for node in ast.walk(top) if _writes_stdout(node)]
+    assert writers == [("cli.py", "run_cli")]
+    handlers = [func for func in ast.parse((package / "cli.py").read_text(encoding="utf-8")).body
+                if isinstance(func, ast.FunctionDef) and func.name.startswith("_cmd_")]
+    assert len(handlers) == 7 and all(ast.unparse(func.returns) == "str" for func in handlers)
+
+
 def _is_dataclass_decorator(node) -> bool:
     target = node.func if isinstance(node, ast.Call) else node
     return (target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)) == "dataclass"

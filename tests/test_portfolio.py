@@ -288,6 +288,14 @@ class TestShift:
                                                        r"1e\+12, rounding leaves it no closer than 0\.0$"):
             shift_to_mean(ReturnPortfolio((1e12, 0.5, 0.5)), 1e-5)
 
+    @pytest.mark.parametrize("funds", [(1e308, 0.0), (1.7e308, 0.0)])
+    def test_a_shift_past_the_float_range_names_it_not_rounding(self, funds):
+        """No fund floors, so the answer is the uniform shift, and its largest fund is past the float range."""
+        with pytest.raises(ValueError, match=r"^could not reach mean 1\.7e\+308: shifted fund multiples past "
+                                             r"the float range$") as caught:
+            shift_to_mean(ReturnPortfolio(funds), 1.7e308)
+        assert not isinstance(caught.value, InfeasibleShiftError)
+
     @given(funds=funds_lists, target=st.floats(0, 25, allow_nan=False))
     @settings(max_examples=200)
     def test_matches_the_exact_water_fill(self, funds, target):
