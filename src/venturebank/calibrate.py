@@ -26,7 +26,9 @@ UPLIFT_BAND = (0.2, 0.8)       # expected gain at 30X from coverage 5.6% -> 3.88
 WORKING_COVERAGE = 0.056
 REDUCED_COVERAGE = 0.0388
 
-RATE_READINGS = ("libor", "bank")  # libor: anchor + spread; bank: anchor as-is
+# The anchor as a per-year bank-rate fraction, by rate reading in search order.
+# libor: anchor + spread; bank: anchor as-is.
+ANCHOR_BANK_RATES = {"libor": funds_rate(ANCHOR_RATE_PCT) / 100.0, "bank": ANCHOR_RATE_PCT / 100.0}
 
 
 class CalibrationCase(namedtuple("CalibrationCase", "premium_base rate_reading m30 m43 uplift score")):
@@ -50,19 +52,6 @@ class CalibrationReport(namedtuple("CalibrationReport", "cases")):
         return self.cases[0]
 
 
-def _band_distance(value: float, band: tuple[float, float]) -> float:
-    return max(band[0] - value, value - band[1], 0.0)
-
-
-def anchor_bank_rate(rate_reading: str) -> float:
-    """Anchor converted to a per-year bank-rate fraction."""
-    if rate_reading == "libor":
-        return funds_rate(ANCHOR_RATE_PCT) / 100.0
-    if rate_reading == "bank":
-        return ANCHOR_RATE_PCT / 100.0
-    raise ValueError(f"unknown rate reading {rate_reading!r}")
-
-
 def run_calibration(portfolio: ReturnPortfolio) -> CalibrationReport:
     """Score each (premium base, rate reading) pair on the anchor portfolio.
 
@@ -72,38 +61,35 @@ def run_calibration(portfolio: ReturnPortfolio) -> CalibrationReport:
     Each (premium base, rate reading, coverage, leverage) case is one
     :func:`simulate_bank` run.
     """
-    def multiple(base: PremiumBase, reading: str, coverage: float, moc: float) -> float:
+    def multiple(base: PremiumBase, rate: float, coverage: float, moc: float) -> float:
         terms = DinTerms(coverage_fraction=coverage, premium_base=base)
-        return simulate_bank(ScenarioConfig(portfolio, terms, anchor_bank_rate(reading), moc)).final_multiple
+        return simulate_bank(ScenarioConfig(portfolio, terms, rate, moc)).final_multiple
 
     cases = []
     for base in PremiumBase:
-        for reading in RATE_READINGS:
-            m30 = multiple(base, reading, WORKING_COVERAGE, 30)
-            m43 = multiple(base, reading, WORKING_COVERAGE, 43)
-            uplift = multiple(base, reading, REDUCED_COVERAGE, 30) - m30
+        for reading, rate in ANCHOR_BANK_RATES.items():
+            m30 = multiple(base, rate, WORKING_COVERAGE, 30)
+            m43 = multiple(base, rate, WORKING_COVERAGE, 43)
+            uplift = multiple(base, rate, REDUCED_COVERAGE, 30) - m30
             score = (abs(m30 - TARGET_M30) + abs(m43 - TARGET_M43)
-                     + _band_distance(uplift, UPLIFT_BAND))
+                     + max(UPLIFT_BAND[0] - uplift, uplift - UPLIFT_BAND[1], 0.0))
             cases.append(CalibrationCase(base, reading, m30, m43, uplift, score))
     return CalibrationReport(tuple(sorted(cases, key=lambda c: c.score)))
 
 
-def calibration_text(report: CalibrationReport) -> str:
-    lines = [
-        "# premium-base x rate-reading calibration",
-        f"# anchors: m30={TARGET_M30} m43={TARGET_M43} "
-        f"uplift_band=[{UPLIFT_BAND[0]}, {UPLIFT_BAND[1]}] "
-        f"at {ANCHOR_RATE_PCT}% funds rate, "
-        f"coverage {WORKING_COVERAGE:.3%} vs {REDUCED_COVERAGE:.2%}",
-    ]
-    for c in report.cases:
-        lines.append(
-            f"mode={c.mode} m30={c.m30:.4f} m43={c.m43:.4f} "
-            f"uplift={c.uplift:+.4f} score={c.score:.4f}"
-        )
-    lines.append(f"selected={report.selected.mode}")
-    return "\n".join(lines) + "\n"
+def case_text(case: CalibrationCase) -> str:
+    """``case``'s ``m30=... m43=... uplift=... score=...``, as ``calibration.txt`` and ``calibrate`` print it."""
+    return f"m30={case.m30:.4f} m43={case.m43:.4f} uplift={case.uplift:+.4f} score={case.score:.4f}"
 
 
 def write_calibration_report(path, report: CalibrationReport) -> None:
-    write_text(path, [calibration_text(report)])
+    """Write ``report`` to ``path``: the anchors, one ``mode=`` line per case, best first, and the selected mode."""
+    write_text(path, [
+        "# premium-base x rate-reading calibration\n",
+        f"# anchors: m30={TARGET_M30} m43={TARGET_M43} "
+        f"uplift_band=[{UPLIFT_BAND[0]}, {UPLIFT_BAND[1]}] "
+        f"at {ANCHOR_RATE_PCT}% funds rate, "
+        f"coverage {WORKING_COVERAGE:.3%} vs {REDUCED_COVERAGE:.2%}\n",
+        *(f"mode={c.mode} {case_text(c)}\n" for c in report.cases),
+        f"selected={report.selected.mode}\n",
+    ])

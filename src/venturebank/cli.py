@@ -35,7 +35,8 @@ from .portfolio import (
 )
 
 DEFAULT_SEED = 42
-DEFAULT_LIBOR_PCT = 1.57  # latest rate in the bundled window
+DEFAULT_LIBOR_PCT = 1.57  # simulate's default; not a rate of the bundled file, which ends 2016-12-30 at 1.60947
+_ONE_LINE = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})  # each splitlines break
 
 
 def _finite(text: str) -> float:
@@ -288,20 +289,25 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> str:
-    from .calibrate import run_calibration, write_calibration_report
+    from .calibrate import case_text, run_calibration, write_calibration_report
 
     anchor = shift_to_mean(_reference_portfolio(args.seed), 1.31)
     report = run_calibration(anchor)
     write_calibration_report(args.out, report)
     best = report.selected
     return (sidecar_text([("selected", best.mode)])
-            + f"m30={best.m30:.4f} m43={best.m43:.4f} uplift={best.uplift:+.4f} score={best.score:.4f}\n"
+            + f"{case_text(best)}\n"
             + f"wrote {args.out}\n")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse echoes raw argv; a line break in it would start a second error line
+        super().error(message.translate(_ONE_LINE))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="venturebank",
-                                     description="Deterministic venture-bank / default-insurance scenario simulator.")
+    parser = _Parser(prog="venturebank",
+                     description="Deterministic venture-bank / default-insurance scenario simulator.")
     config = parser.add_argument("--config", action=_Config, default={},
                                  help="flat key=value file preloading flag defaults")
     config.flags = {}
@@ -394,7 +400,7 @@ def run_cli(argv: list[str]) -> int:
     except BrokenPipeError:
         raise  # the reader closed stdout: see main
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}".translate(_ONE_LINE), file=sys.stderr)  # a path may hold a line break
         return status
 
 

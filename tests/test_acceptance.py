@@ -16,7 +16,7 @@ from venturebank.bank_engine import (
     scenario_flows,
     simulate_bank,
 )
-from venturebank.calibrate import anchor_bank_rate, run_calibration, write_calibration_report
+from venturebank.calibrate import ANCHOR_BANK_RATES, run_calibration, write_calibration_report
 from venturebank.cli import run_cli
 from venturebank.din import (
     DinTerms,
@@ -235,7 +235,7 @@ def test_calibrated_reading_matches_anchor_rate():
     # The winning rate reading must be usable to reproduce the anchors.
     compressed = compress_pairs(synthesize_kauffman(KauffmanConstraints(), SEED))
     selected = run_calibration(shift_to_mean(compressed, 1.31)).selected
-    rate = anchor_bank_rate(selected.rate_reading)
+    rate = ANCHOR_BANK_RATES[selected.rate_reading]
     m30 = simulate_bank(ScenarioConfig(
         shift_to_mean(compressed, 1.31), _calibrated_terms(selected, 0.056), rate, 30,
     )).final_multiple

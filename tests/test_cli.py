@@ -334,6 +334,14 @@ class TestSimulateAndBreakeven:
         assert code == 0
         assert out == "breakeven_bank_rate_pct=2.7233\n"
 
+    def test_margins_all_infinite_find_no_break_even(self, in_tmp, capsys):
+        """Every margin is ``+inf``, so no rate breaks even; ``simulate`` names the same overflow."""
+        (in_tmp / "p.csv").write_text("multiple\n1e308\n1e308\n0.5\n", encoding="utf-8")
+        assert run(capsys, "breakeven", "--portfolio", "p.csv") == (0, "breakeven_bank_rate_pct=none\n", "")
+        assert run(capsys, "simulate", "--portfolio", "p.csv") == (
+            1, "", "error: final multiple not finite at moc 30.0 and capital 1.0\n")
+        assert [p.name for p in in_tmp.iterdir()] == ["p.csv"]
+
     def test_overflowing_ledger_writes_nothing(self, in_tmp, capsys):
         code, out, err = run(capsys, "simulate", "--moc", "1e308", "--libor", "7.5")
         assert code == 1
@@ -1025,6 +1033,23 @@ VALUES = {
     "--out-dir": st.sampled_from(["out", "."]),
 }
 COMMANDS = ("ingest", "synth", "coverage", "simulate", "breakeven", "sweep", "calibrate")
+# A path or stray argument holding one or two of the characters ``str.splitlines`` breaks on.
+BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+BROKEN = st.tuples(st.sampled_from(["", "bad", "x.csv"]), st.text(st.sampled_from(BREAKS), min_size=1, max_size=2),
+                   st.sampled_from(["", "error: forged", "x.csv"])).map("".join)
+NAME = object()  # where the drawn text goes in a ``BROKEN_RUNS`` argv
+# Each argv with the file, if any, written under the drawn name: each failure quotes the name its own way.
+BROKEN_RUNS = [
+    (["coverage", "--portfolio", NAME], "multiple\n1.0\nabc\n"),  # load_portfolio: the path unquoted
+    (["coverage", "--portfolio", NAME], None),  # the OS error: the path's repr
+    (["simulate", "--portfolio", NAME], b"multiple\n\xe9\n"),  # read_lines: the path unquoted
+    (["ingest", "--csv", NAME], "DATE,RATE\n2010-01-04,x\n"),  # load_libor_csv: the path unquoted
+    (["--config", NAME, "synth"], "seed=x\n"),  # _Config: the path unquoted, status 2
+    (["synth", NAME], None),  # argparse's unrecognized arguments: raw argv
+    ([NAME], None),  # argparse's invalid choice: its repr
+    (["simulate", "--premium-base", NAME], None),
+    (["synth", "--out", NAME], None),
+]
 
 
 def assert_exits_cleanly(argv: list[str], config: list[str], time_budget) -> None:
@@ -1047,11 +1072,16 @@ def assert_exits_cleanly(argv: list[str], config: list[str], time_budget) -> Non
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err, argv
     if code:
-        assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
+        assert len(lines := error_lines(err)) == 1 and "error:" in lines[0], (argv, err)
     if code == 2:
         assert not written, argv
     if code == 0:
         assert not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE), (argv, out)
+
+
+def error_lines(err: str) -> list[str]:
+    """The lines of ``err`` outside argparse's usage block (its ``usage:`` line and indented continuations)."""
+    return [line for line in err.splitlines() if not line.startswith(("usage: ", " "))]
 
 
 class TestNoTraceback:
@@ -1067,6 +1097,36 @@ class TestNoTraceback:
         keys = data.draw(st.lists(st.sampled_from(flags), max_size=2, unique=True), label="keys")
         config = [f"{key[2:]}={data.draw(VALUES.get(key, EXTREMES), label=key)}\n" for key in keys]
         assert_exits_cleanly(argv, config, time_budget)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_a_line_break_in_a_path_or_argument_writes_one_error_line(self, in_tmp, capsys, data):
+        """Whichever writer quotes the drawn text, its breaks are escaped: one error line per failure."""
+        template, content = data.draw(st.sampled_from(BROKEN_RUNS), label="run")
+        name = data.draw(BROKEN, label="name")
+        if content is not None:
+            (in_tmp / name).write_bytes(content if isinstance(content, bytes) else content.encode())
+        code, out, err = run(capsys, *(name if part is NAME else part for part in template))
+        if content is not None:
+            (in_tmp / name).unlink()
+        assert (code, out) in ((1, ""), (2, "")), (template, name, err)
+        lines = error_lines(err)
+        assert len(lines) == 1 and re.match(r"(venturebank( \w+)?: )?error: ", lines[0]), (template, name, err)
+
+    @pytest.mark.parametrize("argv, text, status, want", [
+        (["coverage", "--portfolio", "bad\nerror: forged.csv"], "multiple\n1.0\nabc\n", 1,
+         "error: bad\\nerror: forged.csv: line 3: non-numeric multiple 'abc'\n"),
+        (["--config", "c\u2028error: x.cfg", "synth"], "seed=x\n", 2,
+         "error: c\\u2028error: x.cfg: line 1: bad value 'x' for key 'seed': must be an integer >= 0, got 'x'\n"),
+        (["synth", "x\nerror: forged"], None, 2, "venturebank: error: unrecognized arguments: x\\nerror: forged\n"),
+    ], ids=["reader", "config", "argparse"])
+    def test_a_line_break_is_written_escaped(self, in_tmp, capsys, argv, text, status, want):
+        """The file ``text``, if any, is written under the argument that holds the line break."""
+        if text:
+            (in_tmp / next(a for a in argv if set(a) & set(BREAKS))).write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (status, "")
+        assert error_lines(err) == [want.rstrip("\n")] and err.endswith(want)
 
     @pytest.mark.parametrize("argv", [["breakeven", "--portfolio", "far.csv", "--hi", "1e308"],
                                       ["sweep", "--grid", "0:49.75:0.0005", "--mocs", "1,2,3,4,5,6,7,8,9,10"]])

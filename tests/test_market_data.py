@@ -1,6 +1,7 @@
 """Rate CSV ingestion and window statistics."""
 
 import datetime as dt
+import importlib.util
 import math
 import statistics
 from pathlib import Path
@@ -246,3 +247,14 @@ class TestSeriesProperties:
         rates = series.rates
         assert min(rates) <= stats.median <= max(rates)
         assert min(rates) - 1e-12 <= stats.mean <= max(rates) + 1e-12
+
+
+def test_the_bundled_rate_file_is_what_its_tool_builds(tmp_path):
+    """``tools/build_libor_snapshot.py`` rebuilds the bundled file byte for byte (the tool needs numpy)."""
+    pytest.importorskip("numpy")
+    spec = importlib.util.spec_from_file_location(
+        "build_libor_snapshot", Path(__file__).resolve().parents[1] / "tools" / "build_libor_snapshot.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    tool.write_csv(*tool.build(), tmp_path / "rates.csv")
+    assert (tmp_path / "rates.csv").read_bytes() == default_snapshot_path().read_bytes()

@@ -110,6 +110,20 @@ class TestSynthesis:
         assert (len(p), p.funds.count(1.0)) == (99, 54)
         assert coverage_sigma_method(p, 0.0).clamp_loss == coverage_breakeven_method(p, 0.0).clamp_loss == 17.45
 
+    @pytest.mark.parametrize("constraints", [
+        KauffmanConstraints(sigma_clamp_loss=0.0, breakeven_clamp_loss=0.0),  # no losers: an empty band is skipped
+        KauffmanConstraints(sigma_clamp_loss=17.45),  # no moderate excess: a band at break-even, undrawn
+    ], ids=["no-losers", "no-moderate-excess"])
+    def test_a_band_with_nothing_to_draw_still_meets_every_target(self, constraints):
+        """Within ``_verify_synthesis``'s tolerances, and the same funds on a second run."""
+        p = synthesize_kauffman(constraints, 42)
+        stats = portfolio_stats(p)
+        assert len(p) == 99
+        assert stats.mean == pytest.approx(1.31, abs=5e-4) and stats.stddev == pytest.approx(1.116, abs=5e-4)
+        assert clamp_loss(p, 1.0) == pytest.approx(constraints.breakeven_clamp_loss, abs=5e-3)
+        assert clamp_loss(p, 1.0 + stats.stddev) == pytest.approx(constraints.sigma_clamp_loss, abs=5e-3)
+        assert synthesize_kauffman(constraints, 42).funds == p.funds
+
     def test_all_multiples_nonnegative_and_sorted(self, kauffman99):
         assert all(m >= 0 for m in kauffman99.funds)
         assert list(kauffman99.funds) == sorted(kauffman99.funds, reverse=True)

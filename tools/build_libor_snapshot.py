@@ -243,23 +243,23 @@ def verify(days: list[dt.date], values: np.ndarray) -> None:
     assert float(values.min()) >= 0.0 and float(values.max()) <= 50.0
 
 
-def write_csv(days: list[dt.date], values: np.ndarray) -> None:
-    OUT_PATH.parent.mkdir(parents=True, exist_ok=True)
+def write_csv(days: list[dt.date], values: np.ndarray, path: Path) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"DATE,{SERIES_ID}"]
     for d, v in zip(days, values):
         if (d.month, d.day) in FIXED_HOLIDAYS:
             lines.append(f"{d.isoformat()},.")
         else:
             lines.append(f"{d.isoformat()},{v:.5f}")
-    OUT_PATH.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {OUT_PATH} ({len(lines) - 1} rows)")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    print(f"wrote {path} ({len(lines) - 1} rows)")
 
 
 def main() -> None:
     days, values = build()
     hol = np.array([(d.month, d.day) in FIXED_HOLIDAYS for d in days])
     verify([d for d, h in zip(days, hol) if not h], values[~hol])
-    write_csv(days, values)
+    write_csv(days, values, OUT_PATH)
 
 
 if __name__ == "__main__":
