@@ -24,7 +24,7 @@ TARGET_M30 = 1.50              # multiple at 30X leverage, 5.6% coverage
 TARGET_M43 = 2.15              # multiple at 43X leverage, 5.6% coverage
 UPLIFT_BAND = (0.2, 0.8)       # expected gain at 30X from coverage 5.6% -> 3.88%
 WORKING_COVERAGE = 0.056
-REDUCED_COVERAGE = 0.0388
+REDUCED_COVERAGE = DinTerms().coverage_fraction
 
 # The anchor as a per-year bank-rate fraction, by rate reading in search order.
 # libor: anchor + spread; bank: anchor as-is.

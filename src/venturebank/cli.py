@@ -36,7 +36,11 @@ from .portfolio import (
 
 DEFAULT_SEED = 42
 DEFAULT_LIBOR_PCT = 1.57  # simulate's default; not a rate of the bundled file, which ends 2016-12-30 at 1.60947
-_ONE_LINE = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})  # each splitlines break
+DEFAULT_TERMS, DEFAULT_TARGETS = DinTerms(), KauffmanConstraints()  # the note's and the reference portfolio's defaults
+
+
+def _one_line(message: str) -> str:  # its repr if it holds a line break, so it reads back exactly
+    return repr(message) if len(f"{message}.".splitlines()) > 1 else message
 
 
 def _finite(text: str) -> float:
@@ -131,14 +135,15 @@ def _parse_date(text: str, end_of_year: bool) -> dt.date:
 
 
 def _add_terms_flags(add, p: argparse.ArgumentParser) -> None:
-    add(p, "--coverage", type=_non_negative, default=3.88, help="insured percent of each investment (default 3.88)")
-    add(p, "--coverage-floor", type=_non_negative, default=2.88,
-        help="regulatory coverage floor, percent (default 2.88)")
-    add(p, "--premium-rate", type=_non_negative, default=5.0,
-        help="annual premium, percent of the premium base (default 5)")
-    add(p, "--premium-base", choices=[b.value for b in PremiumBase], default=PremiumBase.FACE_ANNUAL.value)
-    add(p, "--payoff-year", type=int, default=5)
-    add(p, "--term-years", type=int, default=10)
+    add(p, "--coverage", type=_non_negative, default=DEFAULT_TERMS.coverage_fraction * 100,
+        help="insured percent of each investment (default %(default)g)")
+    add(p, "--coverage-floor", type=_non_negative, default=DEFAULT_TERMS.coverage_floor * 100,
+        help="regulatory coverage floor, percent (default %(default)g)")
+    add(p, "--premium-rate", type=_non_negative, default=DEFAULT_TERMS.premium_rate * 100,
+        help="annual premium, percent of the premium base (default %(default)g)")
+    add(p, "--premium-base", choices=[b.value for b in PremiumBase], default=DEFAULT_TERMS.premium_base.value)
+    add(p, "--payoff-year", type=int, default=DEFAULT_TERMS.payoff_year)
+    add(p, "--term-years", type=int, default=DEFAULT_TERMS.term_years)
 
 
 def _add_scenario_flags(add, p: argparse.ArgumentParser) -> None:
@@ -162,7 +167,7 @@ def _terms_from(args: argparse.Namespace) -> DinTerms:
 
 def _reference_portfolio(seed: int):
     """The synthesized reference portfolio, pair-compressed."""
-    return compress_pairs(synthesize_kauffman(KauffmanConstraints(), seed))
+    return compress_pairs(synthesize_kauffman(DEFAULT_TARGETS, seed))
 
 
 def _portfolio_from(args: argparse.Namespace):
@@ -291,7 +296,7 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
 def _cmd_calibrate(args: argparse.Namespace) -> str:
     from .calibrate import case_text, run_calibration, write_calibration_report
 
-    anchor = shift_to_mean(_reference_portfolio(args.seed), 1.31)
+    anchor = shift_to_mean(_reference_portfolio(args.seed), DEFAULT_TARGETS.mean)
     report = run_calibration(anchor)
     write_calibration_report(args.out, report)
     best = report.selected
@@ -302,7 +307,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> str:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse echoes raw argv; a line break in it would start a second error line
-        super().error(message.translate(_ONE_LINE))
+        super().error(_one_line(message))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,18 +331,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="synthesize the reference portfolio")
     add(p, "--seed", type=_seed, default=DEFAULT_SEED)
-    add(p, "--n", type=int, default=99)
-    add(p, "--mean", type=_finite, default=1.31)
-    add(p, "--stddev", type=_finite, default=1.116)
-    add(p, "--sigma-loss", type=_finite, default=2.72)
-    add(p, "--breakeven-loss", type=_finite, default=17.45)
+    add(p, "--n", type=int, default=DEFAULT_TARGETS.n)
+    add(p, "--mean", type=_finite, default=DEFAULT_TARGETS.mean)
+    add(p, "--stddev", type=_finite, default=DEFAULT_TARGETS.stddev)
+    add(p, "--sigma-loss", type=_finite, default=DEFAULT_TARGETS.sigma_clamp_loss)
+    add(p, "--breakeven-loss", type=_finite, default=DEFAULT_TARGETS.breakeven_clamp_loss)
     add(p, "--label", default=None)
     add(p, "--out", default="portfolio.csv")
     p.set_defaults(handler=_cmd_synth)
 
     p = sub.add_parser("coverage", help="coverage sizing by both clamp methods")
     add(p, "--portfolio", required=True)
-    add(p, "--floor", type=_non_negative, default=2.88, help="coverage floor, percent")
+    add(p, "--floor", type=_non_negative, default=DEFAULT_TERMS.coverage_floor * 100, help="coverage floor, percent")
     p.set_defaults(handler=_cmd_coverage)
 
     p = sub.add_parser("simulate", help="run one bank scenario and write its ledger")
@@ -400,7 +405,7 @@ def run_cli(argv: list[str]) -> int:
     except BrokenPipeError:
         raise  # the reader closed stdout: see main
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}".translate(_ONE_LINE), file=sys.stderr)  # a path may hold a line break
+        print(f"error: {_one_line(str(exc))}", file=sys.stderr)  # a path may hold a line break
         return status
 
 

@@ -137,21 +137,16 @@ def _svg_chart(xs: tuple[float, ...], series: dict[str, tuple[float, ...]], titl
     return "\n".join(parts) + "\n"
 
 
-def emit_report(table: SweepTable, kind: ReportKind, out):
-    """Write the chart for one side of the sweep to ``out`` and return it as a ``pathlib.Path``.
+def emit_report(table: SweepTable, kind: ReportKind, out) -> None:
+    """Write the chart for one side of the sweep to ``out``.
 
     The bank chart carries a break-even reference line at 1.0; the
     underwriter chart at 0. Both plot columns the sweep CSV already
     holds. Raises on an empty table before creating any file.
     """
-    from pathlib import Path
-
     if not table.rates_pct or not table.curves:
         raise ValueError("cannot render an empty sweep table")
     title, y_label, ref_y, ref_label = _CHARTS[kind]
     svg = _svg_chart(table.rates_pct, _series_for(table, kind), title, "bank funding rate (%)",
                      y_label, ref_y, ref_label)
-    out = Path(out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_text(out, [svg])
-    return out

@@ -607,6 +607,14 @@ class TestBreakEven:
         assert simulate_bank(dataclasses.replace(cfg, bank_rate=rate - 2e-6)).final_multiple >= multiple
         assert simulate_bank(dataclasses.replace(cfg, bank_rate=rate + 2e-6)).final_multiple <= multiple
 
+    def test_a_midpoint_exactly_at_break_even_is_returned(self):
+        """One fund at 1.5, no insurance, one year at MOC 1: the first scan interval [0, 1] has margins
+        +0.5 and -0.5, and its midpoint 0.5 leaves a debt of 1 + 0.5 - 1.5 = 0, so the solve stops there."""
+        terms = DinTerms(coverage_fraction=0.0, coverage_floor=0.0, premium_rate=0.0, payoff_year=1, term_years=1)
+        cfg = ScenarioConfig(ReturnPortfolio((1.5,)), terms, 0.0, 1)
+        assert simulate_bank(dataclasses.replace(cfg, bank_rate=0.5)).final_multiple == 1.0
+        assert break_even_rate(cfg, 0.0, 20.0) == 0.5
+
     @pytest.mark.parametrize("hi", [1e21, 1.7e308])
     def test_bisection_stops_at_adjacent_floats(self, time_budget, hi):
         """Above 2**33 adjacent rates lie more than BREAK_EVEN_TOL apart: the crossing lies between two of them."""

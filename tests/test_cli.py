@@ -1,6 +1,7 @@
 """Command-line behaviour: determinism, outputs, exit codes."""
 
 import argparse
+import ast
 import contextlib
 import hashlib
 import io
@@ -16,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import venturebank
+from venturebank import calibrate, cli
 from venturebank.bank_engine import ScenarioConfig, simulate_bank, write_bank_csv
 from venturebank.cli import build_parser, run_cli
 from venturebank.din import DinTerms, PremiumBase
@@ -528,6 +530,36 @@ class TestEveryFlagIsRead:
         assert run(capsys, "simulate", "--libor", "3", "--ledger-out", "flag.csv")[0] == 0
         assert (in_tmp / "file.csv").read_bytes() == (in_tmp / "flag.csv").read_bytes()
         assert (in_tmp / "file.csv").read_bytes() != (in_tmp / "default.csv").read_bytes()
+
+
+class TestDefaults:
+    """The records own the paper's defaults: the flags read them from ``DinTerms()`` and ``KauffmanConstraints()``."""
+
+    @pytest.mark.parametrize("command", ["simulate", "breakeven", "sweep"])
+    def test_terms_flags_default_to_the_record(self, command):
+        assert cli._terms_from(build_parser().parse_args([command])) == DinTerms()
+
+    def test_synth_flags_default_to_the_record(self):
+        args = build_parser().parse_args(["synth"])
+        assert KauffmanConstraints(n=args.n, mean=args.mean, stddev=args.stddev, sigma_clamp_loss=args.sigma_loss,
+                                   breakeven_clamp_loss=args.breakeven_loss) == KauffmanConstraints()
+
+    def test_coverage_floor_and_calibration_cut_come_from_the_record(self):
+        assert build_parser().parse_args(["coverage", "--portfolio", "p.csv"]).floor / 100 == DinTerms().coverage_floor
+        assert calibrate.REDUCED_COVERAGE == DinTerms().coverage_fraction
+
+    def test_no_default_is_restated(self):
+        """No number or string in ``cli.py`` or ``calibrate.py`` is a record default, as a fraction or a percent."""
+        terms, targets = DinTerms(), KauffmanConstraints()
+        percents = (terms.coverage_fraction, terms.coverage_floor, terms.premium_rate)
+        defaults = {*percents, *(f * 100 for f in percents), terms.premium_base.value, terms.payoff_year,
+                    terms.term_years, targets.n, targets.mean, targets.stddev, targets.sigma_clamp_loss,
+                    targets.breakeven_clamp_loss}
+        for module in (cli, calibrate):
+            tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+            restated = [f"{node.lineno}: {node.value!r}" for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                        and type(node.value) in (int, float, str) and node.value in defaults]
+            assert not restated, module.__name__
 
 
 class TestStartup:
@@ -1115,18 +1147,24 @@ class TestNoTraceback:
 
     @pytest.mark.parametrize("argv, text, status, want", [
         (["coverage", "--portfolio", "bad\nerror: forged.csv"], "multiple\n1.0\nabc\n", 1,
-         "error: bad\\nerror: forged.csv: line 3: non-numeric multiple 'abc'\n"),
+         "error: \"bad\\nerror: forged.csv: line 3: non-numeric multiple 'abc'\"\n"),
+        (["coverage", "--portfolio", "bad\\nx.csv"], "multiple\n1.0\nabc\n", 1,
+         "error: bad\\nx.csv: line 3: non-numeric multiple 'abc'\n"),
         (["--config", "c\u2028error: x.cfg", "synth"], "seed=x\n", 2,
-         "error: c\\u2028error: x.cfg: line 1: bad value 'x' for key 'seed': must be an integer >= 0, got 'x'\n"),
-        (["synth", "x\nerror: forged"], None, 2, "venturebank: error: unrecognized arguments: x\\nerror: forged\n"),
-    ], ids=["reader", "config", "argparse"])
+         "error: \"c\\u2028error: x.cfg: line 1: bad value 'x' for key 'seed': must be an integer >= 0, got 'x'\"\n"),
+        (["synth", "x\nerror: forged"], None, 2, "venturebank: error: 'unrecognized arguments: x\\nerror: forged'\n"),
+    ], ids=["reader", "typed-backslash", "config", "argparse"])
     def test_a_line_break_is_written_escaped(self, in_tmp, capsys, argv, text, status, want):
-        """The file ``text``, if any, is written under the argument that holds the line break."""
+        """The file ``text``, if any, is written under the argument that holds the line break or backslash.
+        Only a message that holds a line break is written as its repr, so a typed ``\\n`` prints apart."""
         if text:
-            (in_tmp / next(a for a in argv if set(a) & set(BREAKS))).write_text(text, encoding="utf-8")
+            (in_tmp / next(a for a in argv if set(a) & set(BREAKS + "\\"))).write_text(text, encoding="utf-8")
         code, out, err = run(capsys, *argv)
         assert (code, out) == (status, "")
         assert error_lines(err) == [want.rstrip("\n")] and err.endswith(want)
+        message = want.rstrip("\n").partition("error: ")[2]
+        if message.startswith(("'", '"')):  # it reads back as the two-line message
+            assert len(ast.literal_eval(message).splitlines()) == 2
 
     @pytest.mark.parametrize("argv", [["breakeven", "--portfolio", "far.csv", "--hi", "1e308"],
                                       ["sweep", "--grid", "0:49.75:0.0005", "--mocs", "1,2,3,4,5,6,7,8,9,10"]])

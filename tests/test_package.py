@@ -234,6 +234,8 @@ def test_no_typing_and_pathlib_only_inside_functions():
     outside = [f"{name}:{node.lineno}" for name, tree in trees.items() for node in _imports_of(tree, "pathlib")
                if id(node) not in in_functions]
     assert not outside
+    # ``ingest`` and ``sweep`` print a ``Path``, ``default_snapshot_path`` returns one; ``emit_report`` only writes
+    assert sorted(name for name, tree in trees.items() if _imports_of(tree, "pathlib")) == ["cli.py", "market_data.py"]
 
 
 RECORDS = [

@@ -368,16 +368,23 @@ class TestSweepCsv:
 
 class TestReports:
     def test_bank_chart_has_six_curves_and_a_reference_line(self, tmp_path, six_curve_table):
-        out = emit_report(six_curve_table, ReportKind.BANK_MULTIPLE, tmp_path / "fig3.svg")
-        svg = out.read_text()
+        emit_report(six_curve_table, ReportKind.BANK_MULTIPLE, tmp_path / "fig3.svg")
+        svg = (tmp_path / "fig3.svg").read_text()
         assert svg.count("<polyline") == 6
         assert svg.count('class="refline"') == 1
         assert "break-even = 1.0" in svg
         assert not (tmp_path / "fig3.csv").exists()
 
+    def test_writes_the_file_it_is_given_and_nothing_else(self, tmp_path, six_curve_table):
+        """As every other writer, it returns None and makes no directory: a missing one is an OS error."""
+        assert emit_report(six_curve_table, ReportKind.BANK_MULTIPLE, tmp_path / "fig3.svg") is None
+        with pytest.raises(FileNotFoundError):
+            emit_report(six_curve_table, ReportKind.BANK_MULTIPLE, tmp_path / "new" / "fig3.svg")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fig3.svg"]
+
     def test_underwriter_chart_reference_at_zero(self, tmp_path, six_curve_table):
-        out = emit_report(six_curve_table, ReportKind.UNDERWRITER_RETURN, tmp_path / "fig4.svg")
-        svg = out.read_text()
+        emit_report(six_curve_table, ReportKind.UNDERWRITER_RETURN, tmp_path / "fig4.svg")
+        svg = (tmp_path / "fig4.svg").read_text()
         assert "break-even = 0" in svg
         assert svg.count('class="refline"') == 1
 
@@ -385,7 +392,7 @@ class TestReports:
         cfg = ScenarioConfig(ReturnPortfolio((0.5, 2.0), "a<b&c"), DinTerms(), 0.0, 30)
         table = run_sweep([cfg], [1.0, 2.0])
         for kind in ReportKind:
-            out = emit_report(table, kind, tmp_path / f"{kind.value}.svg")
+            emit_report(table, kind, out := tmp_path / f"{kind.value}.svg")
             texts = [t.text for t in ET.parse(out).iter("{http://www.w3.org/2000/svg}text")]
             assert any("a<b&c" in t for t in texts)
 
@@ -426,14 +433,16 @@ class TestReports:
                         emit_report(table, kind, out)
                     assert not out.exists()
                 else:
-                    assert emit_report(table, kind, out).read_bytes() == want.encode("utf-8")
+                    emit_report(table, kind, out)
+                    assert out.read_bytes() == want.encode("utf-8")
 
     def test_reference_line_outside_every_series_matches_per_point_oracle(self, tmp_path):
         """Every multiple above 1.0 and every return below 0: the reference line sets one end of the y axis."""
         table = SweepTable((2.0, 2.25, 2.5), (SweepCurve("a", 30.0, (1.5, 1.25, 1.1), (-0.1, -0.2, -0.3)),
                                               SweepCurve("b", 43.0, (2.0, 1.7, 1.01), (-0.05, -0.15, -0.4))))
         for kind, outside in ((ReportKind.BANK_MULTIPLE, max), (ReportKind.UNDERWRITER_RETURN, min)):
-            svg = emit_report(table, kind, tmp_path / f"{kind.value}.svg").read_bytes()
+            emit_report(table, kind, out := tmp_path / f"{kind.value}.svg")
+            svg = out.read_bytes()
             assert svg == oracles.chart_svg(table, kind).encode("utf-8")
             ref = float(re.search(rb'class="refline" x1="\d+" y1="([\d.]+)"', svg).group(1))
             pixels = [float(y) for y in re.findall(rb',([\d.]+)', b" ".join(re.findall(rb'points="([^"]*)"', svg)))]

@@ -8,6 +8,12 @@ output keeps the side, commit, workload, seed, trace flag, ``attempted``,
 and, per workload and side, the median of each end-to-end metric over
 the untraced runs. Nothing is measured here.
 
+Given exactly two sides, ``claim_check`` applies the rule for claiming a
+gain to each workload and each end-to-end metric of ``BENCHMARK.json``:
+over at least ten seed-matched pairs of untraced runs, the second side
+is better in nine tenths of them, and its median beats the first side's
+by more than the first side's quartile spread.
+
 A side's ``commit`` is the one its runs' provenance names, which is
 ``null`` in a checkout made by ``git archive``; ``--commit NAME=SHA``
 names it instead.
@@ -24,6 +30,8 @@ import argparse
 import json
 import statistics
 from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def runs(side: str, checkout: Path, commit: str | None = None) -> list[dict]:
@@ -60,6 +68,40 @@ def medians(records: list[dict]) -> dict:
     return table
 
 
+def claim_check(records: list[dict], first: str, second: str, metrics: list[dict]) -> dict:
+    """workload -> metric -> whether ``second`` may claim a gain over ``first`` on it.
+
+    Untraced runs of one workload are paired by seed. ``won`` counts the pairs where ``second`` is better by
+    the metric's ``better`` (a tie counts for neither); ``median_gap`` is ``second``'s median less
+    ``first``'s; ``quartile_spread`` is q3 - q1 of ``first``'s values (None below two pairs).
+    ``meets_rule``: at least ten pairs, ``won >= 0.9 * pairs``, and the gap, in the better direction, exceeds
+    that spread.
+    """
+    paired: dict[str, dict] = {}
+    for r in records:
+        if not r["trace"]:
+            paired.setdefault(r["workload"], {}).setdefault(r["seed"], {})[r["side"]] = r["end_to_end"]
+    table: dict[str, dict] = {}
+    for workload, seeds in sorted(paired.items()):
+        for metric in metrics:
+            name, sign = metric["name"], 1 if metric["better"] == "lower" else -1  # sign * (b - a) < 0: b is better
+            pairs = [(s[first][name], s[second][name]) for s in seeds.values() if len(s) == 2
+                     and all(isinstance(s[side].get(name), (int, float)) for side in (first, second))]
+            if not pairs:
+                continue
+            firsts = [a for a, _ in pairs]
+            gap = statistics.median(b for _, b in pairs) - statistics.median(firsts)
+            spread = None
+            if len(pairs) > 1:
+                q1, _, q3 = statistics.quantiles(firsts, n=4)
+                spread = q3 - q1
+            won = sum(sign * (b - a) < 0 for a, b in pairs)
+            table.setdefault(workload, {})[name] = {
+                "pairs": len(pairs), "won": won, "median_gap": gap, "quartile_spread": spread,
+                "meets_rule": len(pairs) >= 10 and won >= 0.9 * len(pairs) and -sign * gap > spread}
+    return table
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--side", action="append", required=True, metavar="NAME=CHECKOUT")
@@ -75,6 +117,9 @@ def main() -> None:
     for side, checkout in sides.items():
         records += runs(side, Path(checkout), commits.get(side))
     bench = {"runs": records, "median_end_to_end": medians(records)}
+    if len(sides) == 2:
+        metrics = json.loads(BENCHMARK.read_text(encoding="utf-8"))["end_to_end"]
+        bench["claim_check"] = claim_check(records, *sides, metrics)
     Path(args.out).write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
 
 
